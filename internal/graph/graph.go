@@ -238,12 +238,19 @@ func (g *Graph) OutDegree(v Vertex) int { return int(g.outdeg[v]) }
 
 // Incident returns v's half-edges. The returned slice aliases internal
 // storage and must not be modified.
+//
+// Every incidence list is in ascending EdgeID order, and a self-loop's
+// Out half comes directly before its In half. Builder.FreezeInto
+// produces that order and Snapshot.Validate rejects files that break
+// it; the search oracle relies on it to find an edge's halves by
+// binary search.
 func (g *Graph) Incident(v Vertex) []Half {
 	return g.halves[g.off[v]:g.off[v+1]]
 }
 
 // HalfAt returns v's incident half-edge in the given slot,
-// 0 <= slot < Degree(v).
+// 0 <= slot < Degree(v). Slots follow Incident's order: ascending
+// EdgeID, a self-loop's Out half before its In half.
 func (g *Graph) HalfAt(v Vertex, slot int) Half {
 	return g.halves[int(g.off[v])+slot]
 }

@@ -459,8 +459,9 @@ func castHalves(b []byte, count int) []Half {
 
 // Validate runs the full O(n+m) structural check of the snapshot's
 // graph: offsets monotone and spanning exactly 2m halves, every half
-// consistent with its edge's endpoints, every endpoint in range, and
-// the degree counters matching the edge list. WriteSnapshot output
+// consistent with its edge's endpoints, every incidence list in
+// Graph.Incident's edge order, every endpoint in range, and the degree
+// counters matching the edge list. WriteSnapshot output
 // always validates; use this before traversing a file from an
 // untrusted source, where OpenSnapshot's header checks are not enough.
 func (s *Snapshot) Validate() error {
@@ -502,7 +503,16 @@ func (s *Snapshot) Validate() error {
 		return fmt.Errorf("graph: snapshot degree sums (in %d, out %d) != m = %d", inSum, outSum, m)
 	}
 	for v := 1; v <= n; v++ {
-		for _, h := range g.halves[g.off[v]:g.off[v+1]] {
+		inc := g.halves[g.off[v]:g.off[v+1]]
+		for i, h := range inc {
+			// Incident's order: ascending EdgeID, a self-loop's Out half
+			// directly before its In half.
+			if i > 0 {
+				prev := inc[i-1]
+				if h.Edge < prev.Edge || h.Edge == prev.Edge && (!prev.Out || h.Out) {
+					return fmt.Errorf("graph: snapshot vertex %d incidence out of edge order at slot %d", v, i)
+				}
+			}
 			if h.Edge < 0 || int(h.Edge) >= m {
 				return fmt.Errorf("graph: snapshot vertex %d references edge %d out of range", v, h.Edge)
 			}

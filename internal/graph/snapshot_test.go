@@ -313,23 +313,48 @@ func TestSnapshotValidateCatchesBodyCorruption(t *testing.T) {
 		"degree counter broken": l.indegOff + 4, // indeg[1] wrong
 		"half inconsistent":     l.halvesOff,    // first half's edge id
 	}
+	rejected := func(t *testing.T, mutated []byte) {
+		t.Helper()
+		bad := filepath.Join(t.TempDir(), "bad.csr")
+		if err := os.WriteFile(bad, mutated, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := OpenSnapshot(bad)
+		if err != nil {
+			// Header-level rejection is also acceptable.
+			return
+		}
+		defer snap.Close()
+		if err := snap.Validate(); err == nil {
+			t.Fatal("Validate accepted corrupted body")
+		}
+	}
 	for name, off := range cases {
 		t.Run(name, func(t *testing.T) {
 			mutated := append([]byte(nil), raw...)
 			binary.LittleEndian.PutUint32(mutated[off:], 0x7F00BAD)
-			bad := filepath.Join(t.TempDir(), "bad.csr")
-			if err := os.WriteFile(bad, mutated, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			snap, err := OpenSnapshot(bad)
-			if err != nil {
-				// Header-level rejection is also acceptable.
-				return
-			}
-			defer snap.Close()
-			if err := snap.Validate(); err == nil {
-				t.Fatal("Validate accepted corrupted body")
-			}
+			rejected(t, mutated)
+		})
+	}
+
+	// Swapping two half records of one vertex keeps every half
+	// consistent with its edge; only the incidence-order check sees it.
+	// Vertex 2 holds edges 0 and 1 (records 1 and 2); vertex 3 holds
+	// edge 1, then the self-loop's Out and In halves (records 4 and 5).
+	swaps := map[string][2]int64{
+		"incidence out of edge order": {1, 2},
+		"self-loop halves swapped":    {4, 5},
+	}
+	for name, pair := range swaps {
+		t.Run(name, func(t *testing.T) {
+			mutated := append([]byte(nil), raw...)
+			a := mutated[l.halvesOff+snapshotHalfSize*pair[0]:][:snapshotHalfSize]
+			b := mutated[l.halvesOff+snapshotHalfSize*pair[1]:][:snapshotHalfSize]
+			var tmp [snapshotHalfSize]byte
+			copy(tmp[:], a)
+			copy(a, b)
+			copy(b, tmp[:])
+			rejected(t, mutated)
 		})
 	}
 }

@@ -205,22 +205,25 @@ func TestSelfAvoidingWalkBeatsPureWalkOnAverage(t *testing.T) {
 }
 
 func TestHeapOrdering(t *testing.T) {
-	h := newHeap(func(a, b int) bool { return a < b })
-	for _, x := range []int{5, 1, 4, 1, 3, 9, 2} {
-		h.Push(x)
-	}
-	want := []int{1, 1, 2, 3, 4, 5, 9}
-	for _, w := range want {
-		got, ok := h.Pop()
-		if !ok || got != w {
-			t.Fatalf("Pop = (%d, %v), want %d", got, ok, w)
+	var h prioHeap
+	for round := 0; round < 2; round++ {
+		h.reset()
+		for i, x := range []int64{5, 1, 4, 1, 3, 9, 2} {
+			h.push(x, graph.Vertex(i+1))
 		}
-	}
-	if _, ok := h.Pop(); ok {
-		t.Fatal("Pop on empty heap reported ok")
-	}
-	if h.Len() != 0 {
-		t.Fatalf("Len = %d", h.Len())
+		want := []int64{1, 1, 2, 3, 4, 5, 9}
+		for _, w := range want {
+			got, ok := h.pop()
+			if !ok || got.prio != w {
+				t.Fatalf("pop = (%+v, %v), want prio %d", got, ok, w)
+			}
+		}
+		if _, ok := h.pop(); ok {
+			t.Fatal("pop on empty heap reported ok")
+		}
+		if len(h.items) != 0 {
+			t.Fatalf("len = %d", len(h.items))
+		}
 	}
 }
 

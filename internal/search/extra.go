@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"scalefree/internal/buf"
 	"scalefree/internal/graph"
 	"scalefree/internal/rng"
 )
@@ -32,20 +33,18 @@ func (*TwoPhase) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, error) 
 	}
 	target := int64(o.Target())
 
-	type entry struct {
-		prio int64
-		v    graph.Vertex
-	}
-	byDegree := newHeap(func(a, b entry) bool { return a.prio < b.prio })
-	byLabel := newHeap(func(a, b entry) bool { return a.prio < b.prio })
+	ws := o.work()
+	byDegree, byLabel := &ws.heaps[0], &ws.heaps[1]
+	byDegree.reset()
+	byLabel.reset()
 	push := func(v graph.Vertex) {
 		view, _ := o.ViewOf(v)
-		byDegree.Push(entry{-int64(view.Degree)<<32 + int64(v), v})
+		byDegree.push(-int64(view.Degree)<<32+int64(v), v)
 		d := int64(v) - target
 		if d < 0 {
 			d = -d
 		}
-		byLabel.Push(entry{d<<32 + int64(v), v})
+		byLabel.push(d<<32+int64(v), v)
 	}
 	push(o.Start())
 
@@ -56,7 +55,7 @@ func (*TwoPhase) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, error) 
 		if climbing {
 			h = byDegree
 		}
-		e, ok := h.Pop()
+		e, ok := h.pop()
 		if !ok {
 			break
 		}
@@ -113,7 +112,9 @@ func (w *BiasedWalk) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, err
 	if _, _, err := o.RequestVertex(cur); err != nil {
 		return Result{}, err
 	}
-	var weights []float64
+	ws := o.work()
+	ws.cum = ws.cum[:0]
+	ws.cumAt = buf.GrowClear(ws.cumAt, o.NumVertices()+1)
 	for steps := 0; !o.Found() && budgetLeft(o, maxRequests) && steps < stepCap(maxRequests); steps++ {
 		view, ok := o.ViewOf(cur)
 		if !ok || view.Resolved == nil {
@@ -122,18 +123,33 @@ func (w *BiasedWalk) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, err
 		if view.Degree == 0 {
 			break
 		}
-		weights = weights[:0]
-		for _, nb := range view.Resolved {
-			nv, _ := o.ViewOf(nb)
-			weights = append(weights, powWeight(nv.Degree, w.bias))
-		}
-		next := view.Resolved[sampleIndex(r, weights)]
+		next := view.Resolved[sampleIndex(r, ws.cumWeights(o, view, w.bias))]
 		if _, _, err := o.RequestVertex(next); err != nil {
 			return Result{}, err
 		}
 		cur = next
 	}
 	return Result{Found: o.Found(), Requests: o.Requests()}, nil
+}
+
+// cumWeights returns the running totals of the sampling weights
+// powWeight(d, bias) of view's neighbours, in slot order. A requested
+// vertex's neighbourhood and its neighbours' degrees never change, so
+// each vertex's totals are summed once per search, on its first visit.
+//
+//sf:hotpath
+func (ws *workspace) cumWeights(o *Oracle, view *View, bias float64) []float64 {
+	if at := int(ws.cumAt[view.ID]); at > 0 {
+		return ws.cum[at-1 : at-1+view.Degree]
+	}
+	start := len(ws.cum)
+	acc := 0.0
+	for _, nb := range view.Resolved {
+		acc += powWeight(o.views[nb].Degree, bias)
+		ws.cum = append(ws.cum, acc)
+	}
+	ws.cumAt[view.ID] = int32(start) + 1
+	return ws.cum[start:]
 }
 
 // powWeight computes max(d, 1)^bias, the sampling weight of a
@@ -149,22 +165,27 @@ func powWeight(d int, bias float64) float64 {
 	return math.Pow(x, bias)
 }
 
-// sampleIndex draws an index proportional to weights (all finite,
-// at least one positive — guaranteed by powWeight >= 0 with max(d,1)).
-func sampleIndex(r *rng.RNG, weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	u := r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
+// sampleIndex draws an index with probability proportional to its
+// weight, given the running totals cum of nonnegative weights summed
+// left to right. It returns the first i with u < cum[i] for
+// u = Float64()·total, or the last index when there is none (a zero
+// or infinite total) — the index a linear scan accumulating the
+// weights would return, found by binary search over the nondecreasing
+// totals.
+//
+//sf:hotpath
+func sampleIndex(r *rng.RNG, cum []float64) int {
+	u := r.Float64() * cum[len(cum)-1]
+	lo, hi := 0, len(cum)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if u < cum[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	return len(weights) - 1
+	return lo
 }
 
 // MixedGreedy is an ε-mixture of the two weak-model greedy priorities:
@@ -201,20 +222,18 @@ func (m *MixedGreedy) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, er
 	}
 	target := int64(o.Target())
 
-	type entry struct {
-		prio int64
-		v    graph.Vertex
-	}
-	byDegree := newHeap(func(a, b entry) bool { return a.prio < b.prio })
-	byLabel := newHeap(func(a, b entry) bool { return a.prio < b.prio })
+	ws := o.work()
+	byDegree, byLabel := &ws.heaps[0], &ws.heaps[1]
+	byDegree.reset()
+	byLabel.reset()
 	push := func(v graph.Vertex) {
 		view, _ := o.ViewOf(v)
-		byDegree.Push(entry{-int64(view.Degree)<<32 + int64(v), v})
+		byDegree.push(-int64(view.Degree)<<32+int64(v), v)
 		d := int64(v) - target
 		if d < 0 {
 			d = -d
 		}
-		byLabel.Push(entry{d<<32 + int64(v), v})
+		byLabel.push(d<<32+int64(v), v)
 	}
 	known := 0
 	for !o.Found() && budgetLeft(o, maxRequests) {
@@ -227,11 +246,11 @@ func (m *MixedGreedy) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, er
 		}
 		// Pop until a vertex with an unresolved slot surfaces; push the
 		// skipped, still-fresh entries back after the request.
-		var e entry
+		var e heapItem
 		found := false
 		for {
 			var ok bool
-			e, ok = h.Pop()
+			e, ok = h.pop()
 			if !ok {
 				break
 			}
@@ -245,17 +264,11 @@ func (m *MixedGreedy) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, er
 			break
 		}
 		view, _ := o.ViewOf(e.v)
-		slot := 0
-		for ; slot < view.Degree; slot++ {
-			if view.Resolved[slot] == graph.NoVertex {
-				break
-			}
-		}
-		if _, _, err := o.RequestEdge(e.v, slot); err != nil {
+		if _, _, err := o.RequestEdge(e.v, view.firstUnresolved()); err != nil {
 			return Result{}, err
 		}
 		if view.Unresolved > 0 {
-			h.Push(e)
+			h.push(e.prio, e.v)
 		}
 	}
 	return Result{Found: o.Found(), Requests: o.Requests()}, nil

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -135,14 +136,68 @@ func TestSampleIndexProportions(t *testing.T) {
 	r := rng.New(5)
 	counts := [3]int{}
 	const draws = 90000
+	cum := []float64{1, 3, 6} // running totals of the weights 1, 2, 3
 	for i := 0; i < draws; i++ {
-		counts[sampleIndex(r, []float64{1, 2, 3})]++
+		counts[sampleIndex(r, cum)]++
 	}
 	for i, want := range []float64{1.0 / 6, 2.0 / 6, 3.0 / 6} {
 		got := float64(counts[i]) / draws
 		if got < want-0.01 || got > want+0.01 {
 			t.Errorf("P(%d) = %v, want %v", i, got, want)
 		}
+	}
+}
+
+// TestSampleIndexMatchesLinearScan pins the binary search to the
+// linear scan it replaced: for the same draw it must return the same
+// index, including over zero weights, weights that underflow, and a
+// total that overflows to +Inf.
+func TestSampleIndexMatchesLinearScan(t *testing.T) {
+	linear := func(r *rng.RNG, weights []float64) int {
+		total := 0.0
+		for _, w := range weights {
+			total += w
+		}
+		u := r.Float64() * total
+		acc := 0.0
+		for i, w := range weights {
+			acc += w
+			if u < acc {
+				return i
+			}
+		}
+		return len(weights) - 1
+	}
+	check := func(weights []float64, seed uint64) {
+		t.Helper()
+		cum := make([]float64, len(weights))
+		acc := 0.0
+		for i, w := range weights {
+			acc += w
+			cum[i] = acc
+		}
+		if got, want := sampleIndex(rng.New(seed), cum), linear(rng.New(seed), weights); got != want {
+			t.Fatalf("weights %v seed %d: sampleIndex = %d, linear scan = %d", weights, seed, got, want)
+		}
+	}
+	gen := rng.New(9)
+	for trial := 0; trial < 5000; trial++ {
+		weights := make([]float64, 1+gen.Intn(40))
+		for i := range weights {
+			switch gen.Intn(4) {
+			case 0:
+				weights[i] = 0
+			case 1:
+				weights[i] = powWeight(gen.Intn(1000), -120)
+			default:
+				weights[i] = powWeight(gen.Intn(1000), 1.5)
+			}
+		}
+		check(weights, gen.Uint64())
+	}
+	for seed := uint64(0); seed < 20; seed++ {
+		check([]float64{0, 0, 0}, seed)
+		check([]float64{1, math.Inf(1), 2}, seed)
 	}
 }
 

@@ -1,67 +1,68 @@
 package search
 
-// heap is a minimal generic binary heap ordered by less (a "less wins"
-// priority queue). It backs the greedy searchers, which need repeated
-// extract-best over the knowledge frontier with lazy invalidation.
-type heap[T any] struct {
-	items []T
-	less  func(a, b T) bool
+import "scalefree/internal/graph"
+
+// heapItem is one frontier entry of the greedy searchers: a vertex and
+// its priority, lower popping first.
+type heapItem struct {
+	prio int64
+	v    graph.Vertex
 }
 
-func newHeap[T any](less func(a, b T) bool) *heap[T] {
-	return &heap[T]{less: less}
+// prioHeap is a binary min-heap of heapItems ordered by prio. It backs
+// the greedy searchers, which need repeated extract-best over the
+// knowledge frontier with lazy invalidation. Every caller's priority
+// encodes the vertex in its low 32 bits, so equal priorities mean
+// identical items and the pop sequence is a function of the pushes.
+type prioHeap struct {
+	items []heapItem
 }
 
-func (h *heap[T]) Len() int { return len(h.items) }
+// reset empties the heap, keeping its backing array.
+func (h *prioHeap) reset() { h.items = h.items[:0] }
 
-func (h *heap[T]) Push(x T) {
-	h.items = append(h.items, x)
-	h.siftUp(len(h.items) - 1)
-}
-
-// Pop removes and returns the minimum element; ok is false when empty.
-func (h *heap[T]) Pop() (x T, ok bool) {
-	if len(h.items) == 0 {
-		return x, false
-	}
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	var zero T
-	h.items[last] = zero
-	h.items = h.items[:last]
-	if len(h.items) > 0 {
-		h.siftDown(0)
-	}
-	return top, true
-}
-
-func (h *heap[T]) siftUp(i int) {
-	for i > 0 {
+// push inserts v with priority prio.
+//
+//sf:hotpath
+func (h *prioHeap) push(prio int64, v graph.Vertex) {
+	h.items = append(h.items, heapItem{prio, v})
+	items := h.items
+	for i := len(items) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
+		if items[i].prio >= items[parent].prio {
 			return
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		items[i], items[parent] = items[parent], items[i]
 		i = parent
 	}
 }
 
-func (h *heap[T]) siftDown(i int) {
+// pop removes and returns the minimum item; ok is false when empty.
+//
+//sf:hotpath
+func (h *prioHeap) pop() (top heapItem, ok bool) {
 	n := len(h.items)
-	for {
+	if n == 0 {
+		return heapItem{}, false
+	}
+	top = h.items[0]
+	n--
+	h.items[0] = h.items[n]
+	h.items = h.items[:n]
+	items := h.items
+	for i := 0; ; {
 		left, right := 2*i+1, 2*i+2
 		best := i
-		if left < n && h.less(h.items[left], h.items[best]) {
+		if left < n && items[left].prio < items[best].prio {
 			best = left
 		}
-		if right < n && h.less(h.items[right], h.items[best]) {
+		if right < n && items[right].prio < items[best].prio {
 			best = right
 		}
 		if best == i {
-			return
+			return top, true
 		}
-		h.items[i], h.items[best] = h.items[best], h.items[i]
+		items[i], items[best] = items[best], items[i]
 		i = best
 	}
 }

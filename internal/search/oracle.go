@@ -70,6 +70,40 @@ type View struct {
 	Resolved []graph.Vertex
 	// Unresolved counts the slots still equal to NoVertex.
 	Unresolved int
+
+	// scan is a lower bound on the lowest unresolved slot: every slot
+	// below it is resolved (see firstUnresolved).
+	scan int
+}
+
+// firstUnresolved returns the lowest unresolved slot of a weak-model
+// view, or Degree when every slot is resolved. Slots only ever move
+// from NoVertex to resolved, so the scan resumes where the previous
+// call stopped: O(Degree) over a whole search, not per call.
+//
+//sf:hotpath
+func (v *View) firstUnresolved() int {
+	for v.scan < v.Degree && v.Resolved[v.scan] != graph.NoVertex {
+		v.scan++
+	}
+	return v.scan
+}
+
+// unresolvedSlot returns the k-th (0-based) unresolved slot of a
+// weak-model view in ascending order, for 0 <= k < Unresolved, or -1
+// when there is none.
+//
+//sf:hotpath
+func (v *View) unresolvedSlot(k int) int {
+	for slot := v.firstUnresolved(); slot < v.Degree; slot++ {
+		if v.Resolved[slot] == graph.NoVertex {
+			if k == 0 {
+				return slot
+			}
+			k--
+		}
+	}
+	return -1
 }
 
 // Oracle mediates all access of a searching process to the hidden
@@ -248,13 +282,23 @@ func (o *Oracle) allocVertices(n int) []graph.Vertex {
 	return make([]graph.Vertex, n)
 }
 
-// ensurePerm lazily builds the visible→physical slot permutation (and
-// its inverse) for v when shuffling is on.
-func (o *Oracle) ensurePerm(v graph.Vertex) {
-	if o.shuffler == nil {
-		return
+// work returns the algorithm working set for a search through o: the
+// scratch's when o was built with one, so warm searches allocate
+// nothing, and a fresh one otherwise.
+func (o *Oracle) work() *workspace {
+	if o.scratch != nil {
+		return &o.scratch.ws
 	}
-	if o.perm[v] != nil {
+	return new(workspace)
+}
+
+// ensurePerm lazily builds the visible→physical slot permutation (and
+// its inverse) for v when shuffling is on. The shuffle is rng.Shuffle's
+// Fisher–Yates, draw for draw, without its per-swap closure call.
+//
+//sf:hotpath
+func (o *Oracle) ensurePerm(v graph.Vertex) {
+	if o.shuffler == nil || o.perm[v] != nil {
 		return
 	}
 	deg := o.g.Degree(v)
@@ -263,7 +307,10 @@ func (o *Oracle) ensurePerm(v graph.Vertex) {
 	for i := range p {
 		p[i] = int32(i)
 	}
-	o.shuffler.Shuffle(deg, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	for i := deg - 1; i > 0; i-- {
+		j := o.shuffler.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
 	for vis, phys := range p {
 		inv[phys] = int32(vis)
 	}
@@ -391,16 +438,28 @@ func (o *Oracle) resolveSlot(view *View, slot int, w graph.Vertex) {
 }
 
 // resolveReverse resolves, in v's view, every slot carrying the given
-// edge (both halves for a self-loop).
+// edge (both halves for a self-loop). Incidence lists are in ascending
+// EdgeID order (graph.Graph.Incident), so e's halves form one adjacent
+// run, found by binary search in O(log deg).
+//
+//sf:hotpath
 func (o *Oracle) resolveReverse(v graph.Vertex, e graph.EdgeID, far graph.Vertex) {
 	view := o.views[v]
 	if view == nil {
 		return
 	}
-	for phys, h := range o.g.Incident(v) {
-		if h.Edge == e {
-			o.resolveSlot(view, o.visSlot(v, phys), far)
+	inc := o.g.Incident(v)
+	lo, hi := 0, len(inc)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if inc[mid].Edge < e {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
+	}
+	for phys := lo; phys < len(inc) && inc[phys].Edge == e; phys++ {
+		o.resolveSlot(view, o.visSlot(v, phys), far)
 	}
 }
 

@@ -8,11 +8,12 @@ import (
 
 // Scratch holds the reusable state of one search worker: a persistent
 // Oracle whose vertex-indexed tables are cleared and reused search to
-// search, the slot-permutation shuffler, and slab arenas for the
-// per-vertex slices the oracle hands out. One scratch serves one
-// oracle at a time; constructing a new oracle with the same scratch
-// invalidates the previous one. After a warm-up search, repeated
-// searches over same-size graphs allocate nothing.
+// search, the slot-permutation shuffler, slab arenas for the
+// per-vertex slices the oracle hands out, and the search algorithms'
+// own working set. One scratch serves one oracle at a time;
+// constructing a new oracle with the same scratch invalidates the
+// previous one. After a warm-up search, repeated searches over
+// same-size graphs allocate nothing, whichever algorithm runs them.
 //
 // Scratch is memory reuse only: a search through a scratch-backed
 // oracle behaves bit-identically to one through a fresh oracle.
@@ -23,6 +24,22 @@ type Scratch struct {
 	viewSlab   slab[View]
 	slotSlab   slab[int32]
 	vertexSlab slab[graph.Vertex]
+
+	ws workspace
+}
+
+// workspace is the working set of the search algorithms themselves:
+// the greedy frontier heaps, RandomEdge's slot pool, and BiasedWalk's
+// running weight totals. A search resets whatever part it uses when it
+// starts, so no state leaks from one search into the next.
+type workspace struct {
+	heaps [2]prioHeap
+	pool  []slotRef
+	// cum holds BiasedWalk's running weight totals, one run of Degree
+	// entries per requested vertex; cumAt[v] is 1 + the start of v's
+	// run, or 0 while v has none.
+	cum   []float64
+	cumAt []int32
 }
 
 // slab is a bump allocator handing out zeroed sub-slices of one backing

@@ -102,23 +102,43 @@ func TestOracleScratchMatchesFresh(t *testing.T) {
 
 // TestOracleScratchAllocFree pins the steady state: after warm-up
 // searches over a fixed-size graph, a full weak-model exploration
-// through a scratch-backed oracle allocates nothing.
+// through a scratch-backed oracle allocates nothing, and neither does
+// a budgeted search by any registered algorithm — greedy heaps,
+// RandomEdge's slot pool and BiasedWalk's weight totals included.
 func TestOracleScratchAllocFree(t *testing.T) {
 	g := scratchTestGraph(t, 200, 7)
 	target := graph.Vertex(g.NumVertices())
 	var s Scratch
-	run := func() {
+	steady := func(t *testing.T, what string, run func()) {
+		t.Helper()
+		// Warm-up rounds let the slab arenas converge on their capacity.
+		for i := 0; i < 5; i++ {
+			run()
+		}
+		if allocs := testing.AllocsPerRun(10, run); allocs > 0 {
+			t.Errorf("steady-state scratch-backed %s allocates %v times per run, want 0", what, allocs)
+		}
+	}
+	steady(t, "weak exploration", func() {
 		o, err := NewOracleShuffledScratch(g, 1, target, Weak, 3, &s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		exploreWeak(t, o)
-	}
-	// Warm-up rounds let the slab arenas converge on their capacity.
-	for i := 0; i < 5; i++ {
-		run()
-	}
-	if allocs := testing.AllocsPerRun(10, run); allocs > 0 {
-		t.Errorf("steady-state scratch-backed weak search allocates %v times per run, want 0", allocs)
+	})
+	walk := rng.New(0)
+	for _, a := range allAlgorithms() {
+		t.Run(a.Name(), func(t *testing.T) {
+			steady(t, a.Name(), func() {
+				o, err := NewOracleShuffledScratch(g, 1, target, a.Knowledge(), 3, &s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				walk.Reseed(11)
+				if _, err := a.Search(o, walk, 400); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
 	}
 }

@@ -67,18 +67,15 @@ func (*IDGreedyStrong) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, e
 // priority, with lazy invalidation of frontier entries that were
 // requested meanwhile.
 func greedyStrong(o *Oracle, maxRequests int, priority func(v graph.Vertex, deg int) int64) (Result, error) {
-	type entry struct {
-		prio int64
-		v    graph.Vertex
-	}
-	h := newHeap(func(a, b entry) bool { return a.prio < b.prio })
+	h := &o.work().heaps[0]
+	h.reset()
 	push := func(v graph.Vertex) {
 		view, _ := o.ViewOf(v)
-		h.Push(entry{priority(v, view.Degree), v})
+		h.push(priority(v, view.Degree), v)
 	}
 	push(o.Start())
 	for !o.Found() && budgetLeft(o, maxRequests) {
-		e, ok := h.Pop()
+		e, ok := h.pop()
 		if !ok {
 			break // frontier empty: component exhausted
 		}

@@ -67,7 +67,6 @@ func (*SelfAvoidingWalk) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result,
 		return Result{}, err
 	}
 	cur := o.Start()
-	var fresh []int
 	for steps := 0; !o.Found() && budgetLeft(o, maxRequests) && steps < stepCap(maxRequests); steps++ {
 		view, ok := o.ViewOf(cur)
 		if !ok {
@@ -76,15 +75,12 @@ func (*SelfAvoidingWalk) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result,
 		if view.Degree == 0 {
 			break
 		}
-		fresh = fresh[:0]
-		for slot, w := range view.Resolved {
-			if w == graph.NoVertex {
-				fresh = append(fresh, slot)
-			}
-		}
+		// A uniform unrevealed slot: the k-th in ascending order for a
+		// uniform k < Unresolved. Once every slot is known — the usual
+		// state of a hub the walk keeps returning to — no scan runs.
 		var slot int
-		if len(fresh) > 0 {
-			slot = fresh[r.Intn(len(fresh))]
+		if view.Unresolved > 0 {
+			slot = view.unresolvedSlot(r.Intn(view.Unresolved))
 		} else {
 			slot = r.Intn(view.Degree)
 		}
@@ -150,28 +146,30 @@ func (*RandomEdge) Name() string { return "random-edge" }
 // Knowledge implements Algorithm.
 func (*RandomEdge) Knowledge() Knowledge { return Weak }
 
+// slotRef names one slot of a discovered vertex: an entry of
+// RandomEdge's frontier pool.
+type slotRef struct {
+	v    graph.Vertex
+	slot int
+}
+
 // Search implements Algorithm.
 func (*RandomEdge) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, error) {
 	if err := checkModel(NewRandomEdge(), o); err != nil {
 		return Result{}, err
 	}
-	type slotRef struct {
-		v    graph.Vertex
-		slot int
-	}
-	var pool []slotRef
-	addVertex := func(v graph.Vertex) {
-		view, _ := o.ViewOf(v)
-		for slot, w := range view.Resolved {
-			if w == graph.NoVertex {
-				pool = append(pool, slotRef{v, slot})
-			}
-		}
-	}
+	ws := o.work()
+	pool := ws.pool[:0]
 	known := 0
 	for !o.Found() && budgetLeft(o, maxRequests) {
 		for ; known < len(o.Discovered()); known++ {
-			addVertex(o.Discovered()[known])
+			v := o.Discovered()[known]
+			view, _ := o.ViewOf(v)
+			for slot, w := range view.Resolved {
+				if w == graph.NoVertex {
+					pool = append(pool, slotRef{v, slot})
+				}
+			}
 		}
 		// Lazy deletion: drop stale references (slots resolved from the
 		// far side) as they surface.
@@ -195,6 +193,7 @@ func (*RandomEdge) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, error
 			break // frontier exhausted: component fully explored
 		}
 	}
+	ws.pool = pool
 	return Result{Found: o.Found(), Requests: o.Requests()}, nil
 }
 
@@ -260,19 +259,16 @@ func (*IDGreedyWeak) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, err
 // repeatedly pick the discovered vertex minimizing priority among those
 // with unresolved slots, and resolve its first unresolved slot.
 func greedyWeak(o *Oracle, maxRequests int, priority func(v graph.Vertex, deg int) int64) (Result, error) {
-	type entry struct {
-		prio int64
-		v    graph.Vertex
-	}
-	h := newHeap(func(a, b entry) bool { return a.prio < b.prio })
+	h := &o.work().heaps[0]
+	h.reset()
 	known := 0
 	for !o.Found() && budgetLeft(o, maxRequests) {
 		for ; known < len(o.Discovered()); known++ {
 			v := o.Discovered()[known]
 			view, _ := o.ViewOf(v)
-			h.Push(entry{priority(v, view.Degree), v})
+			h.push(priority(v, view.Degree), v)
 		}
-		e, ok := h.Pop()
+		e, ok := h.pop()
 		if !ok {
 			break // everything resolved: component exhausted
 		}
@@ -280,17 +276,11 @@ func greedyWeak(o *Oracle, maxRequests int, priority func(v graph.Vertex, deg in
 		if view.Unresolved == 0 {
 			continue // stale entry
 		}
-		slot := 0
-		for ; slot < view.Degree; slot++ {
-			if view.Resolved[slot] == graph.NoVertex {
-				break
-			}
-		}
-		if _, _, err := o.RequestEdge(e.v, slot); err != nil {
+		if _, _, err := o.RequestEdge(e.v, view.firstUnresolved()); err != nil {
 			return Result{}, err
 		}
 		if view.Unresolved > 0 {
-			h.Push(e) // still has slots: stays a candidate
+			h.push(e.prio, e.v) // still has slots: stays a candidate
 		}
 	}
 	return Result{Found: o.Found(), Requests: o.Requests()}, nil
