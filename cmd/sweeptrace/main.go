@@ -30,8 +30,11 @@
 // nesting, a flow finish without a matching start, an empty trace, a
 // critical path with no work segments, or a lane busier than its own
 // window all exit nonzero — a trace that fails here indicates a
-// recording bug, and CI runs this tool against a chaos sweep's trace to
-// pin exactly that.
+// recording bug, and CI runs this tool against a coordinated sweep's
+// trace to pin exactly that. A lossy trace exits nonzero too: when a
+// trace writer overflowed, the recorder writes a trace_dropped
+// instant, and the spans it lost would show up as idle time on the
+// critical path and the lanes.
 //
 // -json emits the full analysis as one JSON object instead of text.
 package main
@@ -140,6 +143,7 @@ type analysis struct {
 	flowStart map[string][]event // 's' events by flow name
 	flowEnd   map[string][]event // 'f' events by flow name
 	instants  map[string]int
+	lossNote  string // detail of the trace_dropped instant, if any
 	spanCount int
 	root      *span
 }
@@ -196,6 +200,9 @@ func analyze(data []byte) (*analysis, error) {
 			a.flowEnd[ev.Name] = append(a.flowEnd[ev.Name], ev)
 		case "i":
 			a.instants[ev.Name]++
+			if ev.Name == "trace_dropped" {
+				a.lossNote = ev.Args["detail"]
+			}
 		}
 	}
 	for _, k := range sortedKeys(stacks) {
@@ -565,9 +572,13 @@ type reportData struct {
 	Instants     map[string]int         `json:"instants"`
 }
 
-// report assembles the full analysis, failing on the structural gates:
-// a lane busier than the sweep window, or a critical path with no work.
+// report assembles the full analysis, failing on a lossy trace and on
+// the structural gates: a lane busier than the sweep window, or a
+// critical path with no work.
 func (a *analysis) report(topK int) (*reportData, error) {
+	if a.instants["trace_dropped"] > 0 {
+		return nil, fmt.Errorf("lossy trace: trace_dropped (%s); the missing spans would read as idle time", a.lossNote)
+	}
 	path := a.criticalPath()
 	var work, idle int64
 	byName := map[string]int64{}

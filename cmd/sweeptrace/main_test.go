@@ -2,8 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"scalefree/internal/obs/trace"
 )
 
 // mkTrace assembles a trace file from events, in the envelope
@@ -174,7 +178,8 @@ func TestFlowsAndInstants(t *testing.T) {
 	}
 }
 
-// TestRejectsBrokenTraces pins every structural gate.
+// TestRejectsBrokenTraces pins every structural gate and the lossy-trace
+// gate, whether analyze or report raises it.
 func TestRejectsBrokenTraces(t *testing.T) {
 	cases := []struct {
 		name string
@@ -190,6 +195,9 @@ func TestRejectsBrokenTraces(t *testing.T) {
 			{Name: "lease", Ph: "f", TS: 1, PID: 1, TID: 0, ID: "0x99", Cat: "flow"},
 		}, "no matching start"},
 		{"not json", nil, "parsing trace"},
+		{"dropped records", append(fixture(), event{Name: "trace_dropped", Cat: "trace", Ph: "i",
+			Args: map[string]string{"detail": "7 records lost to writer overflow"}}),
+			"trace_dropped (7 records lost to writer overflow)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -197,14 +205,50 @@ func TestRejectsBrokenTraces(t *testing.T) {
 			if tc.evs == nil {
 				data = []byte("not a trace")
 			}
-			_, err := analyze(data)
+			a, err := analyze(data)
 			if err == nil {
-				t.Fatal("analyze accepted a broken trace")
+				_, err = a.report(10)
+			}
+			if err == nil {
+				t.Fatal("analyze and report accepted a broken trace")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("diagnostic %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestRejectsLossyRecording records more spans than a real recorder's
+// writer holds and checks that the CLI refuses the exported trace.
+func TestRejectsLossyRecording(t *testing.T) {
+	rec := trace.New()
+	rec.WriterCap = 8
+	w := rec.Writer()
+	for i := 0; i < 20; i++ {
+		w.Begin("trial", "trial")
+		w.Begin("search", "phase")
+		w.End()
+		w.End()
+	}
+	rec.Release(w)
+	if rec.Dropped() == 0 {
+		t.Fatal("the recorder dropped nothing; lower WriterCap")
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.WriteJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{path})
+	if err == nil || !strings.Contains(err.Error(), "records lost to writer overflow") {
+		t.Errorf("sweeptrace on a lossy trace: err = %v, want a trace_dropped rejection", err)
 	}
 }
 

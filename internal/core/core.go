@@ -3,24 +3,24 @@
 // vertex-equivalence machinery together into the measurements and
 // theorem-level bounds that the paper states.
 //
-// The three central entry points are:
+// The central entry points are:
 //
-//   - MeasureSearch — expected-request measurement of any search
-//     algorithm over replicated random graphs;
-//   - MeasureScaling — the same measurement swept over graph sizes,
-//     with the scaling exponent fitted on log-log axes;
-//   - Theorem1Bound / Theorem2Bound / StrongModelExponent — the paper's
-//     lower bounds, evaluated exactly (Móri) or by Monte Carlo
-//     (Cooper–Frieze), against which the measurements are compared.
+//   - MeasureOne / MeasureSearch — one replication, or a replicated
+//     expected-request measurement, of any search algorithm over
+//     random graphs;
+//   - ScalingSweep — the same measurement swept over graph sizes as
+//     independent engine trials, with the scaling exponent fitted on
+//     log-log axes (experiment plans run it through addScalingCell);
+//   - Theorem1Bound / StrongModelExponent — the paper's lower bounds,
+//     against which the measurements are compared (the Cooper–Frieze
+//     bound is equivalence.Lemma1BoundCF's Monte-Carlo estimate).
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"scalefree/internal/buf"
 	"scalefree/internal/cooperfrieze"
-	"scalefree/internal/engine"
 	"scalefree/internal/equivalence"
 	"scalefree/internal/graph"
 	"scalefree/internal/model"
@@ -39,8 +39,8 @@ import (
 // own.
 //
 // Scratch is memory reuse only — every measurement is still a pure
-// function of (spec, rep), so scratch-backed and scratch-free paths
-// produce bit-identical outcomes.
+// function of (spec, rep), so a fresh scratch and one reused across
+// any earlier trials produce bit-identical outcomes.
 type Scratch struct {
 	// Model holds the per-family generation buffers of every
 	// registered graph model (internal/model), so one worker serves
@@ -67,7 +67,7 @@ type Scratch struct {
 	genRNG, searchRNG rng.RNG
 
 	// tw is the attached trace writer (nil when untraced); phase spans
-	// in MeasureOneScratch record into it. See AttachTrace.
+	// in MeasureOne record into it. See AttachTrace.
 	tw *trace.Writer
 }
 
@@ -107,31 +107,21 @@ func (s *Scratch) DegreesOf(g *graph.Graph) []int {
 func (s *Scratch) ParScratch() *graph.BFSScratch { return &s.Par }
 
 // GraphGen produces a fresh random graph for one replication. The
-// scratch argument may be nil (generate with fresh allocations); when
-// non-nil, the generator may reuse its buffers, in which case the
+// scratch is never nil: the generator may reuse its buffers, so the
 // returned graph is only valid until the scratch's next use.
 type GraphGen func(r *rng.RNG, s *Scratch) (*graph.Graph, error)
 
 // MoriGen adapts a Móri configuration to a GraphGen.
 func MoriGen(cfg mori.Config) GraphGen {
 	return func(r *rng.RNG, s *Scratch) (*graph.Graph, error) {
-		if s != nil {
-			return cfg.GenerateScratch(r, &s.Model.Mori)
-		}
-		return cfg.Generate(r)
+		return cfg.GenerateScratch(r, &s.Model.Mori)
 	}
 }
 
 // CooperFriezeGen adapts a Cooper–Frieze configuration to a GraphGen.
 func CooperFriezeGen(cfg cooperfrieze.Config) GraphGen {
 	return func(r *rng.RNG, s *Scratch) (*graph.Graph, error) {
-		var res *cooperfrieze.Result
-		var err error
-		if s != nil {
-			res, err = cfg.GenerateScratch(r, &s.Model.CF)
-		} else {
-			res, err = cfg.Generate(r)
-		}
+		res, err := cfg.GenerateScratch(r, &s.Model.CF)
 		if err != nil {
 			return nil, err
 		}
@@ -144,10 +134,7 @@ func CooperFriezeGen(cfg cooperfrieze.Config) GraphGen {
 // through the worker scratch's model buffers.
 func ModelGen(m model.Model) GraphGen {
 	return func(r *rng.RNG, s *Scratch) (*graph.Graph, error) {
-		if s != nil {
-			return m.Generate(r, &s.Model)
-		}
-		return m.Generate(r, nil)
+		return m.Generate(r, &s.Model)
 	}
 }
 
@@ -204,37 +191,23 @@ type SearchOutcome struct {
 	Found    bool
 }
 
-// MeasureOne runs replication rep of spec: it draws a fresh graph from
-// gen and runs the algorithm once. The outcome is a pure function of
-// (spec, rep) — graph generation, the search, and the oracle shuffle
-// consume the disjoint streams 3·rep, 3·rep+1, 3·rep+2 of spec.Seed,
-// so no stream is ever reused across replications or roles — and
-// replications can execute in any order, on any goroutine, and still
-// reproduce the serial measurement bit for bit.
-func MeasureOne(gen GraphGen, spec SearchSpec, rep int) (SearchOutcome, error) {
-	return MeasureOneScratch(gen, spec, rep, nil)
-}
-
-// MeasureOneScratch is MeasureOne through a worker's reusable scratch:
-// the graph, the oracle tables, and the per-replication RNGs all come
-// from s, so repeated same-size replications stay allocation-light. A
-// nil scratch falls back to fresh allocation; the outcome is
-// bit-identical either way.
-func MeasureOneScratch(gen GraphGen, spec SearchSpec, rep int, s *Scratch) (SearchOutcome, error) {
+// MeasureOne runs replication rep of spec through a worker's reusable
+// scratch s (never nil): it draws a fresh graph from gen and runs the
+// algorithm once. The outcome is a pure function of (spec, rep) —
+// graph generation, the search, and the oracle shuffle consume the
+// disjoint streams 3·rep, 3·rep+1, 3·rep+2 of spec.Seed, so no stream
+// is ever reused across replications or roles — and replications can
+// execute in any order, on any goroutine, and still reproduce the
+// serial measurement bit for bit. The graph, the oracle tables, and
+// the per-replication RNGs all come from s, so repeated same-size
+// replications allocate nothing.
+func MeasureOne(gen GraphGen, spec SearchSpec, rep int, s *Scratch) (SearchOutcome, error) {
 	if spec.Algorithm == nil {
 		return SearchOutcome{}, fmt.Errorf("core: SearchSpec.Algorithm is nil")
 	}
-	var gr, sr *rng.RNG
-	var tw *trace.Writer
-	if s != nil {
-		gr, sr = &s.genRNG, &s.searchRNG
-		gr.Reseed(rng.DeriveSeed(spec.Seed, uint64(3*rep)))
-		sr.Reseed(rng.DeriveSeed(spec.Seed, uint64(3*rep+1)))
-		tw = s.tw
-	} else {
-		gr = rng.New(rng.DeriveSeed(spec.Seed, uint64(3*rep)))
-		sr = rng.New(rng.DeriveSeed(spec.Seed, uint64(3*rep+1)))
-	}
+	gr, sr, tw := &s.genRNG, &s.searchRNG, s.tw
+	gr.Reseed(rng.DeriveSeed(spec.Seed, uint64(3*rep)))
+	sr.Reseed(rng.DeriveSeed(spec.Seed, uint64(3*rep+1)))
 	tw.Begin("generate", "phase")
 	g, err := gen(gr, s)
 	tw.End()
@@ -263,13 +236,9 @@ func MeasureOneScratch(gen GraphGen, spec SearchSpec, rep int, s *Scratch) (Sear
 	}
 	// The shuffled oracle censors slot order so identities leak only
 	// through the answers the paper's model defines.
-	var oracleScratch *search.Scratch
-	if s != nil {
-		oracleScratch = &s.Search
-	}
 	tw.Begin("freeze", "phase")
 	o, err := search.NewOracleShuffledScratch(g, start, target, spec.Algorithm.Knowledge(),
-		rng.DeriveSeed(spec.Seed, uint64(3*rep+2)), oracleScratch)
+		rng.DeriveSeed(spec.Seed, uint64(3*rep+2)), &s.Search)
 	tw.End()
 	if err != nil {
 		return SearchOutcome{}, fmt.Errorf("core: rep %d: %w", rep, err)
@@ -285,7 +254,7 @@ func MeasureOneScratch(gen GraphGen, spec SearchSpec, rep int, s *Scratch) (Sear
 
 // NewMeasurement assembles per-replication outcomes (in replication
 // order) into a Measurement. It is the deterministic reduce step shared
-// by the serial and parallel measurement paths.
+// by MeasureSearch and ScalingSweep.Collect.
 func NewMeasurement(spec SearchSpec, outcomes []SearchOutcome) Measurement {
 	requests := make([]float64, len(outcomes))
 	found := 0
@@ -304,21 +273,16 @@ func NewMeasurement(spec SearchSpec, outcomes []SearchOutcome) Measurement {
 	}
 }
 
-// MeasureSearch runs spec.Reps independent replications serially; see
-// MeasureOne for the per-replication contract.
-func MeasureSearch(gen GraphGen, spec SearchSpec) (Measurement, error) {
-	return MeasureSearchScratch(gen, spec, nil)
-}
-
-// MeasureSearchScratch is MeasureSearch reusing a worker scratch
-// across the replications (nil falls back to fresh allocation).
-func MeasureSearchScratch(gen GraphGen, spec SearchSpec, s *Scratch) (Measurement, error) {
+// MeasureSearch runs spec.Reps independent replications serially,
+// reusing the worker scratch s (never nil) across them; see MeasureOne
+// for the per-replication contract.
+func MeasureSearch(gen GraphGen, spec SearchSpec, s *Scratch) (Measurement, error) {
 	if err := spec.validate(); err != nil {
 		return Measurement{}, err
 	}
 	outcomes := make([]SearchOutcome, spec.Reps)
 	for rep := range outcomes {
-		o, err := MeasureOneScratch(gen, spec, rep, s)
+		o, err := MeasureOne(gen, spec, rep, s)
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -342,44 +306,6 @@ type ScalingResult struct {
 	Fit       stats.ScalingFit
 }
 
-// MeasureScaling sweeps MeasureSearch over sizes serially. genFor
-// returns the generator for a given n; boundFor (optional) supplies the
-// theorem bound recorded next to each point.
-func MeasureScaling(sizes []int, genFor func(n int) GraphGen, boundFor func(n int) (float64, error), spec SearchSpec) (ScalingResult, error) {
-	return MeasureScalingContext(context.Background(), sizes, genFor, boundFor, spec,
-		engine.Options{Workers: 1})
-}
-
-// MeasureScalingContext is MeasureScaling on the trial engine: every
-// (size, replication) pair and every per-size bound evaluation becomes
-// one engine trial (see ScalingSweep for the decomposition and seed
-// scheme), executed on opts.Workers goroutines. The reduction is a pure
-// function of the positional trial results, so the result is
-// bit-identical for every worker count.
-func MeasureScalingContext(ctx context.Context, sizes []int, genFor func(n int) GraphGen, boundFor func(n int) (float64, error), spec SearchSpec, opts engine.Options) (ScalingResult, error) {
-	var bf func(n int, r *rng.RNG) (float64, error)
-	if boundFor != nil {
-		bf = func(n int, _ *rng.RNG) (float64, error) { return boundFor(n) }
-	}
-	sweep, err := NewScalingSweep(sizes, genFor, bf, spec)
-	if err != nil {
-		return ScalingResult{}, err
-	}
-	st := sweep.Trials()
-	trials := make([]engine.Trial, len(st))
-	for i, t := range st {
-		trials[i] = engine.Trial{Index: i, Key: spec.Algorithm.Name() + "/" + t.Key, Seed: t.Seed}
-	}
-	results, err := engine.RunScratch(ctx, trials, opts, NewScratch,
-		func(_ context.Context, t engine.Trial, r *rng.RNG, s *Scratch) (any, error) {
-			return st[t.Index].Run(r, s)
-		})
-	if err != nil {
-		return ScalingResult{}, err
-	}
-	return sweep.Collect(results)
-}
-
 // Theorem1Bound returns the paper's Theorem-1 lower bound on the
 // expected number of weak-model requests to find vertex n in the Móri
 // model with parameter p: |V|·P(E_{a,b})/2 with the canonical window
@@ -398,14 +324,6 @@ func StrongModelExponent(p float64) float64 {
 		return e
 	}
 	return 0
-}
-
-// Theorem2Bound returns the Theorem-2 lower bound for a Cooper–Frieze
-// configuration (target = youngest vertex n = cfg.N), with the event
-// probability estimated from mcReps Monte-Carlo generations.
-func Theorem2Bound(cfg cooperfrieze.Config, mcReps int, seed uint64) (float64, error) {
-	bound, _, _, err := equivalence.Lemma1BoundCF(rng.New(seed), cfg, mcReps)
-	return bound, err
 }
 
 // AdamicGreedyExponent returns 2(1 - 2/k), the Adamic et al. scaling

@@ -6,16 +6,21 @@ import (
 
 	"scalefree/internal/cooperfrieze"
 	"scalefree/internal/mori"
+	"scalefree/internal/rng"
 	"scalefree/internal/search"
 )
 
 func TestMeasureSearchValidation(t *testing.T) {
 	gen := MoriGen(mori.Config{N: 10, M: 1, P: 0.5})
-	if _, err := MeasureSearch(gen, SearchSpec{Reps: 5}); err == nil {
+	s := NewScratch()
+	if _, err := MeasureSearch(gen, SearchSpec{Reps: 5}, s); err == nil {
 		t.Error("nil algorithm accepted")
 	}
-	if _, err := MeasureSearch(gen, SearchSpec{Algorithm: search.NewFlood(), Reps: 0}); err == nil {
+	if _, err := MeasureSearch(gen, SearchSpec{Algorithm: search.NewFlood(), Reps: 0}, s); err == nil {
 		t.Error("zero reps accepted")
+	}
+	if _, err := MeasureOne(gen, SearchSpec{Reps: 1}, 0, s); err == nil {
+		t.Error("MeasureOne accepted a nil algorithm")
 	}
 }
 
@@ -25,7 +30,7 @@ func TestMeasureSearchFloodOnMori(t *testing.T) {
 		Algorithm: search.NewFlood(),
 		Reps:      16,
 		Seed:      42,
-	})
+	}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,16 +52,42 @@ func TestMeasureSearchFloodOnMori(t *testing.T) {
 func TestMeasureSearchDeterminism(t *testing.T) {
 	gen := MoriGen(mori.Config{N: 150, M: 2, P: 0.7})
 	spec := SearchSpec{Algorithm: search.NewRandomWalk(), Reps: 8, Seed: 7, Budget: 10000}
-	a, err := MeasureSearch(gen, spec)
+	a, err := MeasureSearch(gen, spec, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MeasureSearch(gen, spec)
+	b, err := MeasureSearch(gen, spec, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Requests.Mean != b.Requests.Mean || a.FoundRate != b.FoundRate {
 		t.Errorf("same seed gave different measurements: %+v vs %+v", a, b)
+	}
+}
+
+// TestMeasureOneMatchesMeasureSearch pins the per-replication
+// decomposition: MeasureSearch must be exactly the ordered sequence of
+// MeasureOne outcomes, whichever scratch each replication runs on.
+func TestMeasureOneMatchesMeasureSearch(t *testing.T) {
+	spec := SearchSpec{
+		Algorithm: search.NewDegreeGreedyWeak(),
+		Reps:      6,
+		Seed:      99,
+	}
+	gen := MoriGen(mori.Config{N: 128, M: 1, P: 0.5})
+	m, err := MeasureSearch(gen, spec, NewScratch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep := 0; rep < spec.Reps; rep++ {
+		o, err := MeasureOne(gen, spec, rep, NewScratch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Requests != m.Samples[rep] {
+			t.Errorf("rep %d: MeasureOne requests %v != MeasureSearch sample %v",
+				rep, o.Requests, m.Samples[rep])
+		}
 	}
 }
 
@@ -67,7 +98,7 @@ func TestMeasureSearchBudgetCensoring(t *testing.T) {
 		Reps:      8,
 		Seed:      3,
 		Budget:    5,
-	})
+	}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +113,7 @@ func TestMeasureSearchCooperFrieze(t *testing.T) {
 		Algorithm: search.NewDegreeGreedyWeak(),
 		Reps:      8,
 		Seed:      11,
-	})
+	}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +122,34 @@ func TestMeasureSearchCooperFrieze(t *testing.T) {
 	}
 }
 
+// runSweep executes a ScalingSweep's trials serially through one
+// scratch, each with the fresh per-trial RNG the engine would hand it,
+// and collects the result.
+func runSweep(sizes []int, genFor func(n int) GraphGen, boundFor func(n int, r *rng.RNG) (float64, error), spec SearchSpec) (ScalingResult, error) {
+	sweep, err := NewScalingSweep(sizes, genFor, boundFor, spec)
+	if err != nil {
+		return ScalingResult{}, err
+	}
+	s := NewScratch()
+	var results []any
+	for _, tr := range sweep.Trials() {
+		res, err := tr.Run(rng.New(tr.Seed), s)
+		if err != nil {
+			return ScalingResult{}, err
+		}
+		results = append(results, res)
+	}
+	return sweep.Collect(results)
+}
+
+// TestMeasureScaling runs a full ScalingSweep (NewScalingSweep, Trials,
+// Collect): every point carries its bound, dominates it, and the
+// fitted exponent is positive.
 func TestMeasureScaling(t *testing.T) {
 	sizes := []int{64, 128, 256}
-	res, err := MeasureScaling(sizes,
+	res, err := runSweep(sizes,
 		func(n int) GraphGen { return MoriGen(mori.Config{N: n, M: 1, P: 0.5}) },
-		func(n int) (float64, error) { return Theorem1Bound(n, 0.5) },
+		func(n int, _ *rng.RNG) (float64, error) { return Theorem1Bound(n, 0.5) },
 		SearchSpec{Algorithm: search.NewFlood(), Reps: 12, Seed: 5},
 	)
 	if err != nil {
@@ -117,16 +171,30 @@ func TestMeasureScaling(t *testing.T) {
 	if res.Fit.Exponent <= 0 {
 		t.Errorf("flood cost should grow with n; exponent %v", res.Fit.Exponent)
 	}
+	if res.Algorithm != "flood" || len(res.Points[0].Measurement.Samples) != 12 {
+		t.Errorf("sweep metadata wrong: %s, %d samples", res.Algorithm, len(res.Points[0].Measurement.Samples))
+	}
 }
 
 func TestMeasureScalingValidation(t *testing.T) {
-	_, err := MeasureScaling([]int{10},
-		func(n int) GraphGen { return MoriGen(mori.Config{N: n, M: 1, P: 0.5}) },
-		nil,
-		SearchSpec{Algorithm: search.NewFlood(), Reps: 2, Seed: 1},
-	)
-	if err == nil {
+	genFor := func(n int) GraphGen { return MoriGen(mori.Config{N: n, M: 1, P: 0.5}) }
+	if _, err := NewScalingSweep([]int{10}, genFor, nil,
+		SearchSpec{Algorithm: search.NewFlood(), Reps: 2, Seed: 1}); err == nil {
 		t.Error("single-size sweep accepted")
+	}
+	if _, err := NewScalingSweep([]int{10, 20}, genFor, nil, SearchSpec{Reps: 2}); err == nil {
+		t.Error("nil algorithm accepted")
+	}
+	sweep, err := NewScalingSweep([]int{10, 20}, genFor, nil,
+		SearchSpec{Algorithm: search.NewFlood(), Reps: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sweep.Collect(make([]any, len(sweep.Trials())-1)); err == nil {
+		t.Error("short result slice accepted")
+	}
+	if _, err := sweep.Collect(make([]any, len(sweep.Trials()))); err == nil {
+		t.Error("mistyped results accepted")
 	}
 }
 
@@ -158,17 +226,6 @@ func TestStrongModelExponent(t *testing.T) {
 		if got := StrongModelExponent(p); math.Abs(got-want) > 1e-12 {
 			t.Errorf("StrongModelExponent(%v) = %v, want %v", p, got, want)
 		}
-	}
-}
-
-func TestTheorem2Bound(t *testing.T) {
-	cfg := cooperfrieze.Config{N: 200, Alpha: 0.9, Beta: 0.5, Gamma: 0.5, Delta: 0.5, AllowLoops: true}
-	b, err := Theorem2Bound(cfg, 200, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b < 0 || b > float64(cfg.N) {
-		t.Errorf("Theorem2Bound = %v out of range", b)
 	}
 }
 

@@ -41,7 +41,7 @@ func TestEveryAlgorithmOnEveryModel(t *testing.T) {
 					Reps:      4,
 					Seed:      rng.DeriveSeed(7, uint64(len(m.name)+len(alg.Name()))),
 					Budget:    500000,
-				})
+				}, NewScratch())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -60,6 +60,7 @@ func TestEveryAlgorithmOnEveryModel(t *testing.T) {
 // algorithms, models and budgets.
 func TestBudgetNeverExceeded(t *testing.T) {
 	gen := MoriGen(mori.Config{N: 400, M: 1, P: 0.5})
+	s := NewScratch()
 	for _, alg := range append(search.WeakAlgorithms(), search.StrongAlgorithms()...) {
 		for _, budget := range []int{1, 7, 50} {
 			meas, err := MeasureSearch(gen, SearchSpec{
@@ -67,7 +68,7 @@ func TestBudgetNeverExceeded(t *testing.T) {
 				Reps:      3,
 				Seed:      11,
 				Budget:    budget,
-			})
+			}, s)
 			if err != nil {
 				t.Fatalf("%s: %v", alg.Name(), err)
 			}
@@ -87,12 +88,13 @@ func TestMeasuredMeansDominateTheorem1Bound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		s := NewScratch()
 		for _, alg := range search.WeakAlgorithms() {
 			meas, err := MeasureSearch(MoriGen(mori.Config{N: 512, M: 1, P: p}), SearchSpec{
 				Algorithm: alg,
 				Reps:      10,
 				Seed:      rng.DeriveSeed(13, uint64(p*100)),
-			})
+			}, s)
 			if err != nil {
 				t.Fatalf("p=%v %s: %v", p, alg.Name(), err)
 			}
@@ -118,7 +120,7 @@ func TestRandomTargetDistinctFromStart(t *testing.T) {
 		RandomStart:  true,
 		RandomTarget: true,
 		Budget:       100000,
-	})
+	}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,7 @@ import (
 // closure to execute. Run's RNG argument drives Monte-Carlo bound
 // trials; search trials derive their own streams via MeasureOne and
 // ignore it. The scratch argument is the executing worker's reusable
-// buffer set (nil for scratch-free execution) — it never affects the
-// result value.
+// buffer set (never nil) — it never affects the result value.
 type SweepTrial struct {
 	Key  string
 	Seed uint64
@@ -22,19 +21,16 @@ type SweepTrial struct {
 
 // ScalingSweep decomposes one scaling measurement — a full
 // (sizes × replications) sweep of a single algorithm/model pairing,
-// plus optional per-size bounds — into independent trials, and owns
-// the seed-derivation scheme shared by every execution path:
+// plus optional per-size bounds — into independent trials, and owns,
+// together with MeasureOne, the seed-derivation scheme:
 //
-//   - point seed   = DeriveSeed(spec.Seed, 1000+sizeIndex), exactly as
-//     the serial MeasureScaling derives it, with replication streams
-//     fanned out by MeasureOne;
+//   - point seed   = DeriveSeed(spec.Seed, 1000+sizeIndex), with
+//     replication streams fanned out by MeasureOne;
 //   - bound seed   = DeriveSeed(spec.Seed, 5000+sizeIndex), seeding the
 //     RNG handed to Monte-Carlo bounds (exact bounds ignore it).
 //
-// Search measurements therefore reproduce the serial harness bit for
-// bit on any worker count; Monte-Carlo bounds are deterministic per
-// (seed, size) but reseeded per size, unlike the pre-engine harness
-// which reused one bound stream across sizes.
+// Every trial is a pure function of its (seed, size, replication), so
+// the sweep reproduces bit for bit on any worker count.
 type ScalingSweep struct {
 	sizes     []int
 	spec      SearchSpec
@@ -70,7 +66,7 @@ func NewScalingSweep(sizes []int, genFor func(n int) GraphGen, boundFor func(n i
 			s.searchIdx[si][rep] = add(
 				fmt.Sprintf("n=%d/rep=%d", n, rep),
 				rng.DeriveSeed(pointSpec.Seed, uint64(rep)),
-				func(_ *rng.RNG, sc *Scratch) (any, error) { return MeasureOneScratch(gen, pointSpec, rep, sc) })
+				func(_ *rng.RNG, sc *Scratch) (any, error) { return MeasureOne(gen, pointSpec, rep, sc) })
 		}
 		s.boundIdx[si] = -1
 		if boundFor != nil {

@@ -199,8 +199,6 @@ func RunScratch[T, S any](ctx context.Context, trials []Trial, opts Options, new
 	return results, nil
 }
 
-// runTrial runs one trial with a fresh RNG, converting panics into
-// errors so one bad trial cannot take down the pool.
 // timedTrial runs one trial and measures its wall-clock duration. The
 // duration feeds only Progress.Elapsed; it never reaches a result, so
 // this is the single sanctioned wall-clock read in the engine.
@@ -212,6 +210,8 @@ func timedTrial[T, S any](ctx context.Context, t Trial, scratch S, fn func(ctx c
 	return res, time.Since(start), err
 }
 
+// runTrial runs one trial with a fresh RNG, converting panics into
+// errors so one bad trial cannot take down the pool.
 func runTrial[T, S any](ctx context.Context, t Trial, scratch S, fn func(ctx context.Context, t Trial, r *rng.RNG, scratch S) (T, error)) (res T, err error) {
 	defer func() {
 		if p := recover(); p != nil {

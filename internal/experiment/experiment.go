@@ -11,7 +11,7 @@
 // replication index, and derived seed), a pure Run function mapping one
 // trial to its result, and a deterministic Reduce step that assembles
 // the positional result slice into Tables. The engine executes the
-// trials on a bounded worker pool (see internal/experiment/engine);
+// trials on a bounded worker pool (see internal/engine);
 // because Run is a pure function of (Trial, RNG-from-Trial.Seed) and
 // Reduce reads results by index, rendered output is bit-identical for
 // every worker count, including -workers 1.
@@ -24,8 +24,8 @@
 // stay independent), capture the returned indices, and finish with
 // builder.build(reduce) where reduce formats the tables from
 // results-by-index. Scaling sweeps over (sizes × replications) should
-// go through addScalingCell, which reproduces core.MeasureScaling's
-// seed derivation trial by trial. Then register the constructor in
+// go through addScalingCell, which takes its trials and their seed
+// derivation from core.ScalingSweep. Then register the constructor in
 // Registry with the next ID. Rules: never touch shared mutable state
 // inside a trial (shared read-only state built at plan time is fine),
 // and never let the reduce's output depend on anything but the result
@@ -104,8 +104,8 @@ type Plan struct {
 	// Run executes one trial. It must be a pure function of (t, r) —
 	// and safe for concurrent invocation across trials. The scratch is
 	// the executing worker's reusable buffer set (per-worker state from
-	// engine.RunScratch, nil when executing scratch-free); it must
-	// never affect the result value.
+	// engine.RunScratch) and is never nil; it must never affect the
+	// result value.
 	Run func(ctx context.Context, t engine.Trial, r *rng.RNG, s *core.Scratch) (any, error)
 	// Reduce assembles the positional trial results into tables. It
 	// must be deterministic and order-independent: results[i] is the

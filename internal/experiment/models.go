@@ -88,10 +88,7 @@ func planRegistryBattery(cfg Config, id, family, tag string, base uint64) (*Plan
 					return nil, err
 				}
 				res := ModelStructResult{N: n, MaxDeg: g.MaxDegree(), MaxIn: g.MaxInDegree()}
-				degs := g.Degrees()[1:]
-				if s != nil {
-					degs = s.DegreesOf(g)
-				}
+				degs := s.DegreesOf(g)
 				// Small graphs (smoke scales) can lack a fittable tail;
 				// the zero fit renders as "-" rather than failing the
 				// sweep.

@@ -165,7 +165,7 @@ func PlanE9(cfg Config) (*Plan, error) {
 		contrastIdx[i] = b.addScratch(
 			fmt.Sprintf("E9b/n=%d", n), seed,
 			func(_ context.Context, _ *rng.RNG, s *core.Scratch) (any, error) {
-				return core.MeasureSearchScratch(
+				return core.MeasureSearch(
 					core.MoriGen(mori.Config{N: n, M: 1, P: 0.5}),
 					core.SearchSpec{
 						Algorithm: search.NewIDGreedyWeak(),

@@ -52,7 +52,7 @@ func PlanE5(cfg Config) (*Plan, error) {
 
 	for i, p := range []float64{0.25, 0.5, 0.75, 1.0} {
 		addCell(fmt.Sprintf("mori p=%.2f", p), p, func(n int, r *rng.RNG, s *core.Scratch) (int, error) {
-			t, err := mori.GenerateTreeScratch(r, n, p, moriScratch(s))
+			t, err := mori.GenerateTreeScratch(r, n, p, &s.Model.Mori)
 			if err != nil {
 				return 0, err
 			}
@@ -118,10 +118,7 @@ func PlanE6(cfg Config) (*Plan, error) {
 	b := newPlanBuilder()
 
 	fitGraph := func(g *graph.Graph, s *core.Scratch) (any, error) {
-		degs := g.Degrees()[1:]
-		if s != nil {
-			degs = s.DegreesOf(g)
-		}
+		degs := s.DegreesOf(g)
 		fit, err := stats.FitPowerLawAuto(degs, 50)
 		if err != nil {
 			return nil, err
@@ -223,10 +220,10 @@ func PlanE7(cfg Config) (*Plan, error) {
 		gen  func(n int, r *rng.RNG, s *core.Scratch) (*graph.Graph, error)
 	}{
 		{"mori p=0.5 m=2", func(n int, r *rng.RNG, s *core.Scratch) (*graph.Graph, error) {
-			return mori.Config{N: n, M: 2, P: 0.5}.GenerateScratch(r, moriScratch(s))
+			return mori.Config{N: n, M: 2, P: 0.5}.GenerateScratch(r, &s.Model.Mori)
 		}},
 		{"cooper-frieze α=0.8", func(n int, r *rng.RNG, s *core.Scratch) (*graph.Graph, error) {
-			res, err := cfConfig(n, 0.8).GenerateScratch(r, cfScratch(s))
+			res, err := cfConfig(n, 0.8).GenerateScratch(r, &s.Model.CF)
 			if err != nil {
 				return nil, err
 			}
@@ -255,14 +252,7 @@ func PlanE7(cfg Config) (*Plan, error) {
 					for i := range sources {
 						sources[i] = graph.Vertex(r.IntRange(1, g.NumVertices()))
 					}
-					var dist []int32
-					var queue []graph.Vertex
-					if s != nil {
-						dist, queue = s.BFSBuffers(g.NumVertices())
-					} else {
-						dist = make([]int32, g.NumVertices()+1)
-						queue = make([]graph.Vertex, 0, g.NumVertices())
-					}
+					dist, queue := s.BFSBuffers(g.NumVertices())
 					return DistanceResult{
 						MeanDist: graph.AverageDistanceSampledInto(g, sources, dist, queue),
 						Diam:     graph.DoubleSweepLowerBoundInto(g, sources[0], dist, queue),

@@ -3,9 +3,7 @@ package experiment
 import (
 	"context"
 
-	"scalefree/internal/cooperfrieze"
 	"scalefree/internal/core"
-	"scalefree/internal/mori"
 	"scalefree/internal/rng"
 )
 
@@ -17,13 +15,11 @@ type cellCollector func(results []any) (core.ScalingResult, error)
 // addScalingCell registers the trials of one scaling cell on the
 // builder: one trial per (size, replication) running core.MeasureOne,
 // plus one trial per size evaluating boundFor when it is non-nil. The
-// decomposition and seed scheme are core.ScalingSweep's — the single
-// source of truth shared with core.MeasureScalingContext — so the
-// *search measurements* reproduce the serial harness (-workers 1) bit
-// for bit. Monte-Carlo bounds (an RNG-consuming boundFor, as in E3)
-// are deterministic per (seed, size) but reseeded per size, unlike the
-// pre-engine harness which reused one bound stream across sizes; exact
-// bounds ignore the RNG and are unchanged.
+// decomposition and seed scheme are core.ScalingSweep's, so every
+// trial, search and Monte-Carlo bound alike (an RNG-consuming
+// boundFor, as in E3), is a pure function of its (seed, size,
+// replication) and the cell reproduces bit for bit on any worker
+// count.
 //
 // The returned collector assembles the cell's core.ScalingResult from
 // the plan's positional results.
@@ -57,22 +53,4 @@ func addScalingCell(b *planBuilder, key string, sizes []int,
 // bound signature.
 func exactBound(f func(n int) (float64, error)) func(n int, r *rng.RNG) (float64, error) {
 	return func(n int, _ *rng.RNG) (float64, error) { return f(n) }
-}
-
-// moriScratch projects a worker scratch onto its Móri generation
-// buffers; nil stays nil (fresh allocation).
-func moriScratch(s *core.Scratch) *mori.Scratch {
-	if s == nil {
-		return nil
-	}
-	return &s.Model.Mori
-}
-
-// cfScratch projects a worker scratch onto its Cooper–Frieze
-// generation buffers; nil stays nil.
-func cfScratch(s *core.Scratch) *cooperfrieze.Scratch {
-	if s == nil {
-		return nil
-	}
-	return &s.Model.CF
 }
