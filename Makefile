@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short vet lint bench bench-json bench-smoke ci
+.PHONY: all build test test-short vet lint bench bench-smoke ci
 
 all: ci
 
@@ -34,24 +34,13 @@ lint: vet
 		echo "lint: govulncheck not installed, skipping"; \
 	fi
 
-# bench compiles and runs every benchmark once; use
-#   go test -bench ExperimentWorkers -benchtime 5x .
-# for stable parallel-speedup numbers on a multi-core machine.
+# bench compiles and runs every package microbenchmark once, at full
+# size. These time single functions while you work on them; the
+# repository benchmark, which a performance claim is judged by, is
+#   bash bench/run.sh
+# (bench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# bench-json records the speedup trajectory: the parallel-engine bench,
-# the generator ablations (endpoint array vs Fenwick reference; the
-# fitness/geopa rejection samplers), the per-model registry generation
-# sweep (every registered family), the distribution layer (shard
-# merge, warm-cache re-reduce, coordinator dispatch overhead), and the
-# observability tax (instrumented vs bare trial loop), in
-# `go test -json` event format, one JSON object per line. Commit the
-# refreshed BENCH_gen.json whenever a PR moves these numbers.
-bench-json:
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkExperimentWorkers|BenchmarkGenerateMori|BenchmarkGenerateCooperFrieze|BenchmarkGenerateFitness|BenchmarkGenerateGeoPA|BenchmarkGenerateModels|BenchmarkBFSParallel|BenchmarkSnapshotOpen|BenchmarkShardMerge|BenchmarkCacheHit|BenchmarkCoordinatorDispatch|BenchmarkMetricsOverhead|BenchmarkTraceOverhead' \
-		-benchtime 3x -json . > BENCH_gen.json
 
 # bench-smoke is the CI-sized benchmark pass: every benchmark once at
 # -short sizes, output discarded — it only has to not crash.

@@ -605,23 +605,23 @@ func runShards(ctx context.Context, selected []experiment.Experiment, cfg experi
 }
 
 // coordStatus is the /status payload a coordinator serves: process
-// identity, the sweep scheduling snapshot, and the same rate/ETA and
-// per-worker counts the -progress stderr line prints — both render one
-// Aggregator, so they always agree.
+// identity, the sweep scheduling snapshot, and the rate/ETA the
+// -progress stderr line prints. Done and Workers are read from the
+// same snapshot as Sweep, so they always agree with it.
 type coordStatus struct {
-	Mode          string               `json:"mode"`
-	Addr          string               `json:"addr"`
-	Seed          uint64               `json:"seed"`
-	Scale         float64              `json:"scale"`
-	Experiments   []string             `json:"experiments"`
-	Sweep         sweep.CoordSnapshot  `json:"sweep"`
-	Done          int                  `json:"done"`
-	Total         int                  `json:"total"`
-	RatePerSec    float64              `json:"rate_per_sec"`
-	ETA           string               `json:"eta,omitempty"`
-	Workers       []engine.SourceCount `json:"workers"`
-	ChaosInjected int64                `json:"chaos_injected,omitempty"`
-	Build         obs.BuildInfo        `json:"build"`
+	Mode          string              `json:"mode"`
+	Addr          string              `json:"addr"`
+	Seed          uint64              `json:"seed"`
+	Scale         float64             `json:"scale"`
+	Experiments   []string            `json:"experiments"`
+	Sweep         sweep.CoordSnapshot `json:"sweep"`
+	Done          int                 `json:"done"`
+	Total         int                 `json:"total"`
+	RatePerSec    float64             `json:"rate_per_sec"`
+	ETA           string              `json:"eta,omitempty"`
+	Workers       []sweep.WorkerCount `json:"workers"`
+	ChaosInjected int64               `json:"chaos_injected,omitempty"`
+	Build         obs.BuildInfo       `json:"build"`
 }
 
 // runCoordinator serves the selected experiments' trials to -worker
@@ -690,45 +690,41 @@ func runCoordinator(ctx context.Context, selected []experiment.Experiment, cfg e
 		copts.DrainTimeout = o.drainTimeout
 	}
 
-	// One aggregator feeds both the -progress stderr stream and the
-	// /status payload, so the two views can never disagree. OnResult is
-	// observation only — attaching it does not perturb scheduling or
-	// results, which the golden observability test pins.
-	var agg *engine.Aggregator
+	// One rate tracker, fed the coordinator's own completed count,
+	// serves both the -progress stderr stream and the /status payload.
+	// OnResult is observation only — attaching it does not perturb
+	// scheduling or results, which the golden observability test pins.
+	var rt *engine.RateTracker
 	if o.progress || o.statusAddr != "" {
-		agg = engine.NewAggregator(total, engine.NewRateTracker(0))
+		rt = engine.NewRateTracker(0)
 		progress := o.progress
-		copts.OnResult = func(worker, expID string, t engine.Trial) {
-			agg.Add(worker)
+		copts.OnResult = func(worker, expID string, t engine.Trial, done int) {
+			rt.Observe(engine.Progress{Done: done, Total: total})
 			if progress {
-				snap, _ := agg.Snapshot()
 				fmt.Fprintf(os.Stderr, "  [%d/%d] %s %s (worker %s) | %s\n",
-					snap.Done, snap.Total, expID, t.Key, worker, snap)
+					done, total, expID, t.Key, worker, rt.Snapshot())
 			}
 		}
 	}
 
 	if o.statusAddr != "" {
 		status := func() any {
+			snap, rate := observer.Snapshot(), rt.Snapshot()
 			s := coordStatus{
 				Mode:        "coordinate",
 				Addr:        lis.Addr().String(),
 				Seed:        cfg.Seed,
 				Scale:       cfg.Scale,
 				Experiments: expIDs,
-				Sweep:       observer.Snapshot(),
+				Sweep:       snap,
+				Done:        snap.DoneTrials,
 				Total:       total,
-				Workers:     []engine.SourceCount{},
+				RatePerSec:  rate.Rate,
+				Workers:     append([]sweep.WorkerCount{}, snap.ByWorker...), // [] before the sweep starts, never null
 				Build:       buildInfo,
 			}
-			if agg != nil {
-				snap, workers := agg.SnapshotSorted()
-				s.Done = snap.Done
-				s.RatePerSec = snap.Rate
-				if snap.ETA > 0 {
-					s.ETA = snap.ETA.Round(time.Second).String()
-				}
-				s.Workers = workers
+			if rate.ETA > 0 {
+				s.ETA = rate.ETA.Round(time.Second).String()
 			}
 			if faultLis != nil {
 				s.ChaosInjected = faultLis.Injected()
@@ -752,16 +748,15 @@ func runCoordinator(ctx context.Context, selected []experiment.Experiment, cfg e
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "sweep completed in %v\n", time.Since(start).Round(time.Millisecond))
-	if agg != nil && o.progress {
-		// Final per-worker attribution, in the same sorted order /status
-		// reports, so the last stderr line and a final /status scrape
-		// match field for field.
-		snap, workers := agg.SnapshotSorted()
-		parts := make([]string, 0, len(workers))
-		for _, w := range workers {
+	if o.progress {
+		// Final per-worker attribution from the snapshot a final /status
+		// scrape serves, so the two match field for field.
+		snap := observer.Snapshot()
+		parts := make([]string, 0, len(snap.ByWorker))
+		for _, w := range snap.ByWorker {
 			parts = append(parts, fmt.Sprintf("%s=%d", w.Source, w.Done))
 		}
-		fmt.Fprintf(os.Stderr, "workers: [%d/%d] %s\n", snap.Done, snap.Total, strings.Join(parts, " "))
+		fmt.Fprintf(os.Stderr, "workers: [%d/%d] %s\n", snap.DoneTrials, snap.TotalTrials, strings.Join(parts, " "))
 	}
 	for i, e := range selected {
 		if err := emit(e, tables[i], o.csvDir); err != nil {

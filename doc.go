@@ -29,7 +29,7 @@
 //   - an experiment harness regenerating every quantitative claim as a
 //     table: experiments E1–E13 declared as trial plans and executed on
 //     a deterministic worker pool (internal/experiment,
-//     internal/engine, cmd/experiments, bench_test.go).
+//     internal/engine, cmd/experiments).
 //
 // See DESIGN.md for the system inventory and execution architecture,
 // and EXPERIMENTS.md for paper-versus-measured results.

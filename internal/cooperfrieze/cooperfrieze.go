@@ -27,12 +27,11 @@
 // before drawing a vertex, so the preferential draw is pure hit-count
 // sampling and the generator runs on the O(1) endpoint array
 // (weights.EndpointArray): an N-vertex graph costs O(N) expected time
-// and O(1) allocations (amortized zero with a Scratch).
-// GenerateFenwick keeps the historical O(N log N) Fenwick-tree path as
-// the reference implementation (chi-square equivalence in the tests,
-// BenchmarkGenerateCooperFrieze for the speedup); the two consume RNG
-// streams differently, so equal seeds yield different (identically
-// distributed) graphs.
+// and O(1) allocations (amortized zero with a Scratch). The tests keep
+// the historical O(N log N) Fenwick-tree generator as the reference
+// implementation (chi-square equivalence), and BenchmarkGenerate times
+// the two against each other; they consume RNG streams differently, so
+// equal seeds yield different (identically distributed) graphs.
 package cooperfrieze
 
 import (
@@ -237,97 +236,6 @@ func (c Config) pickOldSource(r *rng.RNG, b *graph.Builder, ends *weights.Endpoi
 		return graph.Vertex(r.IntRange(1, b.NumVertices()))
 	}
 	return graph.Vertex(ends.Sample(r))
-}
-
-// GenerateFenwick is the historical O(N log N) generator drawing every
-// preferential vertex from a Fenwick tree over indegrees. It samples
-// exactly the same distribution as Generate and is kept as the
-// reference implementation for the sampler ablation and the chi-square
-// equivalence test; equal seeds yield different (identically
-// distributed) graphs because the samplers consume RNG streams
-// differently.
-func (c Config) GenerateFenwick(r *rng.RNG) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	qDist, err := outDegreeDist(c.QWeights, "QWeights")
-	if err != nil {
-		return nil, err
-	}
-	pDist, err := outDegreeDist(c.PWeights, "PWeights")
-	if err != nil {
-		return nil, err
-	}
-
-	b := graph.NewBuilder(c.N, c.N*4)
-	indeg := weights.NewFenwick(c.N)
-
-	b.AddVertex()
-	b.AddEdge(1, 1)
-	indeg.Add(1, 1)
-
-	res := &Result{ArrivalOutDeg: make([]int, c.N+1)}
-	res.ArrivalOutDeg[1] = 1
-	for b.NumVertices() < c.N {
-		res.Steps++
-		mustNew := !c.AllowLoops && b.NumVertices() == 1
-		if mustNew || r.Bernoulli(c.Alpha) {
-			v := b.AddVertex()
-			edges := qDist.Sample(r) + 1
-			res.ArrivalOutDeg[v] = edges
-			for i := 0; i < edges; i++ {
-				w := c.pickTerminalFenwick(r, indeg, c.Beta, v, int(v)-1)
-				b.AddEdge(v, w)
-				indeg.Add(int(w), 1)
-			}
-			continue
-		}
-		res.OldSteps++
-		src := c.pickOldSourceFenwick(r, b, indeg)
-		edges := pDist.Sample(r) + 1
-		for i := 0; i < edges; i++ {
-			w := c.pickTerminalFenwick(r, indeg, c.Gamma, src, b.NumVertices())
-			b.AddEdge(src, w)
-			indeg.Add(int(w), 1)
-		}
-	}
-	res.Graph = b.Freeze()
-	return res, nil
-}
-
-// pickTerminalFenwick is pickTerminal on the Fenwick reference sampler.
-func (c Config) pickTerminalFenwick(r *rng.RNG, indeg *weights.Fenwick, prefProb float64, src graph.Vertex, limit int) graph.Vertex {
-	const maxRetries = 32
-	for attempt := 0; ; attempt++ {
-		var w graph.Vertex
-		if r.Bernoulli(prefProb) && indeg.PrefixSum(limit) > 0 {
-			w = graph.Vertex(indeg.Sample(r))
-			if int(w) > limit {
-				continue
-			}
-		} else {
-			w = graph.Vertex(r.IntRange(1, limit))
-		}
-		if c.AllowLoops || w != src || limit == 1 {
-			return w
-		}
-		if attempt >= maxRetries {
-			w = graph.Vertex(r.IntRange(1, limit-1))
-			if w >= src {
-				w++
-			}
-			return w
-		}
-	}
-}
-
-// pickOldSourceFenwick is pickOldSource on the Fenwick reference
-// sampler.
-func (c Config) pickOldSourceFenwick(r *rng.RNG, b *graph.Builder, indeg *weights.Fenwick) graph.Vertex {
-	if r.Bernoulli(c.Delta) || indeg.Total() == 0 {
-		return graph.Vertex(r.IntRange(1, b.NumVertices()))
-	}
-	return graph.Vertex(indeg.Sample(r))
 }
 
 func outDegreeDist(ws []float64, name string) (*rng.Discrete, error) {

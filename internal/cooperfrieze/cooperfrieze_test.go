@@ -1,6 +1,7 @@
 package cooperfrieze
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -204,13 +205,42 @@ func TestDegreeDistributionHeavyTail(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerate is the Cooper–Frieze half of the sampler ablation
+// (DESIGN.md §5.2): the O(N) endpoint-array production path, with and
+// without scratch reuse, against the O(N log N) Fenwick reference at
+// n = 2^20; -short drops to a smoke size for CI.
 func BenchmarkGenerate(b *testing.B) {
-	cfg := defaultConfig(1 << 13)
-	r := rng.New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Generate(r); err != nil {
-			b.Fatal(err)
-		}
+	n := 1 << 20
+	if testing.Short() {
+		n = 1 << 14
 	}
+	cfg := Config{N: n, Alpha: 0.75, Beta: 0.5, Gamma: 0.5, Delta: 0.5, AllowLoops: true}
+	b.Run(fmt.Sprintf("endpoint/n=%d", n), func(b *testing.B) {
+		r := rng.New(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cfg.Generate(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run(fmt.Sprintf("endpoint-scratch/n=%d", n), func(b *testing.B) {
+		r := rng.New(1)
+		var s Scratch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cfg.GenerateScratch(r, &s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run(fmt.Sprintf("fenwick/n=%d", n), func(b *testing.B) {
+		r := rng.New(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cfg.GenerateFenwick(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

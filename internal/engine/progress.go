@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -126,68 +125,4 @@ func (rt *RateTracker) Snapshot() RateSnapshot {
 		snap.Rate = float64(rt.done) / now.Sub(rt.start).Seconds()
 	}
 	return snap
-}
-
-// Aggregator merges trial completions reported by several concurrent
-// sources — the pools of a multi-process sweep's workers, as seen by
-// its coordinator — into one monotonic completion count feeding a
-// shared RateTracker. The local engine reports Progress.Done as a
-// run-global counter; across processes no such counter exists, so the
-// aggregator owns it and attributes each completion to the source
-// that delivered it.
-type Aggregator struct {
-	mu       sync.Mutex
-	tracker  *RateTracker
-	total    int
-	done     int
-	bySource map[string]int
-}
-
-// NewAggregator builds an aggregator over a sweep of total trials,
-// feeding rt (which must be non-nil).
-func NewAggregator(total int, rt *RateTracker) *Aggregator {
-	return &Aggregator{tracker: rt, total: total, bySource: map[string]int{}}
-}
-
-// Add records one completed trial delivered by source and feeds the
-// tracker. Safe for concurrent use.
-func (a *Aggregator) Add(source string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.done++
-	a.bySource[source]++
-	a.tracker.Observe(Progress{Done: a.done, Total: a.total})
-}
-
-// Snapshot returns the aggregate rate/ETA view plus per-source
-// completion counts (a copy, safe to retain).
-func (a *Aggregator) Snapshot() (RateSnapshot, map[string]int) {
-	a.mu.Lock()
-	bySource := make(map[string]int, len(a.bySource))
-	for s, n := range a.bySource {
-		bySource[s] = n
-	}
-	a.mu.Unlock()
-	return a.tracker.Snapshot(), bySource
-}
-
-// SourceCount is one source's completion count in the deterministic
-// per-source breakdown SnapshotSorted returns.
-type SourceCount struct {
-	Source string `json:"source"`
-	Done   int    `json:"done"`
-}
-
-// SnapshotSorted is Snapshot with the per-source counts sorted by
-// source name — the single deterministic ordering both the stderr
-// progress line and the /status payload render, so the two always
-// agree.
-func (a *Aggregator) SnapshotSorted() (RateSnapshot, []SourceCount) {
-	snap, bySource := a.Snapshot()
-	out := make([]SourceCount, 0, len(bySource))
-	for s, n := range bySource {
-		out = append(out, SourceCount{Source: s, Done: n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Source < out[j].Source })
-	return snap, out
 }

@@ -165,31 +165,6 @@ func TestRateTrackerETAUnknownWithoutWindow(t *testing.T) {
 	}
 }
 
-// TestAggregatorMergesSources: completions attributed to several
-// workers merge into one monotonic count with per-source attribution —
-// what a coordinator renders for -progress.
-func TestAggregatorMergesSources(t *testing.T) {
-	rt, clock := newTestTracker(time.Minute)
-	agg := NewAggregator(20, rt)
-	for i := 0; i < 6; i++ {
-		clock.advance(time.Second)
-		agg.Add("w1")
-		if i%2 == 0 {
-			agg.Add("w2")
-		}
-	}
-	snap, bySource := agg.Snapshot()
-	if snap.Done != 9 || snap.Total != 20 {
-		t.Errorf("aggregate = %d/%d, want 9/20", snap.Done, snap.Total)
-	}
-	if bySource["w1"] != 6 || bySource["w2"] != 3 {
-		t.Errorf("per-source = %v, want w1:6 w2:3", bySource)
-	}
-	if snap.Rate <= 0 {
-		t.Errorf("aggregate rate = %v, want > 0", snap.Rate)
-	}
-}
-
 // TestRateTrackerWithEngine wires the tracker into a real engine run
 // via the Progress hook — the composition cmd/experiments uses.
 func TestRateTrackerWithEngine(t *testing.T) {
@@ -207,30 +182,5 @@ func TestRateTrackerWithEngine(t *testing.T) {
 	snap := rt.Snapshot()
 	if snap.Done != 50 || snap.Total != 50 {
 		t.Errorf("tracker saw %d/%d completions", snap.Done, snap.Total)
-	}
-}
-
-// TestAggregatorSnapshotSorted: the per-source breakdown comes back
-// sorted by source name regardless of delivery order, so the stderr
-// progress line and the /status payload render identically.
-func TestAggregatorSnapshotSorted(t *testing.T) {
-	rt, clock := newTestTracker(time.Minute)
-	agg := NewAggregator(10, rt)
-	for _, w := range []string{"zeta", "alpha", "mid", "alpha", "zeta", "zeta"} {
-		clock.advance(time.Second)
-		agg.Add(w)
-	}
-	snap, counts := agg.SnapshotSorted()
-	if snap.Done != 6 {
-		t.Errorf("Done = %d, want 6", snap.Done)
-	}
-	want := []SourceCount{{"alpha", 2}, {"mid", 1}, {"zeta", 3}}
-	if len(counts) != len(want) {
-		t.Fatalf("counts = %v, want %v", counts, want)
-	}
-	for i, w := range want {
-		if counts[i] != w {
-			t.Errorf("counts[%d] = %+v, want %+v", i, counts[i], w)
-		}
 	}
 }

@@ -53,10 +53,13 @@ func (e Experiment) Fingerprint(cfg Config) (string, error) {
 	return job.Fingerprint, nil
 }
 
-// RunCached is RunContext with an optional content-addressed result
-// cache: cached trials are spliced in without executing, fresh trials
-// persist as soon as they finish, and the returned stats say how much
-// work the cache saved. A nil cache degrades to a plain run.
+// RunCached plans the experiment, executes its trials on the engine
+// with the given options (one reusable core.Scratch per worker), and
+// reduces the results into tables. The optional content-addressed
+// result cache splices cached trials in without executing them and
+// persists fresh trials as soon as they finish; the returned stats say
+// how much work it saved. A nil cache is a plain run, and Workers: 1
+// is the serial reference every other path reproduces byte for byte.
 func (e Experiment) RunCached(ctx context.Context, cfg Config, opts engine.Options, cache *sweep.Cache) ([]Table, sweep.Stats, error) {
 	plan, job, err := e.planJob(cfg)
 	if err != nil {

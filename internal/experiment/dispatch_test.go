@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -13,21 +14,17 @@ import (
 // TestGoldenSharding is the subsystem's headline guarantee: for every
 // registered experiment, executing the plan shard by shard (exactly as
 // k separate processes would) and merging the shard files renders
-// tables byte-identical to the single-process -workers 1 run. k=1 exercises
-// the degenerate partition, k=2 the even/odd split, k=5 shards with
-// uneven sizes (and, for small plans, possibly empty shards).
+// tables byte-identical to the single-process -workers 1 run, checked
+// against its recorded digest. k=1 exercises the degenerate partition,
+// k=2 the even/odd split, k=5 shards with uneven sizes (and, for small
+// plans, possibly empty shards).
 func TestGoldenSharding(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are not short")
 	}
-	cfg := Config{Seed: 2024, Scale: 0.05}
+	cfg := smokeConfig
 	for _, exp := range Registry() {
 		t.Run(exp.ID, func(t *testing.T) {
-			serialTables, err := exp.RunContext(context.Background(), cfg, engine.Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			golden := renderAll(t, serialTables)
 			for _, k := range []int{1, 2, 5} {
 				dir := t.TempDir()
 				var paths []string
@@ -43,10 +40,7 @@ func TestGoldenSharding(t *testing.T) {
 				if err != nil {
 					t.Fatalf("k=%d merge: %v", k, err)
 				}
-				if got := renderAll(t, merged); got != golden {
-					t.Errorf("k=%d: merged output diverges from single-process run:\n--- merged ---\n%s\n--- single ---\n%s",
-						k, got, golden)
-				}
+				checkSmokeDigest(t, exp, cfg, merged, fmt.Sprintf("merged k=%d", k))
 			}
 		})
 	}
@@ -76,14 +70,15 @@ func TestMergeRejectsForeignConfig(t *testing.T) {
 }
 
 // TestCacheResume interrupts a cached sweep mid-run, resumes it, and
-// requires (a) byte-identical tables and (b) zero re-executed trials
-// for every entry that reached the cache before the interruption.
+// requires (a) tables matching the recorded digest and (b) zero
+// re-executed trials for every entry that reached the cache before the
+// interruption.
 func TestCacheResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are not short")
 	}
 	exp, _ := ByID("E4")
-	cfg := Config{Seed: 2024, Scale: 0.05}
+	cfg := smokeConfig
 	plan, err := exp.Plan(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -92,12 +87,6 @@ func TestCacheResume(t *testing.T) {
 	if total < 8 {
 		t.Fatalf("E4 plan too small to interrupt meaningfully: %d trials", total)
 	}
-
-	golden, err := exp.RunContext(context.Background(), cfg, engine.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderAll(t, golden)
 
 	cache, err := sweep.OpenCache(filepath.Join(t.TempDir(), "cache"))
 	if err != nil {
@@ -132,9 +121,7 @@ func TestCacheResume(t *testing.T) {
 	if stats.Executed != total-interruptAfter {
 		t.Errorf("resume: executed %d trials, want %d", stats.Executed, total-interruptAfter)
 	}
-	if got := renderAll(t, tables); got != want {
-		t.Errorf("resumed output diverges from uncached run:\n--- resumed ---\n%s\n--- golden ---\n%s", got, want)
-	}
+	checkSmokeDigest(t, exp, cfg, tables, "resumed from cache")
 
 	// A fully warm cache re-reduces without executing anything.
 	tables, stats, err = exp.RunCached(context.Background(), cfg, engine.Options{}, cache)
@@ -144,9 +131,7 @@ func TestCacheResume(t *testing.T) {
 	if stats.Executed != 0 || stats.CacheHits != total {
 		t.Errorf("warm run: stats %+v, want 0 executed / %d hits", stats, total)
 	}
-	if got := renderAll(t, tables); got != want {
-		t.Error("warm-cache output diverges")
-	}
+	checkSmokeDigest(t, exp, cfg, tables, "warm cache")
 }
 
 // TestShardResume re-runs a completed shard with -resume semantics:
@@ -157,7 +142,7 @@ func TestShardResume(t *testing.T) {
 		t.Skip("experiment runs are not short")
 	}
 	exp, _ := ByID("E4")
-	cfg := Config{Seed: 2024, Scale: 0.05}
+	cfg := smokeConfig
 	dir := t.TempDir()
 	const k = 2
 	var paths []string
@@ -199,13 +184,7 @@ func TestShardResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := exp.RunContext(context.Background(), cfg, engine.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderAll(t, merged) != renderAll(t, single) {
-		t.Error("resumed shards merged to different tables")
-	}
+	checkSmokeDigest(t, exp, cfg, merged, "resumed shards merged")
 }
 
 // TestFingerprintDistinguishesConfigs guards the addressing scheme:

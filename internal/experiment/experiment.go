@@ -160,23 +160,6 @@ type Experiment struct {
 	Plan func(cfg Config) (*Plan, error)
 }
 
-// Run regenerates the experiment's tables on a single worker — the
-// serial reference execution. Parallel runs (RunContext) produce
-// bit-identical tables under the same Config.
-func (e Experiment) Run(cfg Config) ([]Table, error) {
-	return e.RunContext(context.Background(), cfg, engine.Options{Workers: 1})
-}
-
-// RunContext plans the experiment, executes its trials on the engine
-// with the given options (one reusable core.Scratch per worker), and
-// reduces the results into tables. It is RunCached without a cache;
-// see dispatch.go for the sharded and cached execution paths that
-// produce byte-identical tables.
-func (e Experiment) RunContext(ctx context.Context, cfg Config, opts engine.Options) ([]Table, error) {
-	tables, _, err := e.RunCached(ctx, cfg, opts, nil)
-	return tables, err
-}
-
 // Registry returns all experiments in ID order.
 func Registry() []Experiment {
 	exps := []Experiment{

@@ -2,10 +2,11 @@ package experiment
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
+	"context"
 	"strings"
 	"testing"
+
+	"scalefree/internal/engine"
 )
 
 func TestTableRender(t *testing.T) {
@@ -94,6 +95,11 @@ func TestConfigScaling(t *testing.T) {
 	}
 }
 
+// smokeConfig is the one Config smokeDigests is recorded at, shared by
+// TestAllExperimentsSmoke and every golden that checks a transport
+// against the digests (checkSmokeDigest).
+var smokeConfig = Config{Seed: 2024, Scale: 0.05}
+
 // smokeDigests pins TestAllExperimentsSmoke across commits: per
 // experiment, the SHA-256 of its plan fingerprint at (seed 2024, scale
 // 0.05) followed by every table rendered as text and as CSV. The
@@ -121,21 +127,21 @@ var smokeDigests = map[string]string{
 // TestAllExperimentsSmoke runs every experiment at a tiny scale: the
 // integration test that the whole pipeline — models, oracles,
 // algorithms, statistics, rendering — works end to end, and the
-// golden that pins each experiment's plan and tables (smokeDigests).
+// golden that pins each experiment's plan and its serial (-workers 1)
+// tables (smokeDigests).
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke tests are not short")
 	}
-	cfg := Config{Seed: 2024, Scale: 0.05}
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			fp, err := e.Fingerprint(cfg)
+			fp, err := e.Fingerprint(smokeConfig)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
-			tables, err := e.Run(cfg)
+			tables, _, err := e.RunCached(context.Background(), smokeConfig, engine.Options{Workers: 1}, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
@@ -147,8 +153,7 @@ func TestAllExperimentsSmoke(t *testing.T) {
 					t.Errorf("%s: table %q is empty", e.ID, tab.Title)
 				}
 			}
-			sum := sha256.Sum256([]byte(fp + "\n" + renderAll(t, tables)))
-			if got := hex.EncodeToString(sum[:]); got != smokeDigests[e.ID] {
+			if got := smokeDigest(fp, renderAll(t, tables)); got != smokeDigests[e.ID] {
 				t.Errorf("%s: digest %s, pinned %q: a plan, seed or table changed", e.ID, got, smokeDigests[e.ID])
 			}
 		})

@@ -25,19 +25,15 @@ import (
 // for the observability layer: a coordinated chaos sweep with
 // everything turned on — event log, coordinator observer, fault-event
 // bridge, and a live ops plane being scraped concurrently throughout —
-// still renders tables byte-identical to the single-process run.
-// Metrics and events observe the sweep; they must never feed it.
+// still renders tables matching the single-process run's recorded
+// digest. Metrics and events observe the sweep; they must never feed
+// it.
 func TestGoldenObservedChaosSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are not short")
 	}
 	exp, _ := ByID("E4")
-	cfg := Config{Seed: 2024, Scale: 0.05}
-	serial, err := exp.RunContext(context.Background(), cfg, engine.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := renderAll(t, serial)
+	cfg := smokeConfig
 
 	// Full observability stack, exactly as cmd/experiments wires it:
 	// JSONL event log on disk, fault events bridged into the log, the
@@ -146,9 +142,7 @@ func TestGoldenObservedChaosSweep(t *testing.T) {
 
 	// The determinism boundary: fully observed output is byte-identical
 	// to the bare single-process run.
-	if got := renderAll(t, out.tables[0]); got != golden {
-		t.Errorf("observed chaos sweep diverges from single-process run:\n--- observed ---\n%s\n--- single ---\n%s", got, golden)
-	}
+	checkSmokeDigest(t, exp, cfg, out.tables[0], "observed chaos sweep")
 	if flis.Injected() == 0 {
 		t.Error("fault profile injected nothing; the chaos run degenerated to the clean path")
 	}

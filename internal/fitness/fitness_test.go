@@ -1,6 +1,7 @@
 package fitness
 
 import (
+	"fmt"
 	"testing"
 
 	"scalefree/internal/graph"
@@ -160,4 +161,36 @@ func TestPowerLawTail(t *testing.T) {
 	if fit.Alpha < 1.8 || fit.Alpha > 3.2 {
 		t.Errorf("fitted tail exponent %.3f ± %.3f outside the plausible fitness band (1.8, 3.2)", fit.Alpha, fit.StdErr)
 	}
+}
+
+// BenchmarkGenerate measures the Bianconi–Barabási production path:
+// the O(1) endpoint-array rejection sampler, with and without scratch
+// reuse (the O(n)-per-draw exact-inversion reference is validated by
+// chi-square in the tests but is quadratic, so it stays out of the
+// benchmark). -short drops to a smoke size for CI.
+func BenchmarkGenerate(b *testing.B) {
+	n := 1 << 18
+	if testing.Short() {
+		n = 1 << 13
+	}
+	cfg := Config{N: n, M: 2, Eta0: 0.1}
+	b.Run(fmt.Sprintf("endpoint/n=%d", n), func(b *testing.B) {
+		r := rng.New(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cfg.Generate(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run(fmt.Sprintf("endpoint-scratch/n=%d", n), func(b *testing.B) {
+		r := rng.New(1)
+		var s Scratch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cfg.GenerateScratch(r, &s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

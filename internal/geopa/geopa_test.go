@@ -1,6 +1,7 @@
 package geopa
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -150,4 +151,36 @@ func TestRejectionMatchesRefDistribution(t *testing.T) {
 				r, res.Statistic, res.DF, res.PValue, histProd, histRef)
 		}
 	}
+}
+
+// BenchmarkGenerate measures the geometric-PA production path: the
+// O(1) endpoint-array rejection sampler, with and without scratch
+// reuse (the O(n)-per-draw exact-inversion reference is validated by
+// chi-square in the tests but is quadratic, so it stays out of the
+// benchmark). -short drops to a smoke size for CI.
+func BenchmarkGenerate(b *testing.B) {
+	n := 1 << 18
+	if testing.Short() {
+		n = 1 << 13
+	}
+	cfg := Config{N: n, M: 2, R: 0.25}
+	b.Run(fmt.Sprintf("endpoint/n=%d", n), func(b *testing.B) {
+		r := rng.New(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cfg.Generate(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run(fmt.Sprintf("endpoint-scratch/n=%d", n), func(b *testing.B) {
+		r := rng.New(1)
+		var s Scratch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cfg.GenerateScratch(r, &s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -140,20 +140,3 @@ func TestAverageDistancePanicsWithoutSources(t *testing.T) {
 	}()
 	AverageDistanceSampled(buildPath(3), nil)
 }
-
-func BenchmarkBFS(b *testing.B) {
-	r := rng.New(1)
-	n := 1 << 14
-	bld := NewBuilder(n, 2*n)
-	bld.AddVertices(n)
-	for v := 2; v <= n; v++ {
-		bld.AddEdge(Vertex(v), Vertex(r.IntRange(1, v-1)))
-	}
-	g := bld.Freeze()
-	dist := make([]int32, n+1)
-	queue := make([]Vertex, 0, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BFSInto(g, 1, dist, queue)
-	}
-}

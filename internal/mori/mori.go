@@ -31,10 +31,10 @@
 // vertex draw, the preferential draw is pure hit-count sampling and is
 // served by the O(1) endpoint array (weights.EndpointArray): generation
 // of an n-vertex tree costs O(n) time and O(1) allocations (amortized
-// zero with a Scratch). GenerateTreeFenwick keeps the historical
-// O(n log n) Fenwick-tree path as the reference implementation the
-// production sampler is validated against (chi-square equivalence in
-// the tests, BenchmarkGenerateMori for the speedup).
+// zero with a Scratch). The tests keep the historical O(n log n)
+// Fenwick-tree generator as the reference the production sampler is
+// validated against (chi-square equivalence), and BenchmarkGenerateTree
+// times the two against each other.
 package mori
 
 import (
@@ -92,39 +92,6 @@ func generateTree(r *rng.RNG, size int, p float64, fathers []graph.Vertex, ends 
 		fathers[k] = u
 		ends.Record(int32(u))
 	}
-}
-
-// GenerateTreeFenwick is the historical O(n log n) generator drawing
-// the preferential vertex from a Fenwick tree over indegrees. It
-// samples exactly the same distribution as GenerateTree and is kept as
-// the reference implementation for the sampler ablation
-// (BenchmarkGenerateMori, DESIGN.md §5.2) and the chi-square
-// equivalence test; the two consume RNG streams differently, so equal
-// seeds yield different (identically distributed) trees.
-func GenerateTreeFenwick(r *rng.RNG, size int, p float64) (*Tree, error) {
-	if size < 2 {
-		return nil, fmt.Errorf("mori: tree size %d < 2", size)
-	}
-	if err := validateP(p); err != nil {
-		return nil, err
-	}
-	t := &Tree{P: p, Fathers: make([]graph.Vertex, size+1)}
-	t.Fathers[2] = 1
-	indeg := weights.NewFenwick(size)
-	indeg.Add(1, 1) // the initial edge 2 → 1
-	for k := 3; k <= size; k++ {
-		prefMass := p * float64(k-2)
-		unifMass := (1 - p) * float64(k-1)
-		var u graph.Vertex
-		if r.Float64()*(prefMass+unifMass) < prefMass {
-			u = graph.Vertex(indeg.Sample(r))
-		} else {
-			u = graph.Vertex(r.IntRange(1, k-1))
-		}
-		t.Fathers[k] = u
-		indeg.Add(int(u), 1)
-	}
-	return t, nil
 }
 
 // Size returns the number of vertices.

@@ -1,6 +1,7 @@
 package mori
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -373,14 +374,44 @@ func TestMaxInDegreeGrowsWithP(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerateTree is the sampler ablation at generator level
+// (DESIGN.md §5.2): the O(n) endpoint-array production path, with and
+// without scratch reuse, against the O(n log n) Fenwick reference. At
+// n = 2^20 the production path must win by >= 2×; -short drops to a
+// smoke size for CI.
 func BenchmarkGenerateTree(b *testing.B) {
-	r := rng.New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := GenerateTree(r, 1<<14, 0.5); err != nil {
-			b.Fatal(err)
-		}
+	n := 1 << 20
+	if testing.Short() {
+		n = 1 << 14
 	}
+	b.Run(fmt.Sprintf("endpoint/n=%d", n), func(b *testing.B) {
+		r := rng.New(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := GenerateTree(r, n, 0.5); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run(fmt.Sprintf("endpoint-scratch/n=%d", n), func(b *testing.B) {
+		r := rng.New(1)
+		var s Scratch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := GenerateTreeScratch(r, n, 0.5, &s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run(fmt.Sprintf("fenwick/n=%d", n), func(b *testing.B) {
+		r := rng.New(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := GenerateTreeFenwick(r, n, 0.5); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkConfigGenerateMerged(b *testing.B) {

@@ -1,11 +1,13 @@
 package mori
 
 import (
+	"fmt"
 	"testing"
 
 	"scalefree/internal/graph"
 	"scalefree/internal/rng"
 	"scalefree/internal/stats"
+	"scalefree/internal/weights"
 )
 
 // graphsEqual compares two graphs edge by edge (same builder insertion
@@ -77,6 +79,39 @@ func TestGenerateScratchAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, gen); allocs > 0 {
 		t.Errorf("steady-state GenerateScratch allocates %v times per graph, want 0", allocs)
 	}
+}
+
+// GenerateTreeFenwick is the historical O(n log n) generator drawing
+// the preferential vertex from a Fenwick tree over indegrees. It
+// samples exactly the same distribution as GenerateTree and is kept as
+// the reference implementation for the chi-square equivalence test and
+// the sampler ablation (BenchmarkGenerateTree, DESIGN.md §5.2); the two
+// consume RNG streams differently, so equal seeds yield different
+// (identically distributed) trees.
+func GenerateTreeFenwick(r *rng.RNG, size int, p float64) (*Tree, error) {
+	if size < 2 {
+		return nil, fmt.Errorf("mori: tree size %d < 2", size)
+	}
+	if err := validateP(p); err != nil {
+		return nil, err
+	}
+	t := &Tree{P: p, Fathers: make([]graph.Vertex, size+1)}
+	t.Fathers[2] = 1
+	indeg := weights.NewFenwick(size)
+	indeg.Add(1, 1) // the initial edge 2 → 1
+	for k := 3; k <= size; k++ {
+		prefMass := p * float64(k-2)
+		unifMass := (1 - p) * float64(k-1)
+		var u graph.Vertex
+		if r.Float64()*(prefMass+unifMass) < prefMass {
+			u = graph.Vertex(indeg.Sample(r))
+		} else {
+			u = graph.Vertex(r.IntRange(1, k-1))
+		}
+		t.Fathers[k] = u
+		indeg.Add(int(u), 1)
+	}
+	return t, nil
 }
 
 // TestEndpointMatchesFenwickDistribution is the sampler-swap safety

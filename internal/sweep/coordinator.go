@@ -41,10 +41,11 @@ type CoordOptions struct {
 	// instead of seeing a reset. <= 0 defaults to 3 seconds.
 	Linger time.Duration
 	// OnResult, if non-nil, is called once per newly completed trial
-	// with the reporting worker's name. Duplicate deliveries from
-	// stolen chunks do not re-fire it. Called under the coordinator's
-	// lock — keep it fast.
-	OnResult func(worker, expID string, t engine.Trial)
+	// with the reporting worker's name and the sweep's completed-trial
+	// count, this trial included — the count CoordSnapshot.DoneTrials
+	// reports. Duplicate deliveries from stolen chunks do not re-fire
+	// it. Called under the coordinator's lock — keep it fast.
+	OnResult func(worker, expID string, t engine.Trial, done int)
 	// AuthKey, if non-empty, requires every worker to pass the
 	// shared-key HMAC challenge–response handshake (auth.go). Keyless
 	// or wrong-key workers are rejected at HELLO with a clear error.
@@ -275,6 +276,8 @@ type coordState struct {
 	byExp     map[string]int   // ExpID -> job index
 	results   []map[int]any    // per job: trial index -> decoded value
 	encoded   []map[int]string // per job: trial index -> raw payload (dup check)
+	byWorker  map[string]int   // worker name -> newly completed trials it delivered
+	total     int
 	remaining int
 	failure   error
 	finished  bool
@@ -298,6 +301,7 @@ func newCoordState(jobs []CoordJob, opts CoordOptions) (*coordState, error) {
 		byExp:       make(map[string]int, len(jobs)),
 		results:     make([]map[int]any, len(jobs)),
 		encoded:     make([]map[int]string, len(jobs)),
+		byWorker:    map[string]int{},
 		done:        make(chan struct{}),
 		opts:        opts,
 		conns:       map[uint64]net.Conn{},
@@ -320,8 +324,9 @@ func newCoordState(jobs []CoordJob, opts CoordOptions) (*coordState, error) {
 		st.byExp[job.Job.ExpID] = j
 		st.results[j] = make(map[int]any, len(job.Trials))
 		st.encoded[j] = make(map[int]string, len(job.Trials))
-		st.remaining += len(job.Trials)
+		st.total += len(job.Trials)
 	}
+	st.remaining = st.total
 	st.leases = newLeaseTable(chunked(jobs, opts.ChunkSize), opts.LeaseTTL)
 	// Observe steals and revocations where the table decides them. The
 	// callback runs with the table lock held: it reads only immutable
@@ -854,9 +859,10 @@ func (st *coordState) acceptResult(worker string, m resultMsg) error {
 	st.encoded[j][m.Index] = string(m.Payload)
 	st.results[j][m.Index] = v
 	st.remaining--
+	st.byWorker[worker]++
 	mCoordResults.With(worker).Inc()
 	if st.opts.OnResult != nil {
-		st.opts.OnResult(worker, m.ExpID, job.Trials[m.Index])
+		st.opts.OnResult(worker, m.ExpID, job.Trials[m.Index], st.total-st.remaining)
 	}
 	if st.remaining == 0 {
 		st.finishLocked()

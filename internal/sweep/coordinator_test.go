@@ -247,7 +247,11 @@ func TestCoordinateSingleWorker(t *testing.T) {
 	addr, outcome, cancel := startCoordinator(t,
 		[]CoordJob{{Job: job, Trials: trials}},
 		CoordOptions{ChunkSize: 4, LeaseTTL: 2 * time.Second,
-			OnResult: func(worker, expID string, tr engine.Trial) { completions.Add(1) }})
+			OnResult: func(worker, expID string, tr engine.Trial, done int) {
+				if n := completions.Add(1); int64(done) != n {
+					t.Errorf("OnResult call %d reports %d trials done", n, done)
+				}
+			}})
 	defer cancel()
 
 	var executed atomic.Int64
@@ -424,7 +428,7 @@ func TestCoordinateLateDuplicateAccepted(t *testing.T) {
 			// wire deadline; keep its connection alive for the late
 			// delivery under test.
 			IOTimeout: time.Minute,
-			OnResult:  func(worker, expID string, tr engine.Trial) { completions.Add(1) }})
+			OnResult:  func(worker, expID string, tr engine.Trial, done int) { completions.Add(1) }})
 	defer cancel()
 
 	slow := dialDeadWorker(t, addr, "slow")

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"sort"
 	"sync"
 
 	"scalefree/internal/obs"
@@ -97,6 +98,13 @@ type JobStatus struct {
 	Done        int    `json:"done"`
 }
 
+// WorkerCount is one worker's share of a sweep's completed trials in a
+// CoordSnapshot.
+type WorkerCount struct {
+	Source string `json:"source"`
+	Done   int    `json:"done"`
+}
+
 // CoordSnapshot is a point-in-time view of a coordinated sweep — the
 // scheduling half of the /status payload. It is plain data with a
 // stable JSON schema; the HTTP layer renders it as-is.
@@ -110,6 +118,10 @@ type CoordSnapshot struct {
 	Draining      bool        `json:"draining"`
 	Finished      bool        `json:"finished"`
 	Failure       string      `json:"failure,omitempty"`
+
+	// ByWorker attributes every one of DoneTrials to the worker that
+	// delivered it first, sorted by worker name.
+	ByWorker []WorkerCount `json:"done_by_worker"`
 }
 
 // Snapshot reads the coordinator's current state. Before Coordinate
@@ -138,6 +150,15 @@ func (o *CoordObserver) Snapshot() CoordSnapshot {
 		}
 		s.TotalTrials += len(job.Trials)
 		s.DoneTrials += len(st.results[j])
+	}
+	names := make([]string, 0, len(st.byWorker))
+	for w := range st.byWorker {
+		names = append(names, w)
+	}
+	sort.Strings(names)
+	s.ByWorker = make([]WorkerCount, len(names))
+	for i, w := range names {
+		s.ByWorker[i] = WorkerCount{Source: w, Done: st.byWorker[w]}
 	}
 	s.Workers = len(st.helloed)
 	s.Draining = st.draining

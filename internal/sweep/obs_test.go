@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"scalefree/internal/engine"
 	"scalefree/internal/obs"
+	"scalefree/internal/rng"
 )
 
 // TestCoordObserverSnapshot runs a coordinated sweep with the observer
@@ -35,35 +38,14 @@ func TestCoordObserverSnapshot(t *testing.T) {
 			Observer: observer, Events: events})
 	defer cancel()
 
-	// Scrape the observer while the sweep runs: every intermediate
-	// snapshot must be internally consistent even as state changes
-	// underneath it.
-	scrapeDone := make(chan struct{})
-	stop := make(chan struct{})
-	go func() {
-		defer close(scrapeDone)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			s := observer.Snapshot()
-			if s.DoneTrials > s.TotalTrials {
-				t.Errorf("snapshot overcounts: %d done of %d", s.DoneTrials, s.TotalTrials)
-				return
-			}
-		}
-	}()
-
+	stopScraping := scrapeObserver(t, observer)
 	var executed atomic.Int64
 	if _, err := RunWorker(context.Background(), addr,
 		countingResolver(job, trials, &executed), WorkerOptions{Name: "obs-w"}); err != nil {
 		t.Fatal(err)
 	}
 	out := <-outcome
-	close(stop)
-	<-scrapeDone
+	stopScraping()
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
@@ -75,6 +57,9 @@ func TestCoordObserverSnapshot(t *testing.T) {
 	}
 	if snap.DoneTrials != 21 || snap.TotalTrials != 21 {
 		t.Errorf("final trials = %d/%d, want 21/21", snap.DoneTrials, snap.TotalTrials)
+	}
+	if want := []WorkerCount{{"obs-w", 21}}; !reflect.DeepEqual(snap.ByWorker, want) {
+		t.Errorf("final per-worker counts = %+v, want %+v", snap.ByWorker, want)
 	}
 	if snap.PendingChunks != 0 || snap.ActiveLeases != 0 || snap.Workers != 0 {
 		t.Errorf("final snapshot has residual scheduling state: %+v", snap)
@@ -102,6 +87,53 @@ func TestCoordObserverSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifySweepEventLog(t, buf.Bytes(), "obs-w")
+}
+
+// checkSnapshot reports a snapshot that is internally inconsistent:
+// more trials done than planned, or per-worker counts that are out of
+// name order or do not sum to DoneTrials.
+func checkSnapshot(s CoordSnapshot) error {
+	if s.DoneTrials > s.TotalTrials {
+		return fmt.Errorf("snapshot overcounts: %d done of %d", s.DoneTrials, s.TotalTrials)
+	}
+	sum := 0
+	for i, w := range s.ByWorker {
+		if i > 0 && s.ByWorker[i-1].Source >= w.Source {
+			return fmt.Errorf("per-worker counts out of name order: %+v", s.ByWorker)
+		}
+		sum += w.Done
+	}
+	if sum != s.DoneTrials {
+		return fmt.Errorf("per-worker counts %+v sum to %d, but %d trials are done", s.ByWorker, sum, s.DoneTrials)
+	}
+	return nil
+}
+
+// scrapeObserver checks every snapshot it can take while the sweep
+// runs, as a /status scrape racing the coordinator would see it. The
+// returned stop function waits for the scraper to exit.
+func scrapeObserver(t *testing.T, observer *CoordObserver) (stop func()) {
+	t.Helper()
+	quit := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			if err := checkSnapshot(observer.Snapshot()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
 }
 
 // verifySweepEventLog parses a JSONL event log written by a clean
@@ -150,9 +182,11 @@ func verifySweepEventLog(t *testing.T, raw []byte, worker string) {
 	}
 }
 
-// TestCoordObserverSeesSteal: the event log records lease steals. A
-// worker takes a lease by hand and goes silent; after the TTL expires
-// the chunk is stolen and a live worker finishes the sweep.
+// TestCoordObserverSeesSteal: the event log records lease steals, and
+// the snapshot's per-worker counts stay consistent across one. A worker
+// takes a lease by hand, delivers one result and goes silent; after the
+// TTL expires the chunk is stolen and a live worker finishes the sweep,
+// re-delivering that result as a duplicate that must not count twice.
 func TestCoordObserverSeesSteal(t *testing.T) {
 	trials := makeTrials(12)
 	job := testJob(trials)
@@ -168,9 +202,25 @@ func TestCoordObserverSeesSteal(t *testing.T) {
 			IOTimeout: time.Minute, Observer: observer, Events: events})
 	defer cancel()
 
+	stopScraping := scrapeObserver(t, observer)
 	dead := dialDeadWorker(t, addr, "dead")
 	defer dead.wc.close()
-	dead.takeLease() // never pinged, never completed: the chunk must be stolen
+	// One result, then silence: never pinged, never completed, so the
+	// chunk must be stolen.
+	m := dead.takeLease()
+	payload, err := EncodeResult(float64(trials[m.Lo].Seed) * 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dead.wc.send(formatResult(m.ID, job.ExpID, m.Lo, payload)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); observer.Snapshot().DoneTrials == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the dead worker's result never reached the coordinator")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	var executed atomic.Int64
 	if _, err := RunWorker(context.Background(), addr,
@@ -178,10 +228,15 @@ func TestCoordObserverSeesSteal(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := <-outcome
+	stopScraping()
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
 	checkResults(t, trials, out.results)
+	snap := observer.Snapshot()
+	if want := []WorkerCount{{"dead", 1}, {"live", 11}}; !reflect.DeepEqual(snap.ByWorker, want) {
+		t.Errorf("final per-worker counts = %+v, want %+v", snap.ByWorker, want)
+	}
 	if err := events.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,5 +259,51 @@ func TestCoordObserverSeesSteal(t *testing.T) {
 	}
 	if steals == 0 {
 		t.Error("no lease_steal event recorded for the expired lease")
+	}
+}
+
+// BenchmarkMetricsOverhead prices the observability layer (DESIGN.md
+// §9.1): a no-op trial loop on the engine, bare versus carrying the
+// exact per-trial instrumentation Execute adds (a timed histogram
+// observation and a counter increment, resolved once outside the
+// loop). The bare arm is the engine's own scheduling cost per trial.
+// On no-op trials the tax is visible — two clock reads plus a few
+// atomic adds next to that scheduling cost — which is the point of
+// the ns/trial metric: real trials run milliseconds, so the same
+// absolute cost vanishes there. Zero extra allocations is the hard
+// assertion; compare the ns/trial columns for the absolute tax.
+func BenchmarkMetricsOverhead(b *testing.B) {
+	trials := make([]engine.Trial, 1024)
+	for i := range trials {
+		trials[i] = engine.Trial{Index: i, Key: "noop", Seed: rng.DeriveSeed(1, uint64(i))}
+	}
+	reg := obs.NewRegistry()
+	ctr := reg.CounterVec("bench_trials_completed_total", "bench", "exp").With("BENCH")
+	hist := reg.HistogramVec("bench_trial_seconds", "bench", "exp", nil).With("BENCH")
+	variants := []struct {
+		name string
+		fn   func(context.Context, engine.Trial, *rng.RNG) (uint64, error)
+	}{
+		{"bare", func(_ context.Context, t engine.Trial, r *rng.RNG) (uint64, error) {
+			return r.Uint64(), nil
+		}},
+		{"instrumented", func(_ context.Context, t engine.Trial, r *rng.RNG) (uint64, error) {
+			t0 := time.Now()
+			v := r.Uint64()
+			hist.ObserveDuration(time.Since(t0))
+			ctr.Inc()
+			return v, nil
+		}},
+	}
+	for _, v := range variants {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.Run(context.Background(), trials, engine.Options{Workers: 4}, v.fn); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(trials)), "ns/trial")
+		})
 	}
 }

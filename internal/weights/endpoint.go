@@ -15,7 +15,7 @@ import "scalefree/internal/rng"
 // the indegree-proportional draws of both evolving models, making graph
 // generation O(n). The Fenwick tree remains as the O(log n) reference
 // implementation (see the package comment and
-// BenchmarkAblationFenwickVsEndpointArray).
+// BenchmarkEndpointArraySample).
 type EndpointArray struct {
 	hits []int32
 }

@@ -10,17 +10,18 @@
 //   - Alias: Walker's alias method for O(1) sampling from a fixed
 //     discrete distribution, used when the weights are static.
 //
-// A design note (ablation in bench_test.go, DESIGN.md §5.2): the
+// A design note (DESIGN.md §5.2; BenchmarkFenwickSample and
+// BenchmarkEndpointArraySample are the per-draw ablation): the
 // endpoint array supports only weights that are exact hit counts,
 // while the Fenwick tree supports arbitrary integer weights. The Móri
 // and Cooper–Frieze mixtures p·d(u) + (1−p) look like they need the
 // general tree, but both generators flip the exact coin between the
 // aggregate preferential mass and the aggregate uniform mass *before*
 // drawing a vertex — after the flip the preferential draw is pure
-// hit-count, so the O(1) array serves the hot loops exactly
-// (GenerateTreeFenwick / Config.GenerateFenwick keep the O(log n)
-// reference paths alive for the ablation benchmark and the chi-square
-// equivalence tests). Switching samplers changes how many random draws
+// hit-count, so the O(1) array serves the hot loops exactly (the
+// mori and cooperfrieze tests keep O(log n) Fenwick generators as the
+// reference for their chi-square equivalence tests and generator
+// benchmarks). Switching samplers changes how many random draws
 // each step consumes, so the swap was a one-time seed→output break;
 // determinism across worker counts is unaffected.
 package weights

@@ -241,30 +241,64 @@ func TestEndpointArrayPanicsOnEmpty(t *testing.T) {
 	NewEndpointArray(0).Sample(rng.New(1))
 }
 
+// BenchmarkFenwickSample times one draw, and the sampler ablation's
+// per-draw step of a generator (DESIGN.md §5.2): a draw plus the hit
+// it adds, on the O(log n) reference sampler. Compare with
+// BenchmarkEndpointArraySample.
 func BenchmarkFenwickSample(b *testing.B) {
-	n := 1 << 16
-	f := NewFenwick(n)
-	r := rng.New(1)
-	for i := 1; i <= n; i++ {
-		f.Add(i, int64(r.IntRange(1, 10)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Sample(r)
-	}
+	b.Run("sample", func(b *testing.B) {
+		n := 1 << 16
+		f := NewFenwick(n)
+		r := rng.New(1)
+		for i := 1; i <= n; i++ {
+			f.Add(i, int64(r.IntRange(1, 10)))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.Sample(r)
+		}
+	})
+	b.Run("sample-add", func(b *testing.B) {
+		const n = 1 << 15
+		f := NewFenwick(n)
+		r := rng.New(1)
+		for i := 1; i <= n; i++ {
+			f.Add(i, 1)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.Add(f.Sample(r), 1)
+		}
+	})
 }
 
+// BenchmarkEndpointArraySample is BenchmarkFenwickSample on the O(1)
+// production sampler: one draw, and a draw plus the hit it records.
 func BenchmarkEndpointArraySample(b *testing.B) {
-	n := 1 << 16
-	e := NewEndpointArray(n)
-	r := rng.New(1)
-	for i := 0; i < n; i++ {
-		e.Record(int32(r.IntRange(1, n)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Sample(r)
-	}
+	b.Run("sample", func(b *testing.B) {
+		n := 1 << 16
+		e := NewEndpointArray(n)
+		r := rng.New(1)
+		for i := 0; i < n; i++ {
+			e.Record(int32(r.IntRange(1, n)))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Sample(r)
+		}
+	})
+	b.Run("sample-record", func(b *testing.B) {
+		const n = 1 << 15
+		e := NewEndpointArray(n + 1)
+		r := rng.New(1)
+		for i := 1; i <= n; i++ {
+			e.Record(int32(i))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Record(e.Sample(r))
+		}
+	})
 }
 
 func BenchmarkAliasSample(b *testing.B) {
