@@ -12,6 +12,13 @@
 //
 //     with the convention that the k = a+1 factor is 1 when a = 1;
 //
+//   - its Monte-Carlo estimate, which by the same argument needs no
+//     tree: while the event holds, every recorded endpoint lies in
+//     [1, a], so only a uniform draw above a can break it.
+//     MonteCarloEventProb therefore runs mori.FathersAtMost, which
+//     makes GenerateTree's RNG calls and keeps only the verdict;
+//     GenerateTree + CheckEvent remain its test reference;
+//
 //   - Lemma 3's closed-form floor: for b = a + ⌊√(a-1)⌋,
 //     P(E_{a,b}) >= e^{-(1-p)};
 //
@@ -121,8 +128,12 @@ func isqrt(x int) int {
 	return r
 }
 
-// MonteCarloEventProb estimates P(E_{a,b}) by generating trees of size
-// b and counting. It returns the estimate and its standard error.
+// MonteCarloEventProb estimates P(E_{a,b}) over reps draws of a tree
+// of size b and returns the estimate and its standard error. Each
+// replication makes exactly the RNG calls mori.GenerateTree(r, b, p)
+// makes but builds no tree: mori.FathersAtMost decides the event from
+// the draws alone, so the estimate equals, bit for bit, counting
+// CheckEvent over generated trees, and the call allocates nothing.
 func MonteCarloEventProb(r *rng.RNG, p float64, a, b, reps int) (estimate, stderr float64, err error) {
 	if reps < 1 {
 		return 0, 0, fmt.Errorf("equivalence: reps = %d < 1", reps)
@@ -132,11 +143,7 @@ func MonteCarloEventProb(r *rng.RNG, p float64, a, b, reps int) (estimate, stder
 	}
 	hits := 0
 	for i := 0; i < reps; i++ {
-		t, err := mori.GenerateTree(r, b, p)
-		if err != nil {
-			return 0, 0, err
-		}
-		ok, err := CheckEvent(t, a, b)
+		ok, err := mori.FathersAtMost(r, b, p, a)
 		if err != nil {
 			return 0, 0, err
 		}

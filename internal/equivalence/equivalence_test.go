@@ -1,6 +1,7 @@
 package equivalence
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -179,11 +180,172 @@ func TestLemma1BoundScalesAsSqrtN(t *testing.T) {
 }
 
 func TestMonteCarloValidation(t *testing.T) {
-	if _, _, err := MonteCarloEventProb(rng.New(1), 0.5, 5, 8, 0); err == nil {
-		t.Error("zero reps accepted")
+	for _, tc := range []struct {
+		name       string
+		p          float64
+		a, b, reps int
+	}{
+		{"zero reps", 0.5, 5, 8, 0},
+		{"bad window", 0.5, 0, 8, 10},
+		{"p = NaN", math.NaN(), 5, 8, 10},
+		{"p < 0", -0.1, 5, 8, 10},
+		{"p > 1", 1.5, 5, 8, 10},
+		{"tree of one vertex", 0.5, 1, 1, 10},
+	} {
+		if _, _, err := MonteCarloEventProb(rng.New(1), tc.p, tc.a, tc.b, tc.reps); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-	if _, _, err := MonteCarloEventProb(rng.New(1), 0.5, 0, 8, 10); err == nil {
-		t.Error("bad window accepted")
+}
+
+// TestFathersAtMostMatchesCheckEvent pins the draw-only pass behind
+// MonteCarloEventProb to its reference, draw for draw: on identically
+// seeded generators, mori.FathersAtMost must give CheckEvent's verdict
+// on GenerateTree's tree and leave the generator in the same state.
+func TestFathersAtMostMatchesCheckEvent(t *testing.T) {
+	verdicts := map[bool]int{}
+	for seed := uint64(0); seed < 64; seed++ {
+		for _, size := range []int{2, 3, 4, 5, 17, 270, 1054} {
+			for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
+				for _, a := range []int{1, (size + 1) / 2, size - isqrt(size-1), size} {
+					ref, pass := rng.New(seed), rng.New(seed)
+					tree, err := mori.GenerateTree(ref, size, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := CheckEvent(tree, a, size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := mori.FathersAtMost(pass, size, p, a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("seed %d size %d p %v a %d: pass says %v, CheckEvent says %v",
+							seed, size, p, a, got, want)
+					}
+					if x, y := pass.Uint64(), ref.Uint64(); x != y {
+						t.Fatalf("seed %d size %d p %v a %d: streams diverge after the draw (%#x vs %#x)",
+							seed, size, p, a, x, y)
+					}
+					verdicts[got]++
+				}
+			}
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Errorf("verdicts %v: both outcomes must be exercised", verdicts)
+	}
+}
+
+// monteCarloTreeReference estimates P(E_{a,b}) the direct way, the
+// reference MonteCarloEventProb must match: build every tree, then
+// check the event on it.
+func monteCarloTreeReference(r *rng.RNG, p float64, a, b, reps int) (estimate, stderr float64, err error) {
+	hits := 0
+	for i := 0; i < reps; i++ {
+		t, err := mori.GenerateTree(r, b, p)
+		if err != nil {
+			return 0, 0, err
+		}
+		ok, err := CheckEvent(t, a, b)
+		if err != nil {
+			return 0, 0, err
+		}
+		if ok {
+			hits++
+		}
+	}
+	ph := float64(hits) / float64(reps)
+	return ph, math.Sqrt(ph * (1 - ph) / float64(reps)), nil
+}
+
+// monteCarloCFReference is the reference MonteCarloEventProbCF must
+// match: a fresh Generate per replication.
+func monteCarloCFReference(r *rng.RNG, cfg cooperfrieze.Config, a, reps int) (estimate, stderr float64, err error) {
+	hits := 0
+	for i := 0; i < reps; i++ {
+		res, err := cfg.Generate(r)
+		if err != nil {
+			return 0, 0, err
+		}
+		ok, err := CheckEventCF(res, a, cfg.N)
+		if err != nil {
+			return 0, 0, err
+		}
+		if ok {
+			hits++
+		}
+	}
+	ph := float64(hits) / float64(reps)
+	return ph, math.Sqrt(ph * (1 - ph) / float64(reps)), nil
+}
+
+// TestMonteCarloEstimatorsMatchReferences checks both estimators bit
+// for bit against the reference loops, on windows whose event
+// probability is well inside (0, 1).
+func TestMonteCarloEstimatorsMatchReferences(t *testing.T) {
+	for _, tc := range []struct {
+		p    float64
+		n    int
+		seed uint64
+	}{{0.25, 256, 1}, {0.5, 1024, 2}, {0.75, 300, 3}, {0, 64, 4}} {
+		a, b, err := Window(tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, se, err := MonteCarloEventProb(rng.New(tc.seed), tc.p, a, b, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantEst, wantSE, err := monteCarloTreeReference(rng.New(tc.seed), tc.p, a, b, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(est) != math.Float64bits(wantEst) || math.Float64bits(se) != math.Float64bits(wantSE) {
+			t.Errorf("p %v n %d: MonteCarloEventProb = %v ± %v, tree reference %v ± %v",
+				tc.p, tc.n, est, se, wantEst, wantSE)
+		}
+	}
+	for _, cfg := range []cooperfrieze.Config{
+		{N: 300, Alpha: 0.5, Beta: 0.5, Gamma: 0.5, Delta: 0.5, AllowLoops: true},
+		{N: 200, Alpha: 0.8, Beta: 0.3, Gamma: 0.7, Delta: 0.2, QWeights: []float64{1, 1}, PWeights: []float64{2, 1}},
+	} {
+		a, err := WindowEndingAt(cfg.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, se, err := MonteCarloEventProbCF(rng.New(9), cfg, a, 150)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantEst, wantSE, err := monteCarloCFReference(rng.New(9), cfg, a, 150)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(est) != math.Float64bits(wantEst) || math.Float64bits(se) != math.Float64bits(wantSE) {
+			t.Errorf("%+v: MonteCarloEventProbCF = %v ± %v, Generate reference %v ± %v",
+				cfg, est, se, wantEst, wantSE)
+		}
+	}
+}
+
+// TestMonteCarloEventProbAllocFree pins the estimator's cost to its
+// draws: no tree, no endpoint array, no allocation at all.
+func TestMonteCarloEventProbAllocFree(t *testing.T) {
+	r := rng.New(5)
+	a, b, err := Window(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := MonteCarloEventProb(r, 0.5, a, b, 20); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("MonteCarloEventProb allocates %v times per call, want 0", allocs)
 	}
 }
 
@@ -237,4 +399,48 @@ func TestLemma1BoundCF(t *testing.T) {
 	if want := float64(cfg.N-a) * prob / 2; math.Abs(bound-want) > 1e-12 {
 		t.Errorf("bound %v inconsistent with |V|P(E)/2 = %v", bound, want)
 	}
+}
+
+// BenchmarkMonteCarloEventProb times one replication of E4a's largest
+// cell: p = ½ on the window (4095, 4158] of target n = 4096. -short
+// drops to n = 256 for CI.
+func BenchmarkMonteCarloEventProb(b *testing.B) {
+	n := 1 << 12
+	if testing.Short() {
+		n = 1 << 8
+	}
+	a, bw, err := Window(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run(fmt.Sprintf("window=(%d,%d]", a, bw), func(b *testing.B) {
+		r := rng.New(1)
+		b.ReportAllocs()
+		if _, _, err := MonteCarloEventProb(r, 0.5, a, bw, b.N); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkMonteCarloEventProbCF times one replication of an E3 bound:
+// α = ½, β = γ = δ = ½, loops allowed, on the window ending at
+// n = 1024, E3's largest size at scale 0.25. -short drops to n = 128
+// for CI.
+func BenchmarkMonteCarloEventProbCF(b *testing.B) {
+	n := 1 << 10
+	if testing.Short() {
+		n = 1 << 7
+	}
+	cfg := cooperfrieze.Config{N: n, Alpha: 0.5, Beta: 0.5, Gamma: 0.5, Delta: 0.5, AllowLoops: true}
+	a, err := WindowEndingAt(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		r := rng.New(1)
+		b.ReportAllocs()
+		if _, _, err := MonteCarloEventProbCF(r, cfg, a, b.N); err != nil {
+			b.Fatal(err)
+		}
+	})
 }

@@ -31,7 +31,9 @@
 // vertex draw, the preferential draw is pure hit-count sampling and is
 // served by the O(1) endpoint array (weights.EndpointArray): generation
 // of an n-vertex tree costs O(n) time and O(1) allocations (amortized
-// zero with a Scratch). The tests keep the historical O(n log n)
+// zero with a Scratch). FathersAtMost makes the same draws without
+// building the tree, for estimators that need only the equivalence
+// event (package equivalence). The tests keep the historical O(n log n)
 // Fenwick-tree generator as the reference the production sampler is
 // validated against (chi-square equivalence), and BenchmarkGenerateTree
 // times the two against each other.
@@ -59,10 +61,7 @@ type Tree struct {
 // parameter 0 < p <= 1, in O(n) time via endpoint-array preferential
 // sampling.
 func GenerateTree(r *rng.RNG, size int, p float64) (*Tree, error) {
-	if size < 2 {
-		return nil, fmt.Errorf("mori: tree size %d < 2", size)
-	}
-	if err := validateP(p); err != nil {
+	if err := validateTree(size, p); err != nil {
 		return nil, err
 	}
 	t := &Tree{P: p, Fathers: make([]graph.Vertex, size+1)}
@@ -70,28 +69,81 @@ func GenerateTree(r *rng.RNG, size int, p float64) (*Tree, error) {
 	return t, nil
 }
 
+// attachDraw makes every RNG call the model spends on vertex k >= 3:
+// the coin that picks preferential attachment with probability
+// p(k-2) / [p(k-2) + (1-p)(k-1)] (k-2 edges and k-1 vertices exist
+// before k arrives), then one uniform index. A preferential idx lies
+// in [0, k-2) and indexes the endpoint array; a uniform idx lies in
+// [0, k-1) and names father idx+1. generateTree and fathersAtMost both
+// call it, so their draws cannot drift apart.
+func attachDraw(r *rng.RNG, k int, p float64) (idx int, pref bool) {
+	prefMass := p * float64(k-2)
+	unifMass := (1 - p) * float64(k-1)
+	pref = r.Float64()*(prefMass+unifMass) < prefMass
+	n := k - 1
+	if pref {
+		n = k - 2
+	}
+	return r.Intn(n), pref
+}
+
 // generateTree fills fathers (length size+1, entries 0 and 1 zeroed)
 // with a fresh draw, recording every attachment endpoint in ends. The
-// endpoint array holds one entry per indegree hit, so a uniform draw
-// from it is exactly the indegree-proportional draw of the model.
+// endpoint array holds one entry per indegree hit, so a uniform index
+// into it is exactly the indegree-proportional draw of the model.
+//
+//sf:hotpath
 func generateTree(r *rng.RNG, size int, p float64, fathers []graph.Vertex, ends *weights.EndpointArray) {
 	fathers[0], fathers[1] = 0, 0
 	fathers[2] = 1
 	ends.Record(1) // the initial edge 2 → 1
 	for k := 3; k <= size; k++ {
-		// Before inserting vertex k there are k-1 vertices and k-2
-		// edges, so the total attachment weight is p(k-2) + (1-p)(k-1).
-		prefMass := p * float64(k-2)
-		unifMass := (1 - p) * float64(k-1)
-		var u graph.Vertex
-		if r.Float64()*(prefMass+unifMass) < prefMass {
-			u = graph.Vertex(ends.Sample(r))
-		} else {
-			u = graph.Vertex(r.IntRange(1, k-1))
+		idx, pref := attachDraw(r, k, p)
+		u := graph.Vertex(idx + 1)
+		if pref {
+			u = graph.Vertex(ends.At(idx))
 		}
 		fathers[k] = u
 		ends.Record(int32(u))
 	}
+}
+
+// FathersAtMost reports whether every vertex in (a, size] of a Móri
+// tree attached to a vertex <= a, without building the tree. It makes
+// exactly the RNG calls GenerateTree(r, size, p) makes (same methods,
+// order and bounds), so for equal seeds it returns the verdict
+// CheckEvent (package equivalence) gives on GenerateTree's tree and
+// leaves r in the same state.
+//
+// While the event holds up to vertex k-1, every recorded endpoint lies
+// in [1, a], so a preferential draw cannot break it; only a uniform
+// draw with idx >= a (a father above a) can. The preferential index is
+// still drawn, to keep the stream aligned. A uniform draw for
+// k <= a+1 has idx <= k-2 < a, so the largest uniform idx over the
+// whole tree decides the event.
+func FathersAtMost(r *rng.RNG, size int, p float64, a int) (bool, error) {
+	if err := validateTree(size, p); err != nil {
+		return false, err
+	}
+	return fathersAtMost(r, size, p, a), nil
+}
+
+// fathersAtMost is FathersAtMost's loop. Its only data-dependent branch
+// is Lemire's rare rejection inside Intn: the coin is unpredictable by
+// design, so it selects values (the bound inside attachDraw, the
+// tracked idx here) instead of steering control flow.
+//
+//sf:hotpath
+func fathersAtMost(r *rng.RNG, size int, p float64, a int) bool {
+	worst := 0 // the largest uniform idx so far; its father is worst+1
+	for k := 3; k <= size; k++ {
+		idx, pref := attachDraw(r, k, p)
+		if pref {
+			idx = 0
+		}
+		worst = max(worst, idx)
+	}
+	return worst < a
 }
 
 // Size returns the number of vertices.
@@ -214,10 +266,7 @@ func GenerateTreeScratch(r *rng.RNG, size int, p float64, s *Scratch) (*Tree, er
 	if s == nil {
 		return GenerateTree(r, size, p)
 	}
-	if size < 2 {
-		return nil, fmt.Errorf("mori: tree size %d < 2", size)
-	}
-	if err := validateP(p); err != nil {
+	if err := validateTree(size, p); err != nil {
 		return nil, err
 	}
 	// generateTree overwrites every entry, so plain Grow suffices.
@@ -245,6 +294,14 @@ func (c Config) GenerateScratch(r *rng.RNG, s *Scratch) (*graph.Graph, error) {
 	}
 	s.builder.Reset(c.N, c.N*c.M-1)
 	return mergeInto(t, c.M, &s.builder, &s.g), nil
+}
+
+// validateTree checks the arguments every tree draw shares.
+func validateTree(size int, p float64) error {
+	if size < 2 {
+		return fmt.Errorf("mori: tree size %d < 2", size)
+	}
+	return validateP(p)
 }
 
 func validateP(p float64) error {

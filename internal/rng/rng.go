@@ -66,16 +66,18 @@ func DeriveSeed(base, stream uint64) uint64 {
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
+//
+// The reference xoshiro256++ step is written over locals so the method
+// fits the compiler's inlining budget; TestKnownAnswers pins its output
+// bit for bit.
+//
+//sf:hotpath
 func (r *RNG) Uint64() uint64 {
-	s := &r.s
-	result := bits.RotateLeft64(s[0]+s[3], 23) + s[0]
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s0+s3, 23) + s0
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
 	return result
 }
 

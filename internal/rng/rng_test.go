@@ -3,6 +3,7 @@ package rng
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -306,5 +307,66 @@ func TestReseedMatchesNew(t *testing.T) {
 		if got, exp := r.Uint64(), want.Uint64(); got != exp {
 			t.Fatalf("draw %d: Reseed stream %d != New stream %d", i, got, exp)
 		}
+	}
+}
+
+// TestKnownAnswers pins the generator's output bit for bit. Every
+// table, smoke digest and benchmark reference digest in the repository
+// is a function of this stream, so a rewrite of the generator or of a
+// bounded draw must reproduce these values; the experiment digests
+// would catch a changed draw too, but far from its cause. The values
+// were recorded before Uint64 was rewritten over locals. The Uint64n
+// bound 2^63+1 rejects about half its draws (this one rejects once),
+// so the rejection loop is pinned as well.
+func TestKnownAnswers(t *testing.T) {
+	streams := []struct {
+		seed uint64
+		want [8]uint64
+	}{
+		{0, [8]uint64{
+			0x53175d61490b23df, 0x61da6f3dc380d507, 0x5c0fdf91ec9a7bfc, 0x02eebf8c3bbe5e1a,
+			0x7eca04ebaf4a5eea, 0x0543c37757f08d9a, 0xdb7490c75ab5026e, 0xd87343e6464bc959,
+		}},
+		{2024, [8]uint64{
+			0x8641253f8fed82d1, 0x4b7eeec62af66af9, 0x3e595fe9cf746b2a, 0x6bf1aa430346476c,
+			0xbf8964d6922c13c4, 0xceecac21bb20bc65, 0xfa80bc903817a43f, 0xa9b7d31dc2646815,
+		}},
+	}
+	for _, s := range streams {
+		r := New(s.seed)
+		for i, want := range s.want {
+			if got := r.Uint64(); got != want {
+				t.Errorf("New(%d) draw %d = %#016x, want %#016x", s.seed, i, got, want)
+			}
+		}
+	}
+
+	for s, want := range []uint64{0x51b1f860c38cd752, 0xbd3fb96554e1a097, 0x2744006b1e058e7f, 0xabea98581c5c6a88} {
+		if got := DeriveSeed(2024, uint64(s)); got != want {
+			t.Errorf("DeriveSeed(2024, %d) = %#016x, want %#016x", s, got, want)
+		}
+	}
+
+	r := New(2024)
+	if got, want := math.Float64bits(r.Float64()), uint64(0x3fe0c824a7f1fdb0); got != want {
+		t.Errorf("Float64 bits = %#016x, want %#016x", got, want)
+	}
+	if got := r.Intn(3); got != 0 {
+		t.Errorf("Intn(3) = %d, want 0", got)
+	}
+	if got := r.IntRange(1, 4158); got != 1013 {
+		t.Errorf("IntRange(1, 4158) = %d, want 1013", got)
+	}
+	if got, want := r.Uint64n(1<<63+1), uint64(0x5fc4b26b491609e2); got != want {
+		t.Errorf("Uint64n(1<<63+1) = %#016x, want %#016x", got, want)
+	}
+	if r.Bernoulli(0.3) {
+		t.Error("Bernoulli(0.3) = true, want false")
+	}
+	if got, want := r.Perm(8), []int{3, 4, 1, 5, 7, 6, 0, 2}; !slices.Equal(got, want) {
+		t.Errorf("Perm(8) = %v, want %v", got, want)
+	}
+	if got, want := r.Uint64(), uint64(0x7f5d4190700dc04d); got != want {
+		t.Errorf("draw after the mixed sequence = %#016x, want %#016x", got, want)
 	}
 }

@@ -52,5 +52,11 @@ func (e *EndpointArray) Sample(r *rng.RNG) int32 {
 	return e.hits[r.Intn(len(e.hits))]
 }
 
+// At returns the item of the i-th recorded hit (0 <= i < Total()), so
+// a caller that draws the index itself — as the Móri generator does,
+// to share one draw definition with its draw-only pass — gets exactly
+// what Sample returns for that index.
+func (e *EndpointArray) At(i int) int32 { return e.hits[i] }
+
 // Total returns the total number of recorded hits.
 func (e *EndpointArray) Total() int { return len(e.hits) }
