@@ -5,9 +5,9 @@
 //
 //	experiments [-run E1,E4] [-scale 1.0] [-seed 2024] [-workers 0]
 //	            [-progress] [-csv dir] [-cache dir [-cache-max-bytes n]]
-//	            [-shard i/k -out dir [-resume]] [-merge dir]
+//	            [-shard i/k -out dir] [-merge dir]
 //	            [-coordinate addr [-chunk n] [-lease-ttl d] [-auth-key k]
-//	                             [-out dir [-drain-timeout d]] [-chaos seed]]
+//	                             [-chaos seed]]
 //	            [-worker addr [-auth-key k] [-dial-retries n]]
 //	            [-cache-gc fingerprint]
 //	            [-status-addr addr [-pprof]] [-dump-metrics]
@@ -24,14 +24,14 @@
 //
 // Distribution (DESIGN.md §6): -cache dir keeps a content-addressed
 // per-trial result cache, so interrupted sweeps resume where they
-// stopped and unchanged experiments re-reduce without recomputing.
-// -shard i/k (1-based, with -out dir) executes only the i-th of k
-// disjoint slices of each selected experiment's trials and writes a
-// shard file instead of tables — run the k shards on any machines,
+// stopped and unchanged experiments re-reduce without recomputing. It
+// is the one resume mechanism of every mode that executes or schedules
+// trials. -shard i/k (1-based, with -out dir) executes only the i-th
+// of k disjoint slices of each selected experiment's trials and writes
+// a shard file instead of tables — run the k shards on any machines,
 // gather the files into one directory, and -merge dir reassembles them
 // and prints tables byte-identical to a single-process run of the same
-// seed and scale. -resume lets a -shard run reuse a matching existing
-// shard file.
+// seed and scale.
 //
 // Work stealing (DESIGN.md §6.4): -coordinate addr listens for worker
 // processes, leases them trial chunks with heartbeat deadlines —
@@ -40,23 +40,23 @@
 // such a coordinator, executing leased chunks through the local
 // -workers pool and optional -cache. Every process must use the same
 // binary, -run, -seed, and -scale; the plan fingerprint enforces this.
+// A coordinator's -cache stores every result it accepts before it
+// acknowledges the chunk, so a coordinator restarted on the same
+// -cache after a cancel or crash leases only the missing trials, and
+// one whose cache is complete prints tables with no worker attached.
 // -cache-gc fingerprint deletes a finished or abandoned run's entries
 // (plus crashed writers' temp files) from -cache.
 //
 // Robustness (DESIGN.md §6.6): -auth-key authenticates every
 // coordinator/worker handshake by shared-key HMAC challenge–response —
 // both ends must carry the same key, and a mismatch is rejected before
-// any trial is leased. With -coordinate, -out names a drain directory:
-// a cancelled coordinator waits up to -drain-timeout for in-flight
-// leases, then persists every completed result there as 1-of-1 shard
-// files, which `-shard 1/1 -out dir -resume` re-executes from (only the
-// missing trials run) or -merge reassembles. -dial-retries bounds a
-// worker's consecutive failed connection attempts; within the bound the
-// worker rides out coordinator restarts and partitions with jittered
-// exponential backoff. -cache-max-bytes evicts least-recently-used
-// -cache entries down to the given size after a successful run, never
-// touching entries the run itself wrote or read. -chaos n wraps every
-// accepted coordinator connection in deterministic seed-scripted fault
+// any trial is leased. -dial-retries bounds a worker's consecutive
+// failed connection attempts; within the bound the worker rides out
+// coordinator restarts and partitions with jittered exponential
+// backoff. -cache-max-bytes evicts least-recently-used -cache entries
+// down to the given size after a successful run, never touching
+// entries the run itself wrote or read. -chaos n wraps every accepted
+// coordinator connection in deterministic seed-scripted fault
 // injection (internal/faultnet) for recovery drills; the rendered
 // tables must still be byte-identical to a fault-free run.
 //
@@ -67,7 +67,7 @@
 // view), /healthz, and with -pprof the net/http/pprof profiles.
 // -events file appends one JSON line per sweep lifecycle event (worker
 // join/leave, lease grant/steal/revoke/complete, chunk fail/retry,
-// injected faults, drain, cache GC/eviction); -events-max-bytes rotates
+// injected faults, cache GC/eviction); -events-max-bytes rotates
 // the file (events.jsonl -> events.1.jsonl, ...) when it would exceed
 // the limit, with sequence numbers monotonic across rotations.
 // -dump-metrics prints the full metrics exposition to stderr at exit.
@@ -144,7 +144,6 @@ type options struct {
 	shard    string
 	out      string
 	merge    string
-	resume   bool
 	coord    string
 	worker   string
 	cacheGC  string
@@ -153,7 +152,6 @@ type options struct {
 
 	authKey       string
 	dialRetries   int
-	drainTimeout  time.Duration
 	cacheMaxBytes int64
 	chaos         uint64
 
@@ -209,18 +207,17 @@ func (o *options) validate() error {
 	if len(active) > 1 {
 		return fmt.Errorf("%s are mutually exclusive: each selects a different execution mode", strings.Join(active, " and "))
 	}
+	if o.out != "" && o.mode() != "shard" {
+		return fmt.Errorf("-out is the shard file directory written by -shard; it requires -shard i/k")
+	}
 
 	switch o.mode() {
 	case "merge":
 		switch {
 		case o.cacheDir != "":
 			return fmt.Errorf("-cache applies to runs that execute trials; -merge only reads shard files")
-		case o.resume:
-			return fmt.Errorf("-resume applies to -shard runs; -merge re-reads shard files every time")
 		case o.isSet("workers") || o.progress:
 			return fmt.Errorf("-workers and -progress apply to runs that execute trials; -merge only reads shard files")
-		case o.out != "":
-			return fmt.Errorf("-out is the shard file directory written by -shard; -merge reads its directory argument")
 		}
 	case "shard":
 		switch {
@@ -230,39 +227,19 @@ func (o *options) validate() error {
 			return fmt.Errorf("-csv applies to runs that print tables; shard runs write result files (use -csv with -merge)")
 		}
 	case "coordinate":
-		// -out here is the drain directory: a cancelled coordinator
-		// persists completed results into it as 1-of-1 shard files that
-		// `-shard 1/1 -out dir -resume` or -merge pick back up.
-		switch {
-		case o.isSet("workers"):
+		if o.isSet("workers") {
 			return fmt.Errorf("-workers sizes a trial pool; the coordinator executes no trials (set it on each -worker)")
-		case o.cacheDir != "":
-			return fmt.Errorf("-cache applies to processes that execute trials; the coordinator only schedules (set it on each -worker)")
-		case o.resume:
-			return fmt.Errorf("-resume applies to -shard runs; coordinated sweeps resume through each worker's -cache")
 		}
 	case "worker":
-		switch {
-		case o.csvDir != "":
+		if o.csvDir != "" {
 			return fmt.Errorf("-csv applies to runs that print tables; workers stream results to the coordinator (use -csv there)")
-		case o.resume:
-			return fmt.Errorf("-resume applies to -shard runs; workers resume through -cache")
-		case o.out != "":
-			return fmt.Errorf("-out applies to -shard runs; workers stream results to the coordinator")
 		}
 	case "cache-gc":
 		switch {
 		case o.cacheDir == "":
 			return fmt.Errorf("-cache-gc needs -cache to name the cache directory to collect")
-		case o.isSet("workers") || o.progress || o.csvDir != "" || o.out != "" || o.resume:
+		case o.isSet("workers") || o.progress || o.csvDir != "":
 			return fmt.Errorf("-cache-gc only deletes cache entries; it executes no trials and prints no tables")
-		}
-	case "run":
-		switch {
-		case o.out != "":
-			return fmt.Errorf("-out is the shard file directory; it requires -shard i/k")
-		case o.resume:
-			return fmt.Errorf("-resume applies to -shard runs; plain runs resume via -cache")
 		}
 	}
 
@@ -288,16 +265,6 @@ func (o *options) validate() error {
 	}
 	if o.isSet("dial-retries") && o.mode() != "worker" {
 		return fmt.Errorf("-dial-retries bounds a worker's reconnection attempts; it requires -worker")
-	}
-	if o.isSet("drain-timeout") {
-		switch {
-		case o.mode() != "coordinate":
-			return fmt.Errorf("-drain-timeout bounds a cancelled coordinator's drain; it requires -coordinate")
-		case o.out == "":
-			return fmt.Errorf("-drain-timeout needs -out to name the drain directory for persisted results")
-		case o.drainTimeout <= 0:
-			return fmt.Errorf("-drain-timeout must be positive")
-		}
 	}
 	if o.isSet("chaos") && o.mode() != "coordinate" {
 		return fmt.Errorf("-chaos injects faults on coordinator connections; it requires -coordinate")
@@ -368,11 +335,10 @@ func parseOptions(args []string) (*options, error) {
 	fs.IntVar(&o.workers, "workers", 0, "parallel trial workers (0 = GOMAXPROCS)")
 	fs.BoolVar(&o.progress, "progress", false, "stream per-trial completions and aggregate rate/ETA to stderr")
 	fs.StringVar(&o.csvDir, "csv", "", "directory to also write per-table CSV files (optional)")
-	fs.StringVar(&o.cacheDir, "cache", "", "content-addressed per-trial result cache directory (optional)")
+	fs.StringVar(&o.cacheDir, "cache", "", "content-addressed per-trial result cache directory; a rerun on it resumes where a cancelled or crashed run stopped (optional)")
 	fs.StringVar(&o.shard, "shard", "", "execute one shard i/k (1-based, e.g. 2/5) and write a shard file instead of tables; requires -out")
 	fs.StringVar(&o.out, "out", "", "directory for shard files written by -shard")
 	fs.StringVar(&o.merge, "merge", "", "merge shard files from this directory and print tables (instead of executing trials)")
-	fs.BoolVar(&o.resume, "resume", false, "with -shard: reuse a matching existing shard file's results")
 	fs.StringVar(&o.coord, "coordinate", "", "listen on this address (e.g. :9131) and lease trial chunks to -worker processes")
 	fs.StringVar(&o.worker, "worker", "", "connect to a coordinator at this address and execute leased chunks")
 	fs.StringVar(&o.cacheGC, "cache-gc", "", "delete the given plan fingerprint's entries (plus temp files) from -cache")
@@ -380,7 +346,6 @@ func parseOptions(args []string) (*options, error) {
 	fs.DurationVar(&o.leaseTTL, "lease-ttl", 10*time.Second, "with -coordinate: heartbeat deadline before a lease's chunk is reassigned")
 	fs.StringVar(&o.authKey, "auth-key", "", "shared key for the coordinator/worker HMAC handshake (both ends must agree)")
 	fs.IntVar(&o.dialRetries, "dial-retries", 0, "with -worker: consecutive failed connection attempts before giving up (0 = default 10, negative = single attempt)")
-	fs.DurationVar(&o.drainTimeout, "drain-timeout", 0, "with -coordinate -out: how long a cancelled coordinator waits for in-flight leases before draining results to -out")
 	fs.Int64Var(&o.cacheMaxBytes, "cache-max-bytes", 0, "after a successful run: evict least-recently-used -cache entries down to this many bytes (current run's entries are never evicted)")
 	fs.Uint64Var(&o.chaos, "chaos", 0, "with -coordinate: inject deterministic seed-scripted connection faults (delays, resets, truncations, partitions) for recovery testing")
 	fs.StringVar(&o.statusAddr, "status-addr", "", "with -coordinate or -worker: serve the HTTP ops plane (/metrics, /status, /healthz) on this address")
@@ -456,9 +421,9 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			return runShards(ctx, selected, cfg, spec, o.workers, o.progress, cache, o.out, o.resume)
+			return runShards(ctx, selected, cfg, spec, o.workers, o.progress, cache, o.out)
 		case "coordinate":
-			return runCoordinator(ctx, selected, cfg, o, events)
+			return runCoordinator(ctx, selected, cfg, o, cache, events)
 		case "worker":
 			return runWorker(ctx, selected, cfg, o, cache, events)
 		case "cache-gc":
@@ -577,7 +542,7 @@ func runAll(ctx context.Context, selected []experiment.Experiment, cfg experimen
 // one shard file per experiment into outDir.
 //
 //sf:wallclock — wraps deterministic runs with elapsed-time reporting.
-func runShards(ctx context.Context, selected []experiment.Experiment, cfg experiment.Config, spec sweep.ShardSpec, workers int, progress bool, cache *sweep.Cache, outDir string, resume bool) error {
+func runShards(ctx context.Context, selected []experiment.Experiment, cfg experiment.Config, spec sweep.ShardSpec, workers int, progress bool, cache *sweep.Cache, outDir string) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return fmt.Errorf("creating shard output directory: %w", err)
 	}
@@ -594,7 +559,7 @@ func runShards(ctx context.Context, selected []experiment.Experiment, cfg experi
 			opts.Progress = progressHook(engine.NewRateTracker(0))
 		}
 		start := time.Now()
-		stats, err := e.RunShard(ctx, cfg, spec, opts, cache, path, resume)
+		stats, err := e.RunShard(ctx, cfg, spec, opts, cache, path)
 		if err != nil {
 			return err
 		}
@@ -628,7 +593,7 @@ type coordStatus struct {
 // processes and prints the reduced tables once every trial reports.
 //
 //sf:wallclock — fleet orchestration; timing is operational output.
-func runCoordinator(ctx context.Context, selected []experiment.Experiment, cfg experiment.Config, o *options, events *obs.EventLog) error {
+func runCoordinator(ctx context.Context, selected []experiment.Experiment, cfg experiment.Config, o *options, cache *sweep.Cache, events *obs.EventLog) error {
 	total := 0
 	expIDs := make([]string, 0, len(selected))
 	for _, e := range selected {
@@ -673,21 +638,11 @@ func runCoordinator(ctx context.Context, selected []experiment.Experiment, cfg e
 		ChunkSize: o.chunk,
 		LeaseTTL:  o.leaseTTL,
 		AuthKey:   o.authKey,
+		Cache:     cache,
 		Log:       logf,
 		Events:    events,
 		Observer:  observer,
 		Trace:     rec,
-	}
-	if o.out != "" {
-		if err := os.MkdirAll(o.out, 0o755); err != nil {
-			return fmt.Errorf("creating drain directory: %w", err)
-		}
-		drain, err := experiment.DrainToDir(selected, cfg, o.out, logf)
-		if err != nil {
-			return err
-		}
-		copts.Drain = drain
-		copts.DrainTimeout = o.drainTimeout
 	}
 
 	// One rate tracker, fed the coordinator's own completed count,

@@ -24,7 +24,6 @@ func TestFlagValidation(t *testing.T) {
 
 		// -merge executes nothing.
 		{"merge+cache", []string{"-merge", "d", "-cache", "c"}, "-cache"},
-		{"merge+resume", []string{"-merge", "d", "-resume"}, "-resume"},
 		{"merge+workers", []string{"-merge", "d", "-workers", "4"}, "-workers"},
 		{"merge+progress", []string{"-merge", "d", "-progress"}, "-progress"},
 		{"merge+out", []string{"-merge", "d", "-out", "o"}, "-out"},
@@ -33,15 +32,13 @@ func TestFlagValidation(t *testing.T) {
 		{"shard without out", []string{"-shard", "1/2"}, "-out"},
 		{"shard+csv", []string{"-shard", "1/2", "-out", "d", "-csv", "c"}, "-csv"},
 
-		// The coordinator schedules; it executes no trials. (-out is
-		// legal here: it names the graceful-drain shard directory.)
+		// The coordinator schedules; it executes no trials and writes no
+		// shard files.
 		{"coordinate+workers", []string{"-coordinate", ":0", "-workers", "4"}, "-workers"},
-		{"coordinate+cache", []string{"-coordinate", ":0", "-cache", "c"}, "-cache"},
-		{"coordinate+resume", []string{"-coordinate", ":0", "-resume"}, "-resume"},
+		{"coordinate+out", []string{"-coordinate", ":0", "-out", "d"}, "-out"},
 
 		// Workers stream results; they print no tables.
 		{"worker+csv", []string{"-worker", ":0", "-csv", "c"}, "-csv"},
-		{"worker+resume", []string{"-worker", ":0", "-resume"}, "-resume"},
 		{"worker+out", []string{"-worker", ":0", "-out", "d"}, "-out"},
 
 		// -cache-gc is pure maintenance.
@@ -52,7 +49,16 @@ func TestFlagValidation(t *testing.T) {
 
 		// Plain runs.
 		{"out without shard", []string{"-out", "d"}, "-shard"},
-		{"resume without shard", []string{"-resume"}, "-shard"},
+
+		// -cache is the one resume mechanism: the shard-file -resume and
+		// the coordinator's -drain-timeout are unknown in every mode.
+		{"resume without shard", []string{"-resume"}, "not defined: -resume"},
+		{"merge+resume", []string{"-merge", "d", "-resume"}, "not defined: -resume"},
+		{"coordinate+resume", []string{"-coordinate", ":0", "-resume"}, "not defined: -resume"},
+		{"worker+resume", []string{"-worker", ":0", "-resume"}, "not defined: -resume"},
+		{"drain-timeout on worker", []string{"-worker", ":0", "-drain-timeout", "5s"}, "not defined: -drain-timeout"},
+		{"drain-timeout without out", []string{"-coordinate", ":0", "-drain-timeout", "5s"}, "not defined: -drain-timeout"},
+		{"negative drain-timeout", []string{"-coordinate", ":0", "-drain-timeout", "-1s"}, "not defined: -drain-timeout"},
 
 		// Coordinator tunables outside -coordinate.
 		{"chunk without coordinate", []string{"-chunk", "4"}, "-coordinate"},
@@ -66,9 +72,6 @@ func TestFlagValidation(t *testing.T) {
 		{"auth-key on shard", []string{"-shard", "1/2", "-out", "d", "-auth-key", "k"}, "-coordinate or -worker"},
 		{"dial-retries on run", []string{"-dial-retries", "5"}, "-worker"},
 		{"dial-retries on coordinator", []string{"-coordinate", ":0", "-dial-retries", "5"}, "-worker"},
-		{"drain-timeout on worker", []string{"-worker", ":0", "-drain-timeout", "5s"}, "-coordinate"},
-		{"drain-timeout without out", []string{"-coordinate", ":0", "-drain-timeout", "5s"}, "-out"},
-		{"negative drain-timeout", []string{"-coordinate", ":0", "-out", "d", "-drain-timeout", "-1s"}, "-drain-timeout"},
 		{"chaos on worker", []string{"-worker", ":0", "-chaos", "7"}, "-coordinate"},
 		{"chaos on run", []string{"-chaos", "7"}, "-coordinate"},
 		{"cache-max-bytes without cache", []string{"-cache-max-bytes", "1024"}, "-cache"},
@@ -113,12 +116,13 @@ func TestFlagValidation(t *testing.T) {
 	accept := [][]string{
 		{},
 		{"-run", "E1,E4", "-scale", "0.1", "-seed", "7", "-workers", "4", "-progress", "-csv", "c", "-cache", "d"},
-		{"-shard", "2/5", "-out", "d", "-cache", "c", "-resume", "-progress", "-workers", "2"},
+		{"-shard", "2/5", "-out", "d", "-cache", "c", "-progress", "-workers", "2"},
 		{"-merge", "d", "-csv", "c"},
 		{"-coordinate", ":9131", "-chunk", "16", "-lease-ttl", "30s", "-progress", "-csv", "c"},
 		{"-worker", "host:9131", "-workers", "8", "-cache", "c", "-progress"},
 		{"-cache-gc", "abc123", "-cache", "c"},
-		{"-coordinate", ":9131", "-auth-key", "s3cret", "-out", "drain", "-drain-timeout", "30s"},
+		{"-coordinate", ":9131", "-auth-key", "s3cret", "-cache", "c"},
+		{"-coordinate", ":9131", "-cache", "c", "-cache-max-bytes", "1048576"},
 		{"-coordinate", ":9131", "-chaos", "1889"},
 		{"-worker", "host:9131", "-auth-key", "s3cret", "-dial-retries", "-1"},
 		{"-run", "E4", "-cache", "c", "-cache-max-bytes", "1048576"},

@@ -7,6 +7,7 @@ import (
 	"net"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -272,84 +273,97 @@ func TestGoldenChaosSweep(t *testing.T) {
 	}
 }
 
-// TestDrainedSweepResumesWithZeroReexecution closes the crash-recovery
-// loop: a cancelled coordinator drains its in-flight chunk, persists
-// completed results as a 1-of-1 shard file via DrainToDir, and the
-// follow-up `-shard 1/1 -resume` run reuses every drained trial as a
-// cache hit — executing only the missing remainder — before the merged
-// tables come out matching the serial run's recorded digest.
-func TestDrainedSweepResumesWithZeroReexecution(t *testing.T) {
+// TestGoldenCoordinatorCacheResume closes the crash-recovery loop on
+// E4. A coordinator cancelled after its first accepted result leaves
+// exactly the results it accepted in its cache. A restart on that
+// cache, served by a fresh worker with no cache, executes only the
+// missing trials; a second restart finishes with no worker; both
+// render tables matching the serial run's recorded digest. A plain
+// RunCached on the same cache then executes nothing: every mode reads
+// one entry format.
+func TestGoldenCoordinatorCacheResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are not short")
 	}
 	exp, _ := ByID("E4")
+	selected := []Experiment{exp}
 	cfg := smokeConfig
 	plan, err := exp.Plan(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := len(plan.Trials)
-
-	dir := t.TempDir()
-	drain, err := DrainToDir([]Experiment{exp}, cfg, dir, t.Logf)
+	cache, err := sweep.OpenCache(filepath.Join(t.TempDir(), "cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
+
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	var accepted atomic.Int64
 	outcome := make(chan error, 1)
 	go func() {
-		_, err := CoordinateSweep(ctx, []Experiment{exp}, cfg, lis,
-			sweep.CoordOptions{ChunkSize: 2, LeaseTTL: time.Minute, Linger: 200 * time.Millisecond,
-				DrainTimeout: 30 * time.Second, Drain: drain, Log: t.Logf})
+		_, err := CoordinateSweep(ctx, selected, cfg, lis, sweep.CoordOptions{
+			ChunkSize: 2, LeaseTTL: time.Minute, Linger: 200 * time.Millisecond, Cache: cache,
+			OnResult: func(string, string, engine.Trial, int) {
+				accepted.Add(1)
+				cancel()
+			}})
 		outcome <- err
 	}()
-
-	// Cancel the coordinator after the worker's first trial: the chunk
-	// in flight lands during the drain, everything after it never
-	// leases.
-	fired := false
-	wopts := engine.Options{Workers: 1, Progress: func(p engine.Progress) {
-		if !fired {
-			fired = true
-			cancel()
-		}
-	}}
-	if _, err := SweepWorker(context.Background(), []Experiment{exp}, cfg, lis.Addr().String(),
-		wopts, nil, sweep.WorkerOptions{Name: "drained", DialRetries: -1}); err == nil {
+	if _, err := SweepWorker(context.Background(), selected, cfg, lis.Addr().String(),
+		engine.Options{Workers: 1}, nil, sweep.WorkerOptions{Name: "doomed", DialRetries: -1}); err == nil {
 		t.Error("worker reported success for a cancelled sweep")
 	}
 	if err := <-outcome; !errors.Is(err, context.Canceled) {
-		t.Fatalf("drained coordinator err = %v, want context.Canceled", err)
+		t.Fatalf("cancelled coordinator err = %v, want context.Canceled", err)
 	}
-
-	shardPath := filepath.Join(dir, exp.ShardFileName(sweep.ShardSpec{Index: 0, Count: 1}))
-	_, entries, err := sweep.ReadShardFile(shardPath)
-	if err != nil {
-		t.Fatalf("drain left no readable shard file: %v", err)
-	}
-	drained := len(entries)
-	if drained == 0 || drained >= total {
-		t.Fatalf("drain persisted %d of %d trials; the cancellation must land mid-sweep", drained, total)
-	}
-
-	// The resume run executes exactly the missing trials; every drained
-	// trial is a cache hit, none re-executes.
-	stats, err := exp.RunShard(context.Background(), cfg, sweep.ShardSpec{Index: 0, Count: 1},
-		engine.Options{Workers: 2}, nil, shardPath, true)
+	k := int(accepted.Load())
+	entries, err := cache.Len()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.CacheHits != drained || stats.Executed != total-drained {
-		t.Errorf("resume stats %+v, want %d cache hits / %d executed", stats, drained, total-drained)
+	if entries != k || k == 0 || k >= total {
+		t.Fatalf("cache holds %d entries after %d accepted results of %d trials; want them equal, and the cancellation mid-sweep",
+			entries, k, total)
 	}
-	tables, err := exp.MergeShardFiles(cfg, []string{shardPath})
+
+	addr, restarted := startSweepCoordinator(t, selected, cfg,
+		sweep.CoordOptions{ChunkSize: 2, LeaseTTL: time.Minute, Cache: cache})
+	stats, err := SweepWorker(context.Background(), selected, cfg, addr,
+		engine.Options{Workers: 2}, nil, sweep.WorkerOptions{Name: "fresh"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSmokeDigest(t, exp, cfg, tables, "drained and resumed")
+	out := <-restarted
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if stats.Executed != total-k {
+		t.Errorf("restart's worker executed %d trials, want the %d missing ones", stats.Executed, total-k)
+	}
+	checkSmokeDigest(t, exp, cfg, out.tables[0], "coordinator restarted on its cache")
+
+	lis, err = net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := CoordinateSweep(context.Background(), selected, cfg, lis, sweep.CoordOptions{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSmokeDigest(t, exp, cfg, tables[0], "coordinator on a complete cache, no worker")
+
+	plain, runStats, err := exp.RunCached(context.Background(), cfg, engine.Options{}, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runStats.Executed != 0 || runStats.CacheHits != total {
+		t.Errorf("plain run on the coordinator's cache: stats %+v, want 0 executed / %d hits", runStats, total)
+	}
+	checkSmokeDigest(t, exp, cfg, plain, "plain run on the coordinator's cache")
 }

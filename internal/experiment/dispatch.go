@@ -11,8 +11,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 
 	"scalefree/internal/core"
 	"scalefree/internal/engine"
@@ -91,17 +89,19 @@ func (e Experiment) ShardFileName(spec sweep.ShardSpec) string {
 }
 
 // RunShard executes one shard of the plan at cfg and writes the
-// shard's positional results to outPath. With resume set, entries of
-// an existing shard file at outPath (validated against the plan
-// fingerprint and shard spec) are reused instead of re-executed and
-// counted as cache hits; the optional per-trial cache fills remaining
-// gaps. The written file always holds the shard's complete result set.
-func (e Experiment) RunShard(ctx context.Context, cfg Config, spec sweep.ShardSpec, opts engine.Options, cache *sweep.Cache, outPath string, resume bool) (sweep.Stats, error) {
+// shard's positional results to outPath. The optional per-trial cache
+// persists each trial as it finishes and supplies every trial an
+// earlier, possibly interrupted, run already persisted, so re-running
+// a shard on the same cache executes only what is missing.
+func (e Experiment) RunShard(ctx context.Context, cfg Config, spec sweep.ShardSpec, opts engine.Options, cache *sweep.Cache, outPath string) (sweep.Stats, error) {
 	plan, job, err := e.planJob(cfg)
 	if err != nil {
 		return sweep.Stats{}, err
 	}
-	own := spec.Filter(plan.Trials)
+	results, stats, err := sweep.Execute(ctx, job, spec.Filter(plan.Trials), opts, cache, core.NewScratch, plan.Run)
+	if err != nil {
+		return stats, fmt.Errorf("%s shard %s: %w", e.ID, spec, err)
+	}
 	header := sweep.ShardHeader{
 		ExpID:       e.ID,
 		Fingerprint: job.Fingerprint,
@@ -109,48 +109,7 @@ func (e Experiment) RunShard(ctx context.Context, cfg Config, spec sweep.ShardSp
 		ShardCount:  spec.Count,
 		TotalTrials: len(plan.Trials),
 	}
-
-	have := map[int]any{}
-	var stats sweep.Stats
-	reused := false
-	if resume {
-		if _, err := os.Stat(outPath); err == nil {
-			prev, entries, err := sweep.ReadShardFile(outPath)
-			if err != nil {
-				return stats, fmt.Errorf("%s: resuming from %s: %w (remove the file or rerun without -resume)", e.ID, outPath, err)
-			}
-			if prev != header {
-				return stats, fmt.Errorf("%s: shard file %s was written for a different run (%s shard %d/%d, %d trials, fp %.12s; want shard %d/%d, %d trials, fp %.12s) — remove it or rerun without -resume",
-					e.ID, outPath, prev.ExpID, prev.ShardIndex+1, prev.ShardCount, prev.TotalTrials, prev.Fingerprint,
-					header.ShardIndex+1, header.ShardCount, header.TotalTrials, header.Fingerprint)
-			}
-			have = entries
-			stats.CacheHits += len(entries)
-			reused = true
-		}
-	}
-
-	missing := make([]engine.Trial, 0, len(own))
-	for _, t := range own {
-		if _, ok := have[t.Index]; !ok {
-			missing = append(missing, t)
-		}
-	}
-	ran, execStats, err := sweep.Execute(ctx, job, missing, opts, cache, core.NewScratch, plan.Run)
-	stats.Executed += execStats.Executed
-	stats.CacheHits += execStats.CacheHits
-	if err != nil {
-		return stats, fmt.Errorf("%s shard %s: %w", e.ID, spec, err)
-	}
-	for idx, v := range ran {
-		have[idx] = v
-	}
-	// A resume that found the file already complete has nothing to add;
-	// skip the no-op rewrite so repeated resumes leave the file alone.
-	if reused && len(missing) == 0 {
-		return stats, nil
-	}
-	if err := sweep.WriteShardFile(outPath, header, have); err != nil {
+	if err := sweep.WriteShardFile(outPath, header, results); err != nil {
 		return stats, fmt.Errorf("%s shard %s: %w", e.ID, spec, err)
 	}
 	return stats, nil
@@ -164,7 +123,9 @@ func (e Experiment) RunShard(ctx context.Context, cfg Config, spec sweep.ShardSp
 // Because each plan's positional result slice is assembled identically
 // to a local run's, the returned tables are byte-identical to
 // -workers 1 regardless of worker count, chunk schedule, worker
-// deaths, or lease reassignments.
+// deaths, or lease reassignments. With opts.Cache set, a sweep
+// restarted on the cache of a cancelled or crashed one leases only the
+// trials it is missing, and the tables come out the same.
 func CoordinateSweep(ctx context.Context, selected []Experiment, cfg Config, lis net.Listener, opts sweep.CoordOptions) ([][]Table, error) {
 	plans := make([]*Plan, len(selected))
 	jobs := make([]sweep.CoordJob, len(selected))
@@ -195,45 +156,6 @@ func CoordinateSweep(ctx context.Context, selected []Experiment, cfg Config, lis
 		}
 	}
 	return tables, nil
-}
-
-// DrainToDir builds a sweep.CoordOptions.Drain hook that persists each
-// cancelled job's completed results into dir as a 1-of-1 SFSHARD1
-// shard file named like RunShard's output, so a drained sweep resumes
-// through the existing machinery: `-shard 1/1 -resume` reuses every
-// persisted trial (counted as cache hits) and executes only the
-// missing ones, and a file the drain completed merges as-is. The
-// selection and cfg must match the CoordinateSweep call the hook is
-// attached to — the shard headers are derived from the same plans.
-func DrainToDir(selected []Experiment, cfg Config, dir string, logf func(format string, args ...any)) (func(jobIdx int, results map[int]any), error) {
-	spec := sweep.ShardSpec{Index: 0, Count: 1}
-	headers := make([]sweep.ShardHeader, len(selected))
-	paths := make([]string, len(selected))
-	for i, e := range selected {
-		plan, job, err := e.planJob(cfg)
-		if err != nil {
-			return nil, err
-		}
-		headers[i] = sweep.ShardHeader{
-			ExpID:       e.ID,
-			Fingerprint: job.Fingerprint,
-			ShardIndex:  spec.Index,
-			ShardCount:  spec.Count,
-			TotalTrials: len(plan.Trials),
-		}
-		paths[i] = filepath.Join(dir, e.ShardFileName(spec))
-	}
-	return func(jobIdx int, results map[int]any) {
-		if err := sweep.WriteShardFile(paths[jobIdx], headers[jobIdx], results); err != nil {
-			if logf != nil {
-				logf("drain: %s: %v", paths[jobIdx], err)
-			}
-			return
-		}
-		if logf != nil {
-			logf("drain: wrote %d/%d results to %s", len(results), headers[jobIdx].TotalTrials, paths[jobIdx])
-		}
-	}, nil
 }
 
 // SweepWorker is the worker side: it re-plans the selected experiments

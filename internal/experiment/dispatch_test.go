@@ -31,7 +31,7 @@ func TestGoldenSharding(t *testing.T) {
 				for i := 0; i < k; i++ {
 					spec := sweep.ShardSpec{Index: i, Count: k}
 					path := filepath.Join(dir, exp.ShardFileName(spec))
-					if _, err := exp.RunShard(context.Background(), cfg, spec, engine.Options{}, nil, path, false); err != nil {
+					if _, err := exp.RunShard(context.Background(), cfg, spec, engine.Options{}, nil, path); err != nil {
 						t.Fatalf("k=%d shard %d: %v", k, i, err)
 					}
 					paths = append(paths, path)
@@ -57,7 +57,7 @@ func TestMergeRejectsForeignConfig(t *testing.T) {
 	dir := t.TempDir()
 	spec := sweep.ShardSpec{Index: 0, Count: 1}
 	path := filepath.Join(dir, exp.ShardFileName(spec))
-	if _, err := exp.RunShard(context.Background(), cfg, spec, engine.Options{}, nil, path, false); err != nil {
+	if _, err := exp.RunShard(context.Background(), cfg, spec, engine.Options{}, nil, path); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := exp.MergeShardFiles(Config{Seed: 9, Scale: 0.05}, []string{path}); err == nil {
@@ -134,22 +134,27 @@ func TestCacheResume(t *testing.T) {
 	checkSmokeDigest(t, exp, cfg, tables, "warm cache")
 }
 
-// TestShardResume re-runs a completed shard with -resume semantics:
-// the existing file satisfies every trial, nothing executes, and the
-// rewritten file still merges to byte-identical tables.
+// TestShardResume re-runs completed shards on the cache they filled:
+// every trial is a cache hit, nothing executes, and the rewritten
+// files still merge to byte-identical tables. A shard run under a
+// different seed addresses different entries and reuses none of them.
 func TestShardResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are not short")
 	}
 	exp, _ := ByID("E4")
 	cfg := smokeConfig
+	cache, err := sweep.OpenCache(filepath.Join(t.TempDir(), "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	const k = 2
 	var paths []string
 	for i := 0; i < k; i++ {
 		spec := sweep.ShardSpec{Index: i, Count: k}
 		path := filepath.Join(dir, exp.ShardFileName(spec))
-		stats, err := exp.RunShard(context.Background(), cfg, spec, engine.Options{}, nil, path, false)
+		stats, err := exp.RunShard(context.Background(), cfg, spec, engine.Options{}, cache, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,32 +164,37 @@ func TestShardResume(t *testing.T) {
 		paths = append(paths, path)
 	}
 
-	// Resume over complete files: pure reuse.
+	// Re-run over the warm cache: pure reuse.
 	for i := 0; i < k; i++ {
 		spec := sweep.ShardSpec{Index: i, Count: k}
-		stats, err := exp.RunShard(context.Background(), cfg, spec, engine.Options{}, nil, paths[i], true)
+		stats, err := exp.RunShard(context.Background(), cfg, spec, engine.Options{}, cache, paths[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stats.Executed != 0 {
-			t.Errorf("resumed shard %d re-executed %d trials", i, stats.Executed)
+			t.Errorf("re-run shard %d re-executed %d trials", i, stats.Executed)
 		}
 		if stats.CacheHits == 0 {
-			t.Errorf("resumed shard %d reused nothing", i)
+			t.Errorf("re-run shard %d reused nothing", i)
 		}
 	}
 
-	// Resume against a mismatched run is an error, not a merge hazard.
+	// A different seed is a different run: nothing stale is reused.
 	spec := sweep.ShardSpec{Index: 0, Count: k}
-	if _, err := exp.RunShard(context.Background(), Config{Seed: 1, Scale: 0.05}, spec, engine.Options{}, nil, paths[0], true); err == nil {
-		t.Error("resume under a different seed accepted a stale shard file")
+	other := filepath.Join(t.TempDir(), exp.ShardFileName(spec))
+	stats, err := exp.RunShard(context.Background(), Config{Seed: 1, Scale: 0.05}, spec, engine.Options{}, cache, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.CacheHits != 0 {
+		t.Errorf("shard under a different seed reused %d cached trials", stats.CacheHits)
 	}
 
 	merged, err := exp.MergeShardFiles(cfg, paths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSmokeDigest(t, exp, cfg, merged, "resumed shards merged")
+	checkSmokeDigest(t, exp, cfg, merged, "re-run shards merged")
 }
 
 // TestFingerprintDistinguishesConfigs guards the addressing scheme:

@@ -47,7 +47,7 @@ type Event struct {
 	// N is the event's count payload: bytes evicted, entries removed,
 	// leases revoked, the faultnet op sequence number.
 	N int64 `json:"n,omitempty"`
-	// Msg carries free-text detail (error strings, drain causes).
+	// Msg carries free-text detail (error strings, abort causes).
 	Msg string `json:"msg,omitempty"`
 }
 

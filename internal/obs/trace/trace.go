@@ -6,7 +6,7 @@
 // span, a span per experiment, a span per chunk lease (coordinator and
 // worker side, linked by a wire-propagated context id), a span per
 // trial, and generate/freeze/search/reduce phase spans inside it.
-// Steals, retries, reconnects, and drain appear as instant events;
+// Steals, retries and reconnects appear as instant events;
 // steal/retry lineage is carried by flow events ('s' at the cause, 'f'
 // at the re-grant) so Perfetto draws an arrow from the lost lease to
 // the chunk's next home.

@@ -261,7 +261,7 @@ func TestWorkerReconnectsAfterCoordinatorRestart(t *testing.T) {
 	}()
 
 	<-parkedOnce // the worker holds a lease and is executing
-	cancel1()    // coordinator #1 dies abruptly (no drain configured)
+	cancel1()    // coordinator #1 dies abruptly
 	if out := <-outcome1; out.err == nil {
 		t.Fatal("cancelled coordinator #1 reported success")
 	}
@@ -431,87 +431,4 @@ func TestMixedVersionRejectedAtHandshake(t *testing.T) {
 		t.Fatal(out.err)
 	}
 	checkResults(t, trials, out.results)
-}
-
-// TestCoordinateGracefulDrain: cancelling a draining coordinator lets
-// the in-flight chunk land, passes everything completed to the Drain
-// hook, and never issues a new lease after the cancellation.
-func TestCoordinateGracefulDrain(t *testing.T) {
-	trials := makeTrials(12)
-	job := testJob(trials)
-	const chunkSize = 4
-
-	var drainMu sync.Mutex
-	drained := map[int]any{}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	outcome, cancel := startCoordinatorOn(t, lis,
-		[]CoordJob{{Job: job, Trials: trials}},
-		CoordOptions{ChunkSize: chunkSize, LeaseTTL: 5 * time.Second, Linger: 100 * time.Millisecond,
-			DrainTimeout: 5 * time.Second,
-			Drain: func(jobIdx int, results map[int]any) {
-				drainMu.Lock()
-				defer drainMu.Unlock()
-				if jobIdx != 0 {
-					t.Errorf("Drain for job %d, want 0", jobIdx)
-				}
-				for i, v := range results {
-					drained[i] = v
-				}
-			}})
-	defer cancel()
-
-	// The worker signals each chunk's start, then executes slowly
-	// enough that the cancellation demonstrably lands mid-chunk.
-	chunkStarted := make(chan struct{}, 8)
-	resolver := func(expID, fingerprint string) (*WorkerJob, error) {
-		return &WorkerJob{
-			Trials: trials,
-			Execute: func(ctx context.Context, sub []engine.Trial) (map[int]any, Stats, error) {
-				chunkStarted <- struct{}{}
-				select {
-				case <-time.After(150 * time.Millisecond):
-				case <-ctx.Done():
-					return nil, Stats{}, ctx.Err()
-				}
-				res := map[int]any{}
-				for _, tr := range sub {
-					res[tr.Index] = float64(tr.Seed) * 1.5
-				}
-				return res, Stats{Executed: len(sub)}, nil
-			},
-		}, nil
-	}
-	workerErr := make(chan error, 1)
-	go func() {
-		_, err := RunWorker(context.Background(), addrOf(lis), resolver, WorkerOptions{Name: "drainee", DialRetries: -1})
-		workerErr <- err
-	}()
-
-	<-chunkStarted // chunk 1 in flight
-	<-chunkStarted // chunk 1 landed, chunk 2 in flight
-	cancel()       // drain: chunk 2 may land, chunk 3 must never lease
-
-	out := <-outcome
-	if out.err == nil || out.err != context.Canceled {
-		t.Fatalf("drained coordinator err = %v, want context.Canceled", out.err)
-	}
-	// The worker sees the post-drain ABORT (or the teardown); either
-	// way it must not report success.
-	if err := <-workerErr; err == nil {
-		t.Error("worker reported success for a cancelled sweep")
-	}
-
-	drainMu.Lock()
-	defer drainMu.Unlock()
-	if len(drained) < chunkSize || len(drained) > 2*chunkSize {
-		t.Fatalf("drain persisted %d results, want the landed chunks (between %d and %d)", len(drained), chunkSize, 2*chunkSize)
-	}
-	for i, v := range drained {
-		if v != float64(trials[i].Seed)*1.5 {
-			t.Errorf("drained trial %d = %v, want %v", i, v, float64(trials[i].Seed)*1.5)
-		}
-	}
 }

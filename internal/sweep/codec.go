@@ -216,6 +216,13 @@ func (d *decoder) uvarint() uint64 {
 		d.fail("bad uvarint at offset %d", d.pos)
 		return 0
 	}
+	// binary.Uvarint also accepts zero-padded forms (0x80 0x00 for 0).
+	// The encoder writes only the minimal form, and accepting another
+	// would let a decoded value re-encode to different bytes.
+	if n > 1 && d.buf[d.pos+n-1] == 0 {
+		d.fail("non-minimal uvarint at offset %d", d.pos)
+		return 0
+	}
 	d.pos += n
 	return v
 }
@@ -245,9 +252,16 @@ func (d *decoder) value(v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Bool:
 		b := d.bytes(1)
-		if b != nil {
-			v.SetBool(b[0] != 0)
+		if b == nil {
+			return
 		}
+		// The encoder writes only 0 and 1; any other byte would decode
+		// to true and re-encode differently.
+		if b[0] > 1 {
+			d.fail("bool byte %d at offset %d, want 0 or 1", b[0], d.pos-1)
+			return
+		}
+		v.SetBool(b[0] == 1)
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		u := d.uint64()
 		i := int64(u)

@@ -50,22 +50,17 @@ type CoordOptions struct {
 	// shared-key HMAC challenge–response handshake (auth.go). Keyless
 	// or wrong-key workers are rejected at HELLO with a clear error.
 	AuthKey string
-	// DrainTimeout bounds the graceful drain on ctx cancellation: the
-	// coordinator stops issuing leases and waits up to this long for
-	// in-flight chunks to land before failing. <= 0 disables draining
-	// (immediate abort) unless Drain is set, which implies a 10s
-	// default.
-	DrainTimeout time.Duration
-	// Drain, if non-nil, receives each job's completed results (a
-	// private copy, keyed by plan trial index) after a cancelled sweep
-	// finishes draining — the hook the CLI uses to persist partial
-	// progress as SFSHARD1 shard files so a killed sweep resumes via
-	// the -resume/-merge path. Called only when the sweep fails after
-	// draining, once per job with at least one result, with no other
-	// coordinator activity in flight.
-	Drain func(jobIdx int, results map[int]any)
+	// Cache, if non-nil, makes the sweep resumable through the same
+	// per-trial entries worker and single-process runs write. Every
+	// newly accepted result is stored before its connection's next
+	// line is read, so before the lease's COMPLETE is answered; a
+	// failed store fails the sweep. At start, trials the cache already
+	// holds count as done and are never leased, so a coordinator
+	// restarted on the cache of a cancelled or crashed one leases only
+	// the missing trials.
+	Cache *Cache
 	// Log, if non-nil, receives coordinator lifecycle lines (auth
-	// rejections, drain progress).
+	// rejections, trials resumed from Cache).
 	Log func(format string, args ...any)
 	// IOTimeout is the per-message wire deadline on worker
 	// connections; <= 0 defaults to 2×LeaseTTL. A worker silent past
@@ -74,7 +69,7 @@ type CoordOptions struct {
 	IOTimeout time.Duration
 	// Events, if non-nil, receives one structured record per sweep
 	// lifecycle event (worker join/leave, lease grant/steal/revoke/
-	// complete, chunk fail/retry, drain, sweep done/abort). Strictly
+	// complete, chunk fail/retry, sweep done/abort). Strictly
 	// observational: events never feed scheduling or results.
 	Events *obs.EventLog
 	// Observer, if non-nil, is attached to this sweep so its Snapshot
@@ -128,14 +123,11 @@ func (o CoordOptions) withDefaults() CoordOptions {
 // worker REFUSE (plan mismatch, codec failure — systematic, never
 // chunk-local) aborts immediately.
 //
-// Cancellation of ctx aborts — immediately by default, or gracefully
-// when DrainTimeout/Drain is configured: the coordinator stops
-// issuing leases, lets in-flight chunks land (bounded by
-// DrainTimeout), and hands each job's completed results to Drain
-// before returning the cancellation error, so partial progress
-// survives as resumable state. If every trial lands during the drain
-// the sweep returns success despite the cancellation. lis is closed
-// on return.
+// Cancellation of ctx aborts the sweep at once. With opts.Cache set,
+// every result accepted before that is already persisted, so a
+// Coordinate restarted on the same cache leases only the missing
+// trials; chunks that were in flight run again there, or come from the
+// workers' own caches. lis is closed on return.
 func Coordinate(ctx context.Context, lis net.Listener, jobs []CoordJob, opts CoordOptions) ([]map[int]any, error) {
 	opts = opts.withDefaults()
 	st, err := newCoordState(jobs, opts)
@@ -161,10 +153,7 @@ func Coordinate(ctx context.Context, lis net.Listener, jobs []CoordJob, opts Coo
 
 	select {
 	case <-ctx.Done():
-		st.drainOrFail(ctx.Err())
-		// drainOrFail returns when the sweep is finished (drained, or
-		// completed mid-drain); fall through to the normal teardown.
-		<-st.done
+		st.fail(ctx.Err())
 	case <-st.done:
 	}
 	lis.Close()
@@ -197,62 +186,9 @@ func Coordinate(ctx context.Context, lis net.Listener, jobs []CoordJob, opts Coo
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.failure != nil {
-		// Hand partial progress to the persistence hook. All handlers
-		// have exited, so the results maps are quiescent; copies keep
-		// the hook from aliasing coordinator state.
-		if st.opts.Drain != nil {
-			for j := range st.jobs {
-				if len(st.results[j]) == 0 {
-					continue
-				}
-				cp := make(map[int]any, len(st.results[j]))
-				for i, v := range st.results[j] {
-					cp[i] = v
-				}
-				st.opts.Drain(j, cp)
-			}
-		}
 		return nil, st.failure
 	}
 	return st.results, nil
-}
-
-// drainOrFail handles ctx cancellation: with no drain configured it
-// aborts immediately (the historical behaviour); otherwise it stops
-// lease issuance and waits — bounded by DrainTimeout — for every
-// in-flight lease to land or expire before recording the failure.
-//
-//sf:wallclock — the drain deadline is a real operational timeout.
-func (st *coordState) drainOrFail(cause error) {
-	if st.opts.Drain == nil && st.opts.DrainTimeout <= 0 {
-		st.fail(cause)
-		return
-	}
-	timeout := st.opts.DrainTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	st.mu.Lock()
-	if st.finished {
-		st.mu.Unlock()
-		return
-	}
-	st.draining = true
-	st.mu.Unlock()
-	st.opts.Events.Emit(obs.Event{Event: "drain_start", Msg: cause.Error()})
-	st.opts.Trace.Emit(trace.Record{Ph: 'i', Name: "drain_start", Cat: "sweep", Arg: cause.Error()})
-	st.logf("sweep: cancelled (%v); draining in-flight leases for up to %v", cause, timeout)
-	deadline := time.Now().Add(timeout)
-	for st.leases.ActiveAfterReclaim() > 0 && time.Now().Before(deadline) {
-		select {
-		case <-st.done:
-			// The last trials landed (success) or something failed hard
-			// mid-drain; either way the outcome is already decided.
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	st.fail(cause)
 }
 
 func (st *coordState) logf(format string, args ...any) {
@@ -276,12 +212,11 @@ type coordState struct {
 	byExp     map[string]int   // ExpID -> job index
 	results   []map[int]any    // per job: trial index -> decoded value
 	encoded   []map[int]string // per job: trial index -> raw payload (dup check)
-	byWorker  map[string]int   // worker name -> newly completed trials it delivered
+	byWorker  map[string]int   // worker name (or cacheSource) -> trials it supplied first
 	total     int
 	remaining int
 	failure   error
 	finished  bool
-	draining  bool // cancelled; in-flight leases landing, none issued
 	done      chan struct{}
 	leases    *leaseTable
 	opts      CoordOptions
@@ -327,7 +262,10 @@ func newCoordState(jobs []CoordJob, opts CoordOptions) (*coordState, error) {
 		st.total += len(job.Trials)
 	}
 	st.remaining = st.total
-	st.leases = newLeaseTable(chunked(jobs, opts.ChunkSize), opts.LeaseTTL)
+	if err := st.resumeFromCache(); err != nil {
+		return nil, err
+	}
+	st.leases = newLeaseTable(chunked(jobs, opts.ChunkSize, st.results), opts.LeaseTTL)
 	// Observe steals and revocations where the table decides them. The
 	// callback runs with the table lock held: it reads only immutable
 	// job identity and touches metrics/events (their own locks), never
@@ -368,10 +306,44 @@ func newCoordState(jobs []CoordJob, opts CoordOptions) (*coordState, error) {
 		opts.Observer.attach(st)
 	}
 	if st.remaining == 0 {
-		close(st.done)
-		st.finished = true
+		st.finishLocked()
 	}
 	return st, nil
+}
+
+// cacheSource is the CoordSnapshot.ByWorker source credited with the
+// trials a sweep found in its cache at start.
+const cacheSource = "(cache)"
+
+// resumeFromCache credits every trial opts.Cache already holds as if a
+// worker had delivered it: the value and its encoding land in results
+// and encoded, so a later re-delivery is still compared byte for byte.
+// Called before the lease table exists, so the caller chunks only what
+// is missing.
+func (st *coordState) resumeFromCache() error {
+	if st.opts.Cache == nil {
+		return nil
+	}
+	for j, job := range st.jobs {
+		for _, t := range job.Trials {
+			v, ok := lookupTrial(st.opts.Cache, job.Job.ExpID, job.Job.Fingerprint, t)
+			if !ok {
+				continue
+			}
+			payload, err := EncodeResult(v)
+			if err != nil {
+				return fmt.Errorf("sweep: coordinate: cached %s trial %d: %w", job.Job.ExpID, t.Index, err)
+			}
+			st.results[j][t.Index] = v
+			st.encoded[j][t.Index] = string(payload)
+			st.byWorker[cacheSource]++
+			st.remaining--
+		}
+	}
+	if n := st.byWorker[cacheSource]; n > 0 {
+		st.logf("resuming: %d of %d trials already in cache %s", n, st.total, st.opts.Cache.Dir())
+	}
+	return nil
 }
 
 // fail records the first failure and releases Coordinate. A failure
@@ -421,12 +393,6 @@ func (st *coordState) isOver() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.finished
-}
-
-func (st *coordState) isDraining() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.draining && !st.finished
 }
 
 // finishLine renders the sweep's terminal reply: DONE on success,
@@ -707,17 +673,12 @@ func (st *coordState) authenticate(wc *wireConn, worker string, fields []string)
 }
 
 // serveNext answers one NEXT: a lease, a WAIT (everything leased out
-// and alive, or the coordinator is draining), DONE (sweep complete),
-// or ABORT (sweep failed) — the DONE/ABORT distinction lets an idle
-// worker on a failed sweep exit nonzero instead of reporting success.
+// and alive), DONE (sweep complete), or ABORT (sweep failed) — the
+// DONE/ABORT distinction lets an idle worker on a failed sweep exit
+// nonzero instead of reporting success.
 func (st *coordState) serveNext(wc *wireConn, worker string, connID uint64) error {
 	if st.isOver() {
 		return wc.send(st.finishLine())
-	}
-	if st.isDraining() {
-		// No new leases while draining; idle workers poll until the
-		// drain resolves into DONE or ABORT.
-		return wc.send("WAIT 20")
 	}
 	if l, ok := st.leases.Acquire(worker, connID); ok {
 		job := st.jobs[l.Chunk.JobIdx]
@@ -828,33 +789,49 @@ func (st *coordState) failChunk(worker string, c chunk, msg string) {
 		worker, msg, st.jobs[c.JobIdx].Job.ExpID, c.Lo, c.Hi))
 }
 
-// acceptResult records one delivered trial result. Results are valid
+// acceptResult records one delivered trial result and, when it is
+// new, stores it in opts.Cache. The store runs outside st.mu but before
+// the handler reads its connection's next line, so a lease's results
+// are all on disk before its COMPLETE is answered.
+func (st *coordState) acceptResult(worker string, m resultMsg) error {
+	job, v, err := st.recordResult(worker, m)
+	if err != nil || v == nil {
+		return err
+	}
+	if err := storeTrial(st.opts.Cache, job.Job.ExpID, job.Job.Fingerprint, job.Trials[m.Index], v); err != nil {
+		return fmt.Errorf("sweep: persisting %s trial %d: %w", m.ExpID, m.Index, err)
+	}
+	return nil
+}
+
+// recordResult lands one delivered result at its plan index and
+// returns the decoded value, or nil for a duplicate. Results are valid
 // regardless of lease state — trials are pure, so a revoked lease's
 // late delivery is identical to the stolen re-execution — but two
 // deliveries that disagree expose a broken determinism contract and
 // abort the sweep.
-func (st *coordState) acceptResult(worker string, m resultMsg) error {
+func (st *coordState) recordResult(worker string, m resultMsg) (CoordJob, any, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	j, ok := st.byExp[m.ExpID]
 	if !ok {
-		return fmt.Errorf("sweep: result for unknown experiment %s", m.ExpID)
+		return CoordJob{}, nil, fmt.Errorf("sweep: result for unknown experiment %s", m.ExpID)
 	}
 	job := st.jobs[j]
 	if m.Index < 0 || m.Index >= len(job.Trials) {
-		return fmt.Errorf("sweep: result index %d outside %s plan of %d trials", m.Index, m.ExpID, len(job.Trials))
+		return CoordJob{}, nil, fmt.Errorf("sweep: result index %d outside %s plan of %d trials", m.Index, m.ExpID, len(job.Trials))
 	}
 	if prev, dup := st.encoded[j][m.Index]; dup {
 		mDupResults.Inc()
 		if !bytes.Equal([]byte(prev), m.Payload) {
-			return fmt.Errorf("sweep: %s trial %d (%s): workers delivered different encodings — trial function is not deterministic",
+			return CoordJob{}, nil, fmt.Errorf("sweep: %s trial %d (%s): workers delivered different encodings — trial function is not deterministic",
 				m.ExpID, m.Index, job.Trials[m.Index].Key)
 		}
-		return nil
+		return job, nil, nil
 	}
 	v, err := DecodeResult(m.Payload)
 	if err != nil {
-		return fmt.Errorf("sweep: %s trial %d: %w", m.ExpID, m.Index, err)
+		return CoordJob{}, nil, fmt.Errorf("sweep: %s trial %d: %w", m.ExpID, m.Index, err)
 	}
 	st.encoded[j][m.Index] = string(m.Payload)
 	st.results[j][m.Index] = v
@@ -867,7 +844,7 @@ func (st *coordState) acceptResult(worker string, m resultMsg) error {
 	if st.remaining == 0 {
 		st.finishLocked()
 	}
-	return nil
+	return job, v, nil
 }
 
 // traceChunkKey identifies a chunk in the trace recorder's

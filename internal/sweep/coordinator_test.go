@@ -2,8 +2,10 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,15 +20,10 @@ func TestChunked(t *testing.T) {
 		{Job: Job{ExpID: "A", Fingerprint: "fa"}, Trials: makeTrials(10)},
 		{Job: Job{ExpID: "B", Fingerprint: "fb"}, Trials: makeTrials(3)},
 	}
-	cs := chunked(jobs, 4)
+	cs := chunked(jobs, 4, make([]map[int]any, len(jobs)))
 	want := []chunk{{0, 0, 4}, {0, 4, 8}, {0, 8, 10}, {1, 0, 3}}
-	if len(cs) != len(want) {
+	if !slices.Equal(cs, want) {
 		t.Fatalf("chunked = %v, want %v", cs, want)
-	}
-	for i := range cs {
-		if cs[i] != want[i] {
-			t.Errorf("chunk %d = %v, want %v", i, cs[i], want[i])
-		}
 	}
 	// Coverage: every trial of every job in exactly one chunk.
 	seen := map[[2]int]int{}
@@ -37,6 +34,18 @@ func TestChunked(t *testing.T) {
 	}
 	if len(seen) != 13 {
 		t.Errorf("chunks cover %d trial slots, want 13", len(seen))
+	}
+
+	// Trials that already have results are cut out of the same grid:
+	// each grid chunk leaves the runs of its missing trials.
+	done := []map[int]any{
+		{1: 0.0, 2: 0.0, 4: 0.0, 5: 0.0, 6: 0.0, 7: 0.0, 9: 0.0},
+		{0: 0.0, 1: 0.0, 2: 0.0},
+	}
+	cs = chunked(jobs, 4, done)
+	want = []chunk{{0, 0, 1}, {0, 3, 4}, {0, 8, 9}}
+	if !slices.Equal(cs, want) {
+		t.Fatalf("chunked around results = %v, want %v", cs, want)
 	}
 }
 
@@ -280,12 +289,37 @@ func TestCoordinateManyWorkers(t *testing.T) {
 		CoordOptions{ChunkSize: 5, LeaseTTL: 2 * time.Second})
 	defer cancel()
 
-	var executed atomic.Int64
+	// Each worker holds its first chunk until all three are executing
+	// one. Otherwise two workers can finish every trivial chunk before
+	// the third dials, and the third finds the listener closed.
+	var executed, arrived atomic.Int64
+	allIn := make(chan struct{})
 	errs := make(chan error, 3)
 	for w := 0; w < 3; w++ {
 		go func(w int) {
-			_, err := RunWorker(context.Background(), addr, countingResolver(job, trials, &executed),
-				WorkerOptions{Name: fmt.Sprintf("w%d", w)})
+			counting := countingResolver(job, trials, &executed)
+			first := true
+			resolve := func(expID, fingerprint string) (*WorkerJob, error) {
+				wj, err := counting(expID, fingerprint)
+				if err != nil || !first {
+					return wj, err
+				}
+				first = false
+				execute := wj.Execute
+				wj.Execute = func(ctx context.Context, sub []engine.Trial) (map[int]any, Stats, error) {
+					if arrived.Add(1) == 3 {
+						close(allIn)
+					}
+					select {
+					case <-allIn:
+					case <-ctx.Done():
+						return nil, Stats{}, ctx.Err()
+					}
+					return execute(ctx, sub)
+				}
+				return wj, nil
+			}
+			_, err := RunWorker(context.Background(), addr, resolve, WorkerOptions{Name: fmt.Sprintf("w%d", w)})
 			errs <- err
 		}(w)
 	}
@@ -1000,4 +1034,125 @@ func TestCoordinateEmptyAndCancelled(t *testing.T) {
 		[]CoordJob{{Job: Job{ExpID: "A", Fingerprint: "f"}, Trials: badTrials}}, CoordOptions{}); err == nil {
 		t.Fatal("job with non-positional trials accepted")
 	}
+}
+
+// TestCoordinateCacheResume is the coordinator's crash-recovery gate.
+// A coordinator cancelled abruptly after its first accepted result
+// leaves exactly the results it accepted in its cache; a restart on
+// that cache leases only the missing trials to a fresh worker with no
+// cache of its own; and a restart on the completed cache finishes with
+// no worker attached.
+func TestCoordinateCacheResume(t *testing.T) {
+	trials := makeTrials(24)
+	job := testJob(trials)
+	jobs := []CoordJob{{Job: job, Trials: trials}}
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Run 1, cancelled from OnResult. The worker executes its first
+	// chunk and holds any later one until its lease dies, so the
+	// cancellation lands mid-sweep however the goroutines interleave.
+	accepted := make([]atomic.Bool, len(trials))
+	var k atomic.Int64
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcome := make(chan coordOutcome, 1)
+	go func() {
+		res, err := Coordinate(ctx, lis, jobs, CoordOptions{ChunkSize: 4, LeaseTTL: 2 * time.Second,
+			Linger: 100 * time.Millisecond, Cache: cache,
+			OnResult: func(_, _ string, tr engine.Trial, _ int) {
+				accepted[tr.Index].Store(true)
+				k.Add(1)
+				cancel()
+			}})
+		outcome <- coordOutcome{res, err}
+	}()
+	first := true
+	holdLater := func(expID, fingerprint string) (*WorkerJob, error) {
+		wj, err := countingResolver(job, trials, new(atomic.Int64))(expID, fingerprint)
+		if err == nil && !first {
+			wj.Execute = func(ctx context.Context, _ []engine.Trial) (map[int]any, Stats, error) {
+				<-ctx.Done()
+				return nil, Stats{}, ctx.Err()
+			}
+		}
+		first = false
+		return wj, err
+	}
+	if _, err := RunWorker(context.Background(), lis.Addr().String(), holdLater,
+		WorkerOptions{Name: "doomed", DialRetries: -1, Heartbeat: 20 * time.Millisecond}); err == nil {
+		t.Error("worker reported success for a cancelled sweep")
+	}
+	if out := <-outcome; !errors.Is(out.err, context.Canceled) {
+		t.Fatalf("cancelled coordinator err = %v, want context.Canceled", out.err)
+	}
+	entries, err := cache.Len()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := int(k.Load()); entries != n || n == 0 || n >= len(trials) {
+		t.Fatalf("cache holds %d entries after %d accepted results of %d trials; want them equal, and the cancellation mid-sweep",
+			entries, n, len(trials))
+	}
+
+	// Run 2: a restart on the cache leases exactly the missing trials.
+	ran := make([]atomic.Int64, len(trials))
+	recording := func(expID, fingerprint string) (*WorkerJob, error) {
+		return &WorkerJob{Trials: trials, Execute: func(ctx context.Context, sub []engine.Trial) (map[int]any, Stats, error) {
+			return Execute(ctx, job, sub, engine.Options{Workers: 2}, nil, noScratch,
+				func(ctx context.Context, tr engine.Trial, r *rng.RNG, s struct{}) (any, error) {
+					ran[tr.Index].Add(1)
+					return trialFn(ctx, tr, r, s)
+				})
+		}}, nil
+	}
+	observer := &CoordObserver{}
+	addr, outcome, cancel2 := startCoordinator(t, jobs,
+		CoordOptions{ChunkSize: 4, LeaseTTL: 2 * time.Second, Cache: cache, Observer: observer})
+	defer cancel2()
+	stats, err := RunWorker(context.Background(), addr, recording, WorkerOptions{Name: "fresh"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := <-outcome
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	checkResults(t, trials, out.results)
+	for i := range trials {
+		want := int64(1)
+		if accepted[i].Load() {
+			want = 0
+		}
+		if got := ran[i].Load(); got != want {
+			t.Errorf("restart executed trial %d %d times, want %d", i, got, want)
+		}
+	}
+	if want := len(trials) - int(k.Load()); stats.Executed != want {
+		t.Errorf("restart's worker executed %d trials, want %d", stats.Executed, want)
+	}
+	snap := observer.Snapshot()
+	if err := checkSnapshot(snap); err != nil {
+		t.Error(err)
+	}
+	if want := []WorkerCount{{cacheSource, int(k.Load())}, {"fresh", stats.Executed}}; !slices.Equal(snap.ByWorker, want) {
+		t.Errorf("restart attributes %+v, want %+v", snap.ByWorker, want)
+	}
+
+	// Run 3: the completed cache finishes the sweep with no worker.
+	lis, err = net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Coordinate(context.Background(), lis, jobs, CoordOptions{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResults(t, trials, res)
 }

@@ -19,7 +19,9 @@
 //     plan fingerprint, trial key, trial seed, codec version). Trials
 //     are pure functions of their seeds, so a cache hit is always
 //     valid; interrupted sweeps resume trial-by-trial and unchanged
-//     experiments re-reduce without re-executing anything.
+//     experiments re-reduce without re-executing anything. It is the
+//     one resume mechanism: Execute and Coordinate read and write the
+//     same entries.
 //
 //   - A shard dispatcher (shard.go, shardfile.go, exec.go): a
 //     ShardSpec deterministically partitions a plan's trials into k
@@ -37,7 +39,9 @@
 //     dropped connection's chunks return immediately, and duplicate
 //     completions are resolved by comparing encoded bytes — so uneven
 //     trial mixes balance themselves and a machine loss costs at most
-//     one undelivered chunk (zero, when workers share a cache).
+//     one undelivered chunk (zero, when workers share a cache). With a
+//     cache of its own, the coordinator persists every result it
+//     accepts, and a restart on that cache leases only what is missing.
 //
 // The invariant the whole package is built around: for a fixed
 // (experiment, Config), any execution strategy — one process, k

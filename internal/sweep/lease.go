@@ -178,16 +178,6 @@ func (lt *leaseTable) Complete(id uint64) (lease, bool) {
 	return *l, true
 }
 
-// ActiveAfterReclaim reports how many leases remain live after
-// reclaiming expired ones — the drain loop polls it to decide when
-// every in-flight chunk has either landed or timed out.
-func (lt *leaseTable) ActiveAfterReclaim() int {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	lt.reclaimExpiredLocked()
-	return len(lt.active)
-}
-
 // Requeue returns a chunk to the pending queue — the coverage
 // backstop for a COMPLETE whose results did not all arrive.
 func (lt *leaseTable) Requeue(c chunk) {
@@ -270,21 +260,33 @@ func (lt *leaseTable) Idle() bool {
 }
 
 // chunked splits each job's trial list into ≤ size chunks, in job
-// order then index order. The chunking affects only scheduling
-// granularity, never results: every trial of every job appears in
-// exactly one chunk.
-func chunked(jobs []CoordJob, size int) []chunk {
+// order then index order, leaving out every trial that already has a
+// result in done (indexed like jobs): a grid chunk with covered trials
+// becomes the runs of its uncovered ones, so the grid — and with it
+// every chunk of a sweep without prior results — stays the same. The
+// chunking affects only scheduling granularity, never results: every
+// trial without a result appears in exactly one chunk.
+func chunked(jobs []CoordJob, size int, done []map[int]any) []chunk {
 	if size < 1 {
 		size = 1
 	}
 	var out []chunk
 	for j, job := range jobs {
+		has := func(i int) bool { _, ok := done[j][i]; return ok }
 		for lo := 0; lo < len(job.Trials); lo += size {
-			hi := lo + size
-			if hi > len(job.Trials) {
-				hi = len(job.Trials)
+			hi := min(lo+size, len(job.Trials))
+			for i := lo; i < hi; {
+				for i < hi && has(i) {
+					i++
+				}
+				start := i
+				for i < hi && !has(i) {
+					i++
+				}
+				if start < i {
+					out = append(out, chunk{JobIdx: j, Lo: start, Hi: i})
+				}
 			}
-			out = append(out, chunk{JobIdx: j, Lo: lo, Hi: hi})
 		}
 	}
 	return out

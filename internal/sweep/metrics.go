@@ -115,12 +115,12 @@ type CoordSnapshot struct {
 	PendingChunks int         `json:"pending_chunks"`
 	ActiveLeases  int         `json:"active_leases"`
 	Workers       int         `json:"workers_connected"`
-	Draining      bool        `json:"draining"`
 	Finished      bool        `json:"finished"`
 	Failure       string      `json:"failure,omitempty"`
 
 	// ByWorker attributes every one of DoneTrials to the worker that
-	// delivered it first, sorted by worker name.
+	// delivered it first, or to the source "(cache)" when the sweep
+	// found it in CoordOptions.Cache at start; sorted by source name.
 	ByWorker []WorkerCount `json:"done_by_worker"`
 }
 
@@ -161,7 +161,6 @@ func (o *CoordObserver) Snapshot() CoordSnapshot {
 		s.ByWorker[i] = WorkerCount{Source: w, Done: st.byWorker[w]}
 	}
 	s.Workers = len(st.helloed)
-	s.Draining = st.draining
 	s.Finished = st.finished
 	if st.failure != nil {
 		s.Failure = st.failure.Error()

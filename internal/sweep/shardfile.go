@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -32,13 +33,22 @@ func (h ShardHeader) validate() error {
 	return nil
 }
 
-// WriteShardFile persists one shard's positional results atomically:
-// the header, then (trial index, encoded result) entries in ascending
-// index order. results maps plan trial index -> result value; every
-// value's dynamic type must be registered with the codec.
+// WriteShardFile persists one shard's positional results atomically.
+// results maps plan trial index -> result value; every value's dynamic
+// type must be registered with the codec.
 func WriteShardFile(path string, h ShardHeader, results map[int]any) error {
-	if err := h.validate(); err != nil {
+	data, err := encodeShardFile(h, results)
+	if err != nil {
 		return err
+	}
+	return atomicWriteFile(path, data)
+}
+
+// encodeShardFile renders a shard file: the header, then (trial index,
+// encoded result) entries in ascending index order.
+func encodeShardFile(h ShardHeader, results map[int]any) ([]byte, error) {
+	if err := h.validate(); err != nil {
+		return nil, err
 	}
 	idxs := make([]int, 0, len(results))
 	for i := range results {
@@ -49,7 +59,7 @@ func WriteShardFile(path string, h ShardHeader, results map[int]any) error {
 	// offender, not whichever one map iteration yields first.
 	for _, i := range idxs {
 		if i < 0 || i >= h.TotalTrials {
-			return fmt.Errorf("sweep: shard entry index %d outside plan of %d trials", i, h.TotalTrials)
+			return nil, fmt.Errorf("sweep: shard entry index %d outside plan of %d trials", i, h.TotalTrials)
 		}
 	}
 
@@ -64,13 +74,13 @@ func WriteShardFile(path string, h ShardHeader, results map[int]any) error {
 	for _, i := range idxs {
 		payload, err := EncodeResult(results[i])
 		if err != nil {
-			return fmt.Errorf("sweep: shard entry %d: %w", i, err)
+			return nil, fmt.Errorf("sweep: shard entry %d: %w", i, err)
 		}
 		buf = binary.AppendUvarint(buf, uint64(i))
 		buf = binary.AppendUvarint(buf, uint64(len(payload)))
 		buf = append(buf, payload...)
 	}
-	return atomicWriteFile(path, buf)
+	return buf, nil
 }
 
 // ReadShardFile parses a shard file back into its header and positional
@@ -80,13 +90,24 @@ func ReadShardFile(path string) (ShardHeader, map[int]any, error) {
 	if err != nil {
 		return ShardHeader{}, nil, fmt.Errorf("sweep: reading shard file: %w", err)
 	}
+	h, results, err := parseShardFile(data)
+	if err != nil {
+		return ShardHeader{}, nil, fmt.Errorf("sweep: shard file %s: %w", path, err)
+	}
+	return h, results, nil
+}
+
+// parseShardFile decodes what encodeShardFile writes, and nothing
+// else: entries must ascend strictly by trial index, so every file it
+// accepts re-encodes to the same bytes.
+func parseShardFile(data []byte) (ShardHeader, map[int]any, error) {
 	if len(data) < len(shardMagic) || string(data[:len(shardMagic)]) != shardMagic {
-		return ShardHeader{}, nil, fmt.Errorf("sweep: %s is not a shard file", path)
+		return ShardHeader{}, nil, errors.New("not a shard file")
 	}
 	d := &decoder{buf: data, pos: len(shardMagic)}
 	ver := d.uvarint()
 	if d.err == nil && ver != CodecVersion {
-		return ShardHeader{}, nil, fmt.Errorf("sweep: %s: codec version %d, want %d", path, ver, CodecVersion)
+		return ShardHeader{}, nil, fmt.Errorf("codec version %d, want %d", ver, CodecVersion)
 	}
 	h := ShardHeader{
 		ExpID:       d.string(),
@@ -103,13 +124,14 @@ func ReadShardFile(path string) (ShardHeader, map[int]any, error) {
 		d.fail("entry count %d exceeds remaining %d bytes", n64, len(d.buf)-d.pos)
 	}
 	if d.err != nil {
-		return ShardHeader{}, nil, fmt.Errorf("sweep: %s: %w", path, d.err)
+		return ShardHeader{}, nil, d.err
 	}
 	if err := h.validate(); err != nil {
-		return ShardHeader{}, nil, fmt.Errorf("sweep: %s: %w", path, err)
+		return ShardHeader{}, nil, err
 	}
 	n := int(n64)
 	results := make(map[int]any, n)
+	prev := -1
 	for e := 0; e < n; e++ {
 		idx := int(d.uvarint())
 		plen := d.uvarint()
@@ -118,22 +140,23 @@ func ReadShardFile(path string) (ShardHeader, map[int]any, error) {
 		}
 		payload := d.bytes(int(plen))
 		if d.err != nil {
-			return ShardHeader{}, nil, fmt.Errorf("sweep: %s entry %d: %w", path, e, d.err)
+			return ShardHeader{}, nil, fmt.Errorf("entry %d: %w", e, d.err)
 		}
 		if idx < 0 || idx >= h.TotalTrials {
-			return ShardHeader{}, nil, fmt.Errorf("sweep: %s: entry index %d outside plan of %d trials", path, idx, h.TotalTrials)
+			return ShardHeader{}, nil, fmt.Errorf("entry index %d outside plan of %d trials", idx, h.TotalTrials)
 		}
-		if _, dup := results[idx]; dup {
-			return ShardHeader{}, nil, fmt.Errorf("sweep: %s: duplicate entry for trial %d", path, idx)
+		if idx <= prev {
+			return ShardHeader{}, nil, fmt.Errorf("entry for trial %d follows trial %d (entries must ascend)", idx, prev)
 		}
+		prev = idx
 		v, err := DecodeResult(payload)
 		if err != nil {
-			return ShardHeader{}, nil, fmt.Errorf("sweep: %s entry for trial %d: %w", path, idx, err)
+			return ShardHeader{}, nil, fmt.Errorf("entry for trial %d: %w", idx, err)
 		}
 		results[idx] = v
 	}
 	if d.pos != len(d.buf) {
-		return ShardHeader{}, nil, fmt.Errorf("sweep: %s: %d trailing bytes", path, len(d.buf)-d.pos)
+		return ShardHeader{}, nil, fmt.Errorf("%d trailing bytes", len(d.buf)-d.pos)
 	}
 	return h, results, nil
 }
