@@ -1,7 +1,12 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -133,4 +138,74 @@ func TestRunOnSnapshot(t *testing.T) {
 	if err := run([]string{"-snapshot", filepath.Join(t.TempDir(), "absent.csr")}, &strings.Builder{}, &strings.Builder{}); err == nil {
 		t.Error("missing snapshot file accepted")
 	}
+}
+
+// openedIn is the snapshot banner's wall-clock suffix, the only
+// nondeterministic text genstats writes to stdout.
+var openedIn = regexp.MustCompile(` \(opened in [^)]*\)`)
+
+// TestGoldenStatistics pins every statistic genstats prints against
+// testdata/<name>.golden, at -threads 1, 2 and NumCPU. The golden files
+// are genstats' stdout with the snapshot's "(opened in …)" timing
+// removed. The snapshot case is the repository benchmark's giant-graph
+// input, a 2^20-vertex Móri graph read with -verify; -short skips it.
+// The config model at seed 7 leaves thousands of components, so it
+// reaches the giant-component branch instead of the distance passes.
+func TestGoldenStatistics(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"mori-snapshot", []string{"-snapshot", "g.csr", "-verify", "-seed", "2024"}},
+		{"config", []string{"-model", "config", "-params", "n=32768,k=2.3", "-seed", "7"}},
+		{"cf", []string{"-model", "cf", "-params", "n=32768", "-seed", "7"}},
+		{"fitness", []string{"-model", "fitness", "-params", "n=32768,m=2", "-seed", "7"}},
+	}
+	threads := slices.Compact([]int{1, 2, runtime.NumCPU()})
+	for _, tc := range cases {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.args[0] == "-snapshot" {
+				if testing.Short() {
+					t.Skip("the 2^20-vertex snapshot is skipped in -short mode")
+				}
+				writeGiantSnapshot(t)
+			}
+			for _, th := range threads {
+				var stdout strings.Builder
+				args := append([]string{"-threads", strconv.Itoa(th)}, tc.args...)
+				if err := run(args, &stdout, &strings.Builder{}); err != nil {
+					t.Fatal(err)
+				}
+				if got := openedIn.ReplaceAllString(stdout.String(), ""); got != string(want) {
+					t.Errorf("-threads %d: output differs from testdata/%s.golden:\n--- got ---\n%s--- want ---\n%s",
+						th, tc.golden, got, want)
+				}
+			}
+		})
+	}
+}
+
+// writeGiantSnapshot writes the benchmark's giant-graph input, what
+// `graphgen -model mori -params n=1048576,m=2,p=0.5 -seed 2024 -snapshot
+// g.csr` writes, into a fresh directory and makes it the working
+// directory, so the banner names the file exactly as the benchmark does.
+func writeGiantSnapshot(t *testing.T) {
+	t.Helper()
+	m, err := model.New("mori", "n=1048576,m=2,p=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := m.Generate(rng.New(2024), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := graph.WriteSnapshotFile(filepath.Join(dir, "g.csr"), g); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(dir)
 }

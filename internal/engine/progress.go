@@ -23,7 +23,8 @@ type RateTracker struct {
 	times  []time.Time // completion timestamps, pruned to the window
 	done   int
 	total  int
-	start  time.Time
+	seen   int              // completions this tracker observed
+	start  time.Time        // when it observed the first
 	now    func() time.Time // injectable clock for tests
 }
 
@@ -46,6 +47,7 @@ func (rt *RateTracker) Observe(p Progress) {
 	}
 	rt.done = p.Done
 	rt.total = p.Total
+	rt.seen++
 	rt.times = append(rt.times, t)
 	rt.prune(t)
 }
@@ -116,13 +118,16 @@ func (rt *RateTracker) Snapshot() RateSnapshot {
 		if remaining := rt.total - rt.done; remaining > 0 && snap.Rate > 0 {
 			snap.ETA = time.Duration(float64(remaining) / snap.Rate * float64(time.Second))
 		}
-	case rt.done > 0 && now.After(rt.start):
+	case rt.seen > 0 && now.After(rt.start):
 		// Whole-run fallback: a rough rate is still worth showing, but
 		// no ETA comes from it — after a stall long enough to empty the
 		// window, the whole-run average says nothing about current
 		// throughput, and an ETA extrapolated from it is garbage. The
-		// ETA stays zero (rendered as ∞) until the window refills.
-		snap.Rate = float64(rt.done) / now.Sub(rt.start).Seconds()
+		// ETA stays zero (rendered as ∞) until the window refills. It
+		// counts only the completions observed here: Done also counts
+		// trials a resumed run found in its cache before the clock
+		// started.
+		snap.Rate = float64(rt.seen) / now.Sub(rt.start).Seconds()
 	}
 	return snap
 }

@@ -165,6 +165,28 @@ func TestRateTrackerETAUnknownWithoutWindow(t *testing.T) {
 	}
 }
 
+// TestRateTrackerResumedRun: a coordinator resumed on a cache reports
+// Done counting the cached trials in its first Progress event. The
+// whole-run fallback must rate only what this tracker saw complete, so
+// its first line reads like a fresh run's, not 1901 trials in δt.
+func TestRateTrackerResumedRun(t *testing.T) {
+	resumed, clock := newTestTracker(10 * time.Second)
+	fresh, freshClock := newTestTracker(10 * time.Second)
+	clock.advance(time.Second)
+	freshClock.advance(time.Second)
+	resumed.Observe(Progress{Done: 1901, Total: 4200})
+	fresh.Observe(Progress{Done: 1, Total: 4200})
+	clock.advance(250 * time.Millisecond)
+	freshClock.advance(250 * time.Millisecond)
+	got, want := resumed.Snapshot(), fresh.Snapshot()
+	if got.Rate != want.Rate || got.Rate != 4 {
+		t.Errorf("resumed rate %v trials/s, fresh %v; want both 4", got.Rate, want.Rate)
+	}
+	if got.Done != 1901 {
+		t.Errorf("resumed Done = %d, want 1901", got.Done)
+	}
+}
+
 // TestRateTrackerWithEngine wires the tracker into a real engine run
 // via the Progress hook — the composition cmd/experiments uses.
 func TestRateTrackerWithEngine(t *testing.T) {

@@ -18,8 +18,10 @@ import (
 // giant-component Móri graph, serial and frontier-parallel (DESIGN.md
 // §8.3): same dist output (byte-identical by construction). The
 // acceptance target is >= 3× for workers=8 over workers=1 on a machine
-// with >= 8 cores; workers=1 takes the serial inline path, so it
-// doubles as the baseline. -short drops to a smoke size for CI.
+// with >= 8 cores; workers=1 expands every level inline, bottom-up
+// levels included, so it is the single-thread baseline of the same
+// algorithm, and the serial arm is the top-down BFSInto. -short drops
+// to a smoke size for CI.
 func BenchmarkBFS(b *testing.B) {
 	n := 1 << 22
 	if testing.Short() {

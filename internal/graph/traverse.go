@@ -52,8 +52,22 @@ func BFSInto(g *Graph, src Vertex, dist []int32, queue []Vertex) {
 // (BFS warm-up, the tail of a component, whole tiny components) cost
 // more in goroutine handoff than in work, and processing them serially
 // keeps the output contract trivially intact because only one
-// goroutine touches the arrays.
+// goroutine touches the arrays. A bottom-up level scans every vertex,
+// so it is expanded inline when the graph itself is that small.
 const bfsSerialFrontier = 256
+
+// bfsBottomUpAlpha and bfsTopDownBeta steer a level-valued flood's
+// direction (Beamer, Asanović & Patterson, SC 2012). A top-down level
+// reads every half-edge of the frontier; a bottom-up level scans the
+// unvisited vertices and stops at each one's first neighbour on the
+// frontier. A flood turns bottom-up once the frontier's half-edges
+// exceed the unexplored vertices' half-edges / bfsBottomUpAlpha, and
+// turns top-down again, for the rest of the flood, once the frontier
+// holds fewer than n / bfsTopDownBeta vertices.
+const (
+	bfsBottomUpAlpha = 14
+	bfsTopDownBeta   = 24
+)
 
 // BFSScratch holds the reusable state of frontier-parallel traversal:
 // the current/next frontier buffers and one record per worker. The
@@ -78,12 +92,19 @@ type BFSScratch struct {
 	cursor   atomic.Int64
 
 	// Per-level state read by the worker goroutines; written only
-	// between level barriers.
+	// between level barriers. A top-down level claims chunks of
+	// frontier[:work]; a bottom-up level claims chunks of the vertex
+	// ids 1..work.
 	g        *Graph
 	target   []int32
 	writeVal int32
-	frontLen int
+	bottomUp bool
+	work     int
 	chunk    int
+
+	// Levels expanded in each direction over the scratch's lifetime;
+	// the tests read them to see that both directions ran.
+	topDownLevels, bottomUpLevels int
 }
 
 // bfsWorker is one worker's slot: its owning scratch, its private
@@ -100,13 +121,21 @@ type bfsWorker struct {
 	_     [32]byte
 }
 
-// run claims chunks of the current frontier until none remain,
-// expanding each vertex's incidence list. Discovery is settled by a
-// compare-and-swap from Unreachable, so exactly one worker wins each
-// newly reached vertex and appends it to its private buffer; the value
-// written (the BFS level or a component label) is the same whichever
-// worker wins, which is what makes the merged output independent of
+// run claims chunks of the level's work until none remain and appends
+// the vertices it settles to its private buffer.
+//
+// Top-down, it expands each claimed frontier vertex's incidence list.
+// Discovery is settled by a compare-and-swap from Unreachable, so
+// exactly one worker wins each newly reached vertex; the value written
+// (the BFS level or a component label) is the same whichever worker
+// wins, which is what makes the merged output independent of
 // scheduling.
+//
+// Bottom-up, it scans the claimed vertex ids and settles each
+// unvisited one at its first neighbour whose target is the current
+// level. Only the claiming worker writes a vertex, so a plain atomic
+// store suffices; the loads are atomic because other workers store
+// level + 1 concurrently, a value no frontier test accepts.
 func (w *bfsWorker) run() {
 	s := w.s
 	g, target, val := s.g, s.target, s.writeVal
@@ -115,11 +144,27 @@ func (w *bfsWorker) run() {
 	for {
 		hi := int(s.cursor.Add(int64(chunk)))
 		lo := hi - chunk
-		if lo >= s.frontLen {
+		if lo >= s.work {
 			break
 		}
-		if hi > s.frontLen {
-			hi = s.frontLen
+		if hi > s.work {
+			hi = s.work
+		}
+		if s.bottomUp {
+			level := val - 1
+			for v := Vertex(lo + 1); v <= Vertex(hi); v++ {
+				if target[v] != Unreachable {
+					continue
+				}
+				for _, h := range g.Incident(v) {
+					if atomic.LoadInt32(&target[h.Other]) == level {
+						atomic.StoreInt32(&target[v], val)
+						w.next = append(w.next, v)
+						break
+					}
+				}
+			}
+			continue
 		}
 		for _, u := range s.frontier[lo:hi] {
 			for _, h := range g.Incident(u) {
@@ -159,34 +204,55 @@ func (s *BFSScratch) ensureWorkers(workers int) {
 // starting from the seeds already in s.frontier (whose target entries
 // the caller has set). When levelValues is true each discovered vertex
 // receives its BFS level (seed level + 1, + 2, ...); otherwise every
-// vertex receives the constant val (component labelling). Levels at or
-// above bfsSerialFrontier are fanned out to the workers; smaller ones
-// are expanded inline.
+// vertex receives the constant val (component labelling). Top-down
+// levels at or above bfsSerialFrontier vertices, and bottom-up levels
+// on graphs of at least that many vertices, are fanned out to the
+// workers; the rest are expanded inline.
+//
+// Only a level-valued flood goes bottom-up, by the bfsBottomUpAlpha
+// and bfsTopDownBeta rules and at most once: its frontier is exactly
+// the vertices whose target is the current level, which a constant
+// label cannot tell from earlier levels. Either direction gives every
+// vertex its level, so target ends the same.
 func (s *BFSScratch) flood(g *Graph, target []int32, workers int, levelValues bool, val int32) {
+	n := g.NumVertices()
+	// mayTurn holds until the flood's bottom-up phase ends; until it
+	// starts, unexplored counts the half-edges of unreached vertices.
+	mayTurn := levelValues
+	bottomUp := false
+	frontHalves, unexplored := 0, 0
+	if mayTurn {
+		frontHalves = halvesOf(g, s.frontier)
+		unexplored = 2*g.NumEdges() - frontHalves
+	}
 	level := int32(0)
 	for len(s.frontier) > 0 {
 		if levelValues {
 			val = level + 1
 		}
+		switch {
+		case mayTurn && !bottomUp && frontHalves > unexplored/bfsBottomUpAlpha:
+			bottomUp = true
+		case bottomUp && len(s.frontier) < n/bfsTopDownBeta:
+			bottomUp, mayTurn = false, false
+		}
 		sampled := s.TraceSample > 0 && int(level)%s.TraceSample == 0
 		if sampled {
 			s.Trace.Begin("bfs_level", "bfs")
 		}
-		if workers <= 1 || len(s.frontier) < bfsSerialFrontier {
-			s.next = s.next[:0]
-			for _, u := range s.frontier {
-				for _, h := range g.Incident(u) {
-					if target[h.Other] == Unreachable {
-						target[h.Other] = val
-						s.next = append(s.next, h.Other)
-					}
-				}
-			}
+		work := len(s.frontier)
+		if bottomUp {
+			work = n
+			s.bottomUpLevels++
 		} else {
+			s.topDownLevels++
+		}
+		switch {
+		case workers > 1 && work >= bfsSerialFrontier:
 			s.ensureWorkers(workers)
 			s.g, s.target, s.writeVal = g, target, val
-			s.frontLen = len(s.frontier)
-			s.chunk = frontierChunk(len(s.frontier), workers)
+			s.bottomUp, s.work = bottomUp, work
+			s.chunk = frontierChunk(work, workers)
 			s.cursor.Store(0)
 			s.wg.Add(workers)
 			for i := range s.workers {
@@ -197,18 +263,57 @@ func (s *BFSScratch) flood(g *Graph, target []int32, workers int, levelValues bo
 			for i := range s.workers {
 				s.next = append(s.next, s.workers[i].next...)
 			}
+		case bottomUp:
+			s.next = s.next[:0]
+			for v := Vertex(1); v <= Vertex(n); v++ {
+				if target[v] != Unreachable {
+					continue
+				}
+				for _, h := range g.Incident(v) {
+					if target[h.Other] == level {
+						target[v] = val
+						s.next = append(s.next, v)
+						break
+					}
+				}
+			}
+		default:
+			s.next = s.next[:0]
+			for _, u := range s.frontier {
+				for _, h := range g.Incident(u) {
+					if target[h.Other] == Unreachable {
+						target[h.Other] = val
+						s.next = append(s.next, h.Other)
+					}
+				}
+			}
 		}
 		if sampled {
 			s.Trace.End()
+		}
+		if mayTurn && !bottomUp {
+			frontHalves = halvesOf(g, s.next)
+			unexplored -= frontHalves
 		}
 		s.frontier, s.next = s.next, s.frontier
 		level++
 	}
 }
 
-// frontierChunk picks the grain workers claim from the frontier: small
-// enough that skewed degree sums balance, large enough that the atomic
-// claim is amortized.
+// halvesOf sums the degrees of vs: the half-edges a top-down level
+// over them reads.
+func halvesOf(g *Graph, vs []Vertex) int {
+	sum := 0
+	for _, v := range vs {
+		sum += g.Degree(v)
+	}
+	return sum
+}
+
+// frontierChunk picks the grain workers claim from a level's work (the
+// frontier top-down, the vertex ids bottom-up): small enough that
+// skewed degree sums balance, large enough that the atomic claim is
+// amortized.
 func frontierChunk(frontier, workers int) int {
 	c := frontier / (workers * 8)
 	if c < 64 {
@@ -228,10 +333,13 @@ func BFSParallel(g *Graph, src Vertex, workers int) []int32 {
 // like BFSInto, but expands each BFS level with up to workers
 // goroutines: the frontier is claimed in chunks, newly discovered
 // vertices are settled by compare-and-swap, and per-worker
-// next-frontier buffers are merged at the level barrier. Because a
-// vertex's distance is its BFS level — a property of the graph, not of
-// visit order — the dist array is byte-identical to serial BFSInto
-// output for every worker count and schedule.
+// next-frontier buffers are merged at the level barrier. Dense middle
+// levels run bottom-up instead (see bfsBottomUpAlpha): workers claim
+// chunks of vertex ids and settle each unvisited vertex that has a
+// neighbour on the frontier. Because a vertex's distance is its BFS
+// level — a property of the graph, not of visit order or direction —
+// the dist array is byte-identical to serial BFSInto output for every
+// worker count and schedule.
 //
 // dist must have length >= n+1 (every entry is overwritten, matching
 // BFSInto). s may be nil (fresh buffers); passing a reused *BFSScratch

@@ -99,6 +99,68 @@ func TestBFSParallelPathGraph(t *testing.T) {
 	}
 }
 
+// TestBFSParallelDirections pins the direction-optimizing flood: dist
+// equals BFSInto at every worker count whichever directions the levels
+// took, and the levels did take both. The graph is disconnected: a
+// sparse random multigraph (a giant component among small ones) beside
+// a 5000-leaf star. A flood from a leaf turns bottom-up at the hub,
+// whose half-edges outnumber a fourteenth of everything unexplored, and
+// then scans thousands of vertices no frontier reaches. A flood in the
+// random part's giant component turns bottom-up in its dense middle
+// levels and back for its tail. Component labelling stays top-down.
+func TestBFSParallelDirections(t *testing.T) {
+	const n1, leaves = 20000, 5000
+	r := rng.New(77)
+	b := NewBuilder(n1+1+leaves, 24000+leaves)
+	b.AddVertices(n1 + 1 + leaves)
+	for i := 0; i < 24000; i++ {
+		b.AddEdge(Vertex(r.IntRange(1, n1)), Vertex(r.IntRange(1, n1)))
+	}
+	hub := Vertex(n1 + 1)
+	for v := hub + 1; v <= hub+leaves; v++ {
+		b.AddEdge(v, hub)
+	}
+	g := b.Freeze()
+
+	labels, count := Components(g)
+	sizes := ComponentSizesFrom(g, labels, count)
+	giant, small := Vertex(0), Vertex(0)
+	for v := Vertex(1); v <= n1; v++ {
+		switch size := sizes[labels[v]]; {
+		case giant == 0 && size > n1/2:
+			giant = v
+		case small == 0 && size >= 3 && size < 50:
+			small = v
+		}
+	}
+	if giant == 0 || small == 0 {
+		t.Fatalf("random part lacks a giant (%d) or a small component (%d)", giant, small)
+	}
+
+	for _, workers := range workerCounts() {
+		for _, tc := range []struct {
+			name     string
+			src      Vertex
+			bothWays bool
+		}{
+			{"star leaf", hub + 1, true},
+			{"giant component", giant, true},
+			{"small component", small, false},
+		} {
+			var s BFSScratch
+			checkBFSParallelMatches(t, g, tc.src, workers, &s)
+			if s.topDownLevels == 0 || tc.bothWays && s.bottomUpLevels == 0 {
+				t.Errorf("workers=%d %s: %d top-down and %d bottom-up levels, want both directions",
+					workers, tc.name, s.topDownLevels, s.bottomUpLevels)
+			}
+		}
+		var s BFSScratch
+		if ComponentsParallelInto(g, make([]int32, g.NumVertices()+1), workers, &s); s.bottomUpLevels != 0 {
+			t.Errorf("workers=%d: component labelling ran %d bottom-up levels", workers, s.bottomUpLevels)
+		}
+	}
+}
+
 // TestBFSParallelNilScratchAndConvenience covers the nil-scratch path
 // and the allocating wrapper.
 func TestBFSParallelNilScratchAndConvenience(t *testing.T) {

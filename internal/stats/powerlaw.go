@@ -3,7 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // PowerLawFit is the result of fitting P(X = d) ∝ d^(-alpha) to the
@@ -29,21 +29,36 @@ func FitPowerLaw(xs []int, xmin int) (PowerLawFit, error) {
 	if xmin < 1 {
 		return PowerLawFit{}, fmt.Errorf("stats: power-law xmin %d < 1", xmin)
 	}
-	sumLog := 0.0
-	n := 0
-	aboveMin := false
 	tail := make([]int, 0, len(xs))
-	shift := float64(xmin) - 0.5
 	for _, x := range xs {
 		if x >= xmin {
-			sumLog += math.Log(float64(x) / shift)
-			n++
 			tail = append(tail, x)
-			if x > xmin {
-				aboveMin = true
-			}
 		}
 	}
+	fit, err := fitTail(tail, xmin)
+	if err != nil {
+		return fit, err
+	}
+	slices.Sort(tail)
+	fit.KS = powerLawKS(tail, fit.Alpha, xmin)
+	return fit, nil
+}
+
+// fitTail is FitPowerLaw's estimate without the KS distance, over a
+// tail that holds exactly the observations >= xmin. The sum is taken in
+// the tail's order, which callers keep equal to the input order so that
+// every fit of the same tail is the same float.
+func fitTail(tail []int, xmin int) (PowerLawFit, error) {
+	sumLog := 0.0
+	aboveMin := false
+	shift := float64(xmin) - 0.5
+	for _, x := range tail {
+		sumLog += math.Log(float64(x) / shift)
+		if x > xmin {
+			aboveMin = true
+		}
+	}
+	n := len(tail)
 	if n < 2 {
 		return PowerLawFit{}, fmt.Errorf("stats: only %d observations >= xmin %d; need at least 2", n, xmin)
 	}
@@ -51,79 +66,102 @@ func FitPowerLaw(xs []int, xmin int) (PowerLawFit, error) {
 		return PowerLawFit{}, fmt.Errorf("stats: degenerate tail (all observations equal xmin %d)", xmin)
 	}
 	alpha := 1 + float64(n)/sumLog
-	fit := PowerLawFit{
+	return PowerLawFit{
 		Alpha:  alpha,
 		StdErr: (alpha - 1) / math.Sqrt(float64(n)),
 		Xmin:   xmin,
 		NTail:  n,
-	}
-	fit.KS = powerLawKS(tail, alpha, xmin)
-	return fit, nil
+	}, nil
 }
 
 // FitPowerLawAuto selects xmin by scanning candidate cutoffs and
 // keeping the fit with the smallest KS distance, following Clauset et
 // al. The scan considers every distinct sample value as a cutoff while
 // at least minTail observations remain in the tail (minTail <= 0
-// defaults to 50).
+// defaults to 50); when no cutoff leaves that many, it returns
+// FitPowerLaw at the smallest positive value.
+//
+// Each candidate's fit equals FitPowerLaw(xs, xmin) bit for bit: its
+// log sum runs over the tail in input order, as FitPowerLaw's does. The
+// scan sorts one copy of the positive samples, whose ascending distinct
+// values are the candidates, and narrows one input-order tail buffer in
+// place from candidate to candidate. It costs O(n log n) for the sort
+// plus O(Σ tail) for the candidates, which for positive integer samples
+// is at most Σ x (4n for an m = 2 graph's degrees), and two n-slot
+// buffers.
 func FitPowerLawAuto(xs []int, minTail int) (PowerLawFit, error) {
 	if minTail <= 0 {
 		minTail = 50
 	}
-	distinct := map[int]bool{}
+	tail := make([]int, 0, len(xs))
 	for _, x := range xs {
 		if x >= 1 {
-			distinct[x] = true
+			tail = append(tail, x)
 		}
 	}
-	if len(distinct) == 0 {
+	if len(tail) == 0 {
 		return PowerLawFit{}, fmt.Errorf("stats: no positive observations to fit")
 	}
-	candidates := make([]int, 0, len(distinct))
-	for x := range distinct {
-		candidates = append(candidates, x)
-	}
-	sort.Ints(candidates)
+	sorted := slices.Clone(tail)
+	slices.Sort(sorted)
 
+	var fallback PowerLawFit
+	var fallbackErr error
 	best := PowerLawFit{KS: math.Inf(1)}
 	found := false
-	for _, xmin := range candidates {
-		fit, err := FitPowerLaw(xs, xmin)
-		if err != nil || fit.NTail < minTail {
-			continue
+	for lo := 0; lo < len(sorted); {
+		xmin := sorted[lo]
+		tail = slices.DeleteFunc(tail, func(x int) bool { return x < xmin })
+		fit, err := fitTail(tail, xmin)
+		if err == nil {
+			fit.KS = powerLawKS(sorted[lo:], fit.Alpha, xmin)
 		}
-		if fit.KS < best.KS {
+		if lo == 0 {
+			// Fall back to the smallest value so the caller still gets
+			// an estimate on short samples.
+			fallback, fallbackErr = fit, err
+		}
+		if len(tail) < minTail {
+			break // tails only shrink from here
+		}
+		if err == nil && fit.KS < best.KS {
 			best = fit
 			found = true
 		}
+		for lo < len(sorted) && sorted[lo] == xmin {
+			lo++
+		}
 	}
 	if !found {
-		// Fall back to the smallest value so the caller still gets an
-		// estimate on short samples.
-		return FitPowerLaw(xs, candidates[0])
+		return fallback, fallbackErr
 	}
 	return best, nil
 }
 
 // powerLawKS computes the KS distance between the empirical CDF of the
-// tail sample and the fitted continuous power-law CDF with the given
-// alpha and xmin.
-func powerLawKS(tail []int, alpha float64, xmin int) float64 {
-	sorted := append([]int(nil), tail...)
-	sort.Ints(sorted)
+// sorted tail sample and the fitted continuous power-law CDF with the
+// given alpha and xmin. A run of equal values x spanning sorted[i:j]
+// has one model value, and |model − k/n| is largest at an end of the
+// run's steps k = i..j, so each distinct value costs one math.Pow and
+// two comparisons.
+func powerLawKS(sorted []int, alpha float64, xmin int) float64 {
 	n := float64(len(sorted))
 	shift := float64(xmin) - 0.5
 	maxDist := 0.0
-	for i, x := range sorted {
+	for i := 0; i < len(sorted); {
+		x := sorted[i]
+		j := i + 1
+		for j < len(sorted) && sorted[j] == x {
+			j++
+		}
 		model := 1 - math.Pow(float64(x)/shift, 1-alpha)
-		empLo := float64(i) / n
-		empHi := float64(i+1) / n
-		if d := math.Abs(model - empLo); d > maxDist {
+		if d := math.Abs(model - float64(i)/n); d > maxDist {
 			maxDist = d
 		}
-		if d := math.Abs(model - empHi); d > maxDist {
+		if d := math.Abs(model - float64(j)/n); d > maxDist {
 			maxDist = d
 		}
+		i = j
 	}
 	return maxDist
 }

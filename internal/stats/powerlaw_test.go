@@ -1,9 +1,13 @@
 package stats
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
+	"scalefree/internal/model"
 	"scalefree/internal/rng"
 )
 
@@ -121,4 +125,194 @@ func TestCCDFLogLogSlopeErrors(t *testing.T) {
 	if _, _, err := CCDFLogLogSlope([]CCDFPoint{{X: 1, Frac: 1}}, 1); err == nil {
 		t.Error("single point accepted")
 	}
+}
+
+// fitPowerLawAutoReference is FitPowerLawAuto as first written: it
+// refits the whole sample at every distinct value, O(D·n) for D
+// distinct values, through fitPowerLawReference. The rewrite must
+// return the same fit, bit for bit, on every input.
+func fitPowerLawAutoReference(xs []int, minTail int) (PowerLawFit, error) {
+	if minTail <= 0 {
+		minTail = 50
+	}
+	distinct := map[int]bool{}
+	for _, x := range xs {
+		if x >= 1 {
+			distinct[x] = true
+		}
+	}
+	if len(distinct) == 0 {
+		return PowerLawFit{}, fmt.Errorf("stats: no positive observations to fit")
+	}
+	candidates := make([]int, 0, len(distinct))
+	for x := range distinct {
+		candidates = append(candidates, x)
+	}
+	sort.Ints(candidates)
+
+	best := PowerLawFit{KS: math.Inf(1)}
+	found := false
+	for _, xmin := range candidates {
+		fit, err := fitPowerLawReference(xs, xmin)
+		if err != nil || fit.NTail < minTail {
+			continue
+		}
+		if fit.KS < best.KS {
+			best = fit
+			found = true
+		}
+	}
+	if !found {
+		return fitPowerLawReference(xs, candidates[0])
+	}
+	return best, nil
+}
+
+// fitPowerLawReference is FitPowerLaw as first written, with a
+// math.Pow per tail observation in its KS distance.
+func fitPowerLawReference(xs []int, xmin int) (PowerLawFit, error) {
+	if xmin < 1 {
+		return PowerLawFit{}, fmt.Errorf("stats: power-law xmin %d < 1", xmin)
+	}
+	sumLog := 0.0
+	n := 0
+	aboveMin := false
+	tail := make([]int, 0, len(xs))
+	shift := float64(xmin) - 0.5
+	for _, x := range xs {
+		if x >= xmin {
+			sumLog += math.Log(float64(x) / shift)
+			n++
+			tail = append(tail, x)
+			if x > xmin {
+				aboveMin = true
+			}
+		}
+	}
+	if n < 2 {
+		return PowerLawFit{}, fmt.Errorf("stats: only %d observations >= xmin %d; need at least 2", n, xmin)
+	}
+	if !aboveMin {
+		return PowerLawFit{}, fmt.Errorf("stats: degenerate tail (all observations equal xmin %d)", xmin)
+	}
+	alpha := 1 + float64(n)/sumLog
+	fit := PowerLawFit{
+		Alpha:  alpha,
+		StdErr: (alpha - 1) / math.Sqrt(float64(n)),
+		Xmin:   xmin,
+		NTail:  n,
+	}
+	sorted := append([]int(nil), tail...)
+	sort.Ints(sorted)
+	nf := float64(len(sorted))
+	for i, x := range sorted {
+		model := 1 - math.Pow(float64(x)/shift, 1-alpha)
+		if d := math.Abs(model - float64(i)/nf); d > fit.KS {
+			fit.KS = d
+		}
+		if d := math.Abs(model - float64(i+1)/nf); d > fit.KS {
+			fit.KS = d
+		}
+	}
+	return fit, nil
+}
+
+// sameFit reports whether two fits and their errors agree exactly:
+// every float field bit for bit, and the same error text.
+func sameFit(got PowerLawFit, gotErr error, want PowerLawFit, wantErr error) error {
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		return fmt.Errorf("error %v, want %v", gotErr, wantErr)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(got.Alpha, want.Alpha) || !same(got.StdErr, want.StdErr) || !same(got.KS, want.KS) ||
+		got.Xmin != want.Xmin || got.NTail != want.NTail {
+		return fmt.Errorf("fit %+v, want %+v", got, want)
+	}
+	return nil
+}
+
+// TestFitPowerLawAutoMatchesReference holds the sorted single-pass
+// FitPowerLawAuto, and FitPowerLaw's shared KS helper, to the O(D·n)
+// reference on the sampled power laws above, on the degrees and
+// in-degrees of every registered model at its default n = 2^12, and on
+// the fallback, no-positive and degenerate samples.
+func TestFitPowerLawAutoMatchesReference(t *testing.T) {
+	samples := map[string][]int{
+		"fallback":    {1, 2, 3, 4, 5, 6, 7, 8},
+		"empty":       nil,
+		"nonpositive": {0, -3},
+		"degenerate":  {5, 5, 5},
+		"single":      {7},
+		"ties":        {1, 1, 2, 2, 2, 3, 9, 9, 40, 40, 40, 40},
+	}
+	for _, k := range []float64{2.1, 2.5, 3.0} {
+		samples[fmt.Sprintf("powerlaw k=%v", k)] = samplePowerLaw(t, k, 1, 100000, 60000, 42)
+	}
+	noisy := samplePowerLaw(t, 2.5, 5, 100000, 40000, 7)
+	r := rng.New(8)
+	for i := 0; i < 20000; i++ {
+		noisy = append(noisy, r.IntRange(1, 4))
+	}
+	samples["noisy head"] = noisy
+	for _, name := range model.Names() {
+		m, err := model.New(name, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := m.Generate(rng.New(2024), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples[name+" degrees"] = g.AppendDegrees(nil)
+		samples[name+" in-degrees"] = g.AppendInDegrees(nil)
+	}
+	for name, xs := range samples {
+		for _, minTail := range []int{-1, 0, 1, 2, 50, 100, 1000} {
+			got, gotErr := FitPowerLawAuto(xs, minTail)
+			want, wantErr := fitPowerLawAutoReference(xs, minTail)
+			if err := sameFit(got, gotErr, want, wantErr); err != nil {
+				t.Errorf("%s, minTail %d: %v", name, minTail, err)
+			}
+		}
+		for _, xmin := range []int{0, 1, 2, 5, 30} {
+			got, gotErr := FitPowerLaw(xs, xmin)
+			want, wantErr := fitPowerLawReference(xs, xmin)
+			if err := sameFit(got, gotErr, want, wantErr); err != nil {
+				t.Errorf("%s, FitPowerLaw xmin %d: %v", name, xmin, err)
+			}
+		}
+	}
+}
+
+// fuzzSample decodes fuzz bytes into a sample. A byte below 0xFF is the
+// value byte − 16, so ties, zeros and negatives are common; 0xFF takes
+// the next eight bytes as a full-range int64.
+func fuzzSample(data []byte) []int {
+	var xs []int
+	for len(data) > 0 {
+		b := data[0]
+		data = data[1:]
+		if b == 0xFF && len(data) >= 8 {
+			xs = append(xs, int(int64(binary.LittleEndian.Uint64(data))))
+			data = data[8:]
+			continue
+		}
+		xs = append(xs, int(b)-16)
+	}
+	return xs
+}
+
+// FuzzFitPowerLawAuto holds FitPowerLawAuto to the reference on any
+// sample and any minTail in [−1, 200]. Seeds live in
+// testdata/fuzz/FuzzFitPowerLawAuto.
+func FuzzFitPowerLawAuto(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, minTail int) {
+		xs := fuzzSample(data)
+		minTail = (minTail%202+202)%202 - 1
+		got, gotErr := FitPowerLawAuto(xs, minTail)
+		want, wantErr := fitPowerLawAutoReference(xs, minTail)
+		if err := sameFit(got, gotErr, want, wantErr); err != nil {
+			t.Fatalf("minTail %d, sample %v: %v", minTail, xs, err)
+		}
+	})
 }
