@@ -80,14 +80,7 @@ func TestGenerateScratchAllocsBounded(t *testing.T) {
 // yield different (identically distributed) graphs because the
 // samplers consume RNG streams differently.
 func (c Config) GenerateFenwick(r *rng.RNG) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	qDist, err := outDegreeDist(c.QWeights, "QWeights")
-	if err != nil {
-		return nil, err
-	}
-	pDist, err := outDegreeDist(c.PWeights, "PWeights")
+	qDist, pDist, err := c.tables()
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +99,7 @@ func (c Config) GenerateFenwick(r *rng.RNG) (*Result, error) {
 		mustNew := !c.AllowLoops && b.NumVertices() == 1
 		if mustNew || r.Bernoulli(c.Alpha) {
 			v := b.AddVertex()
-			edges := qDist.Sample(r) + 1
+			edges := qDist.sample(r) + 1
 			res.ArrivalOutDeg[v] = edges
 			for i := 0; i < edges; i++ {
 				w := c.pickTerminalFenwick(r, indeg, c.Beta, v, int(v)-1)
@@ -117,7 +110,7 @@ func (c Config) GenerateFenwick(r *rng.RNG) (*Result, error) {
 		}
 		res.OldSteps++
 		src := c.pickOldSourceFenwick(r, b, indeg)
-		edges := pDist.Sample(r) + 1
+		edges := pDist.sample(r) + 1
 		for i := 0; i < edges; i++ {
 			w := c.pickTerminalFenwick(r, indeg, c.Gamma, src, b.NumVertices())
 			b.AddEdge(src, w)

@@ -48,9 +48,13 @@ func CheckEventCF(res *cooperfrieze.Result, a, b int) (bool, error) {
 }
 
 // MonteCarloEventProbCF estimates the probability of the Theorem-2
-// equivalence event for the window (a, cfg.N] by repeated generation.
-// It returns the estimate and its standard error. Every replication
-// generates into one scratch, which yields the graphs Generate would.
+// equivalence event for the window (a, cfg.N] over reps replications
+// and returns the estimate and its standard error. Each replication
+// runs cfg.DrawsAtMost, which consumes exactly the RNG outputs
+// cfg.Generate consumes but builds no graph: the event holds iff no
+// drawn terminal or Old-step source exceeds a, so the estimate equals,
+// bit for bit, counting CheckEventCF over generated graphs.
+// GenerateScratch + CheckEventCF remain its test reference.
 func MonteCarloEventProbCF(r *rng.RNG, cfg cooperfrieze.Config, a, reps int) (estimate, stderr float64, err error) {
 	if reps < 1 {
 		return 0, 0, fmt.Errorf("equivalence: reps = %d < 1", reps)
@@ -61,11 +65,7 @@ func MonteCarloEventProbCF(r *rng.RNG, cfg cooperfrieze.Config, a, reps int) (es
 	var s cooperfrieze.Scratch
 	hits := 0
 	for i := 0; i < reps; i++ {
-		res, err := cfg.GenerateScratch(r, &s)
-		if err != nil {
-			return 0, 0, err
-		}
-		ok, err := CheckEventCF(res, a, cfg.N)
+		ok, err := cfg.DrawsAtMost(r, a, &s)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -14,10 +14,12 @@
 //
 //   - its Monte-Carlo estimate, which by the same argument needs no
 //     tree: while the event holds, every recorded endpoint lies in
-//     [1, a], so only a uniform draw above a can break it.
-//     MonteCarloEventProb therefore runs mori.FathersAtMost, which
-//     makes GenerateTree's RNG calls and keeps only the verdict;
-//     GenerateTree + CheckEvent remain its test reference;
+//     [1, a], so only a uniform draw above a can break it, and before
+//     the window no draw can. MonteCarloEventProb therefore runs
+//     mori.FathersAtMost, which consumes GenerateTree's RNG outputs,
+//     computes draws only where they can decide the event, and keeps
+//     only the verdict; GenerateTree + CheckEvent remain its test
+//     reference;
 //
 //   - Lemma 3's closed-form floor: for b = a + ⌊√(a-1)⌋,
 //     P(E_{a,b}) >= e^{-(1-p)};
@@ -28,8 +30,11 @@
 //
 //   - the equivalence event for Cooper–Frieze graphs used by Theorem 2
 //     (window vertices untouched except their own arrival edges into
-//     [1, a]), checked on generation traces and estimated by Monte
-//     Carlo.
+//     [1, a]), checked on generated graphs by CheckEventCF and
+//     estimated by Monte Carlo through cooperfrieze's draw-only
+//     DrawsAtMost: the event holds iff no drawn terminal or Old-step
+//     source exceeds a, so no replication builds a graph;
+//     GenerateScratch + CheckEventCF remain its test reference.
 package equivalence
 
 import (
@@ -130,10 +135,12 @@ func isqrt(x int) int {
 
 // MonteCarloEventProb estimates P(E_{a,b}) over reps draws of a tree
 // of size b and returns the estimate and its standard error. Each
-// replication makes exactly the RNG calls mori.GenerateTree(r, b, p)
-// makes but builds no tree: mori.FathersAtMost decides the event from
-// the draws alone, so the estimate equals, bit for bit, counting
-// CheckEvent over generated trees, and the call allocates nothing.
+// replication consumes exactly the RNG outputs mori.GenerateTree(r, b,
+// p) consumes but builds no tree: mori.FathersAtMost decides the event
+// from the draws alone, skipping the coin and index arithmetic of the
+// vertices before the window, so the estimate equals, bit for bit,
+// counting CheckEvent over generated trees, and the call allocates
+// nothing.
 func MonteCarloEventProb(r *rng.RNG, p float64, a, b, reps int) (estimate, stderr float64, err error) {
 	if reps < 1 {
 		return 0, 0, fmt.Errorf("equivalence: reps = %d < 1", reps)

@@ -207,7 +207,10 @@ func TestFathersAtMostMatchesCheckEvent(t *testing.T) {
 	for seed := uint64(0); seed < 64; seed++ {
 		for _, size := range []int{2, 3, 4, 5, 17, 270, 1054} {
 			for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
-				for _, a := range []int{1, (size + 1) / 2, size - isqrt(size-1), size} {
+				// a = 1, 2 and size-1 are the windows where the
+				// coin-free prefix covers nothing, one vertex, or the
+				// whole tree.
+				for _, a := range []int{1, 2, (size + 1) / 2, size - isqrt(size-1), size - 1, size} {
 					ref, pass := rng.New(seed), rng.New(seed)
 					tree, err := mori.GenerateTree(ref, size, p)
 					if err != nil {
@@ -331,8 +334,14 @@ func TestMonteCarloEstimatorsMatchReferences(t *testing.T) {
 	}
 }
 
-// TestMonteCarloEventProbAllocFree pins the estimator's cost to its
-// draws: no tree, no endpoint array, no allocation at all.
+// TestMonteCarloEventProbAllocFree pins both estimators' cost to their
+// draws. The Móri estimator allocates nothing at all. The
+// Cooper–Frieze estimator allocates nothing on E3's configuration (one
+// weight per out-degree table, loops allowed, so no endpoint array).
+// Without loops it may allocate the endpoint array once per call, and
+// with two-weight tables the two tables per replication (2 allocations
+// each), as each generation did before, plus growths of the endpoint
+// array past its hint, since those tables emit more edges per step.
 func TestMonteCarloEventProbAllocFree(t *testing.T) {
 	r := rng.New(5)
 	a, b, err := Window(512)
@@ -346,6 +355,94 @@ func TestMonteCarloEventProbAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("MonteCarloEventProb allocates %v times per call, want 0", allocs)
+	}
+
+	const reps = 20
+	for _, tc := range []struct {
+		cfg  cooperfrieze.Config
+		most float64
+	}{
+		{cooperfrieze.Config{N: 512, Alpha: 0.5, Beta: 0.5, Gamma: 0.5, Delta: 0.5, AllowLoops: true}, 0},
+		{cooperfrieze.Config{N: 512, Alpha: 0.5, Beta: 0.5, Gamma: 0.5, Delta: 0.5}, 1},
+		{cooperfrieze.Config{N: 512, Alpha: 0.5, Beta: 0.5, Gamma: 0.5, Delta: 0.5,
+			QWeights: []float64{1, 1}, PWeights: []float64{2, 1}}, reps*2*2 + 4},
+	} {
+		a, err := WindowEndingAt(tc.cfg.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, _, err := MonteCarloEventProbCF(r, tc.cfg, a, reps); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.most {
+			t.Errorf("%+v: MonteCarloEventProbCF allocates %v times per call, want at most %v", tc.cfg, allocs, tc.most)
+		}
+	}
+}
+
+// TestCFEventPassMatchesCheckEventCF pins the draw-only pass behind
+// MonteCarloEventProbCF to its reference, draw for draw: on identically
+// seeded generators, cfg.DrawsAtMost must give CheckEventCF's verdict on
+// GenerateScratch's graph and leave the generator in the same state.
+func TestCFEventPassMatchesCheckEventCF(t *testing.T) {
+	configs := []cooperfrieze.Config{
+		// E3's two α values.
+		{Alpha: 0.5, Beta: 0.5, Gamma: 0.5, Delta: 0.5, AllowLoops: true},
+		{Alpha: 0.8, Beta: 0.5, Gamma: 0.5, Delta: 0.5, AllowLoops: true},
+		// α = 1: every step is New.
+		{Alpha: 1, Beta: 0.5, Gamma: 0.5, Delta: 0.5},
+		// Coins at 0 and 1, which draw nothing.
+		{Alpha: 0.5, Beta: 0, Gamma: 1, Delta: 0, AllowLoops: true},
+		{Alpha: 0.5, Beta: 1, Gamma: 0, Delta: 1},
+		// Every choice preferential without loops: New edges all land
+		// on the seed, so Old steps from it retry to the fallback.
+		{Alpha: 0.5, Beta: 1, Gamma: 1, Delta: 0},
+		// Multi-weight out-degree tables, loops off and on.
+		{Alpha: 0.6, Beta: 0.3, Gamma: 0.7, Delta: 0.2, QWeights: []float64{1, 1}, PWeights: []float64{2, 1}},
+		{Alpha: 0.6, Beta: 0.3, Gamma: 0.7, Delta: 0.2, QWeights: []float64{1, 0, 2}, PWeights: []float64{1, 3}, AllowLoops: true},
+	}
+	var s cooperfrieze.Scratch
+	for _, base := range configs {
+		verdicts := map[bool]int{}
+		for _, n := range []int{3, 64, 300, 1024} {
+			cfg := base
+			cfg.N = n
+			end, err := WindowEndingAt(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := uint64(0); seed < 100; seed++ {
+				ref := rng.New(seed)
+				res, err := cfg.GenerateScratch(ref, &s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				next := ref.Uint64()
+				for _, a := range []int{1, n / 2, end, n - 1} {
+					want, err := CheckEventCF(res, a, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pass := rng.New(seed)
+					got, err := cfg.DrawsAtMost(pass, a, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("%+v seed %d a %d: pass says %v, CheckEventCF says %v", cfg, seed, a, got, want)
+					}
+					if x := pass.Uint64(); x != next {
+						t.Fatalf("%+v seed %d a %d: streams diverge after the draw (%#x vs %#x)", cfg, seed, a, x, next)
+					}
+					verdicts[got]++
+				}
+			}
+		}
+		if verdicts[true] == 0 || verdicts[false] == 0 {
+			t.Errorf("%+v: verdicts %v, both outcomes must be exercised", base, verdicts)
+		}
 	}
 }
 

@@ -11,11 +11,14 @@ import (
 // untrusted files. Seed corpora live in testdata/fuzz/FuzzSnapshot: a
 // snapshot of every registered model at n <= 12, each also truncated by
 // one byte, plus header-only and half-header truncations, a flipped
-// header byte and a flipped body byte. For any bytes:
+// header byte, a flipped body byte, and a 3-vertex graph with a
+// self-loop whose Out halves carry out byte 2. For any bytes:
 //   - no input panics;
 //   - decoding allocates at most twice the input's own size, on the
 //     decode-copy path, which allocates every section it reads;
 //   - the zero-copy and decode-copy paths accept the same inputs;
+//   - every half of an accepted snapshot has its raw out byte in
+//     {0, 1}, since any other byte is not a Go bool;
 //   - on a snapshot Validate accepts, BFSParallelInto at 1 and 2
 //     workers from vertices 1 and n equals BFSInto, and
 //     ComponentsParallelInto equals Components.
@@ -53,6 +56,12 @@ func FuzzSnapshot(f *testing.F) {
 		}
 		g := s.Graph()
 		n := g.NumVertices()
+		l := computeLayout(n, g.NumEdges())
+		for i := 0; i < 2*g.NumEdges(); i++ {
+			if b := data[l.halvesOff+int64(snapshotHalfSize*i)+8]; b > 1 {
+				t.Fatalf("Validate accepted half %d with out byte %d", i, b)
+			}
+		}
 		if n == 0 {
 			return
 		}

@@ -394,6 +394,10 @@ func snapshotFromBytes(data []byte, unmap func() error) (*Snapshot, error) {
 	if int64(len(data)) != l.size {
 		return nil, fmt.Errorf("snapshot size %d bytes, n=%d m=%d needs exactly %d", len(data), n, m, l.size)
 	}
+	halves, err := castHalves(data[l.halvesOff:], 2*m)
+	if err != nil {
+		return nil, err
+	}
 	g := &Graph{
 		n:      n,
 		from:   castVertices(data[l.fromOff:], m),
@@ -401,7 +405,7 @@ func snapshotFromBytes(data []byte, unmap func() error) (*Snapshot, error) {
 		off:    castInt32s(data[l.offOff:], n+2),
 		indeg:  castInt32s(data[l.indegOff:], n+1),
 		outdeg: castInt32s(data[l.outdegOff:], n+1),
-		halves: castHalves(data[l.halvesOff:], 2*m),
+		halves: halves,
 	}
 	if unmap == nil {
 		unmap = func() error { return nil }
@@ -438,32 +442,44 @@ func castVertices(b []byte, count int) []Vertex {
 	return out
 }
 
-func castHalves(b []byte, count int) []Half {
+// castHalves serves the half records. An out byte other than 0 or 1 is
+// not a Go bool: the zero-copy cast keeps it, and Validate rejects it
+// there; the decode-copy path cannot carry it into a bool, so it
+// rejects it here.
+func castHalves(b []byte, count int) ([]Half, error) {
 	if count == 0 {
-		return nil
+		return nil, nil
 	}
 	if zeroCopyOK() && halfLayoutOK {
-		return unsafe.Slice((*Half)(unsafe.Pointer(&b[0])), count)
+		return unsafe.Slice((*Half)(unsafe.Pointer(&b[0])), count), nil
 	}
 	out := make([]Half, count)
 	for i := range out {
 		rec := b[snapshotHalfSize*i:]
+		if rec[8] > 1 {
+			return nil, fmt.Errorf("snapshot half %d has out byte %d, want 0 or 1", i, rec[8])
+		}
 		out[i] = Half{
 			Edge:  EdgeID(binary.LittleEndian.Uint32(rec[0:])),
 			Other: Vertex(binary.LittleEndian.Uint32(rec[4:])),
-			Out:   rec[8] != 0,
+			Out:   rec[8] == 1,
 		}
 	}
-	return out
+	return out, nil
 }
 
+// outByte is the byte behind h.Out, which a zero-copy half holds as the
+// file stored it.
+func outByte(h *Half) byte { return *(*byte)(unsafe.Pointer(&h.Out)) }
+
 // Validate runs the full O(n+m) structural check of the snapshot's
-// graph: offsets monotone and spanning exactly 2m halves, every half
-// consistent with its edge's endpoints, every incidence list in
-// Graph.Incident's edge order, every endpoint in range, and the degree
-// counters matching the edge list. WriteSnapshot output
-// always validates; use this before traversing a file from an
-// untrusted source, where OpenSnapshot's header checks are not enough.
+// graph: offsets monotone and spanning exactly 2m halves, every half's
+// out byte 0 or 1 and the half consistent with its edge's endpoints,
+// every incidence list in Graph.Incident's edge order, every endpoint
+// in range, and the degree counters matching the edge list.
+// WriteSnapshot output always validates; use this before traversing a
+// file from an untrusted source, where OpenSnapshot's header checks
+// are not enough.
 func (s *Snapshot) Validate() error {
 	g := s.g
 	if g == nil {
@@ -505,6 +521,9 @@ func (s *Snapshot) Validate() error {
 	for v := 1; v <= n; v++ {
 		inc := g.halves[g.off[v]:g.off[v+1]]
 		for i, h := range inc {
+			if b := outByte(&inc[i]); b > 1 {
+				return fmt.Errorf("graph: snapshot vertex %d half of edge %d has out byte %d, want 0 or 1", v, h.Edge, b)
+			}
 			// Incident's order: ascending EdgeID, a self-loop's Out half
 			// directly before its In half.
 			if i > 0 {

@@ -31,12 +31,13 @@
 // vertex draw, the preferential draw is pure hit-count sampling and is
 // served by the O(1) endpoint array (weights.EndpointArray): generation
 // of an n-vertex tree costs O(n) time and O(1) allocations (amortized
-// zero with a Scratch). FathersAtMost makes the same draws without
-// building the tree, for estimators that need only the equivalence
-// event (package equivalence). The tests keep the historical O(n log n)
-// Fenwick-tree generator as the reference the production sampler is
-// validated against (chi-square equivalence), and BenchmarkGenerateTree
-// times the two against each other.
+// zero with a Scratch). FathersAtMost consumes the same RNG outputs
+// without building the tree, for estimators that need only the
+// equivalence event (package equivalence); before the event's window
+// it takes them without computing the draws at all. The tests keep the
+// historical O(n log n) Fenwick-tree generator as the reference the
+// production sampler is validated against (chi-square equivalence), and
+// BenchmarkGenerateTree times the two against each other.
 package mori
 
 import (
@@ -109,18 +110,25 @@ func generateTree(r *rng.RNG, size int, p float64, fathers []graph.Vertex, ends 
 }
 
 // FathersAtMost reports whether every vertex in (a, size] of a Móri
-// tree attached to a vertex <= a, without building the tree. It makes
-// exactly the RNG calls GenerateTree(r, size, p) makes (same methods,
-// order and bounds), so for equal seeds it returns the verdict
+// tree attached to a vertex <= a, without building the tree. It
+// consumes exactly the RNG outputs GenerateTree(r, size, p) consumes,
+// in the same order, so for equal seeds it returns the verdict
 // CheckEvent (package equivalence) gives on GenerateTree's tree and
-// leaves r in the same state.
+// leaves r in the same state. It does not compute every value those
+// outputs feed.
 //
 // While the event holds up to vertex k-1, every recorded endpoint lies
 // in [1, a], so a preferential draw cannot break it; only a uniform
-// draw with idx >= a (a father above a) can. The preferential index is
-// still drawn, to keep the stream aligned. A uniform draw for
-// k <= a+1 has idx <= k-2 < a, so the largest uniform idx over the
-// whole tree decides the event.
+// draw with idx >= a (a father above a) can. For k <= a+1 no draw can:
+// every father is <= k-1 <= a. So over that prefix only the stream
+// position matters, and each vertex takes its two Uint64 outputs (the
+// coin's and the index's) without converting them. That is exact
+// unless Lemire's rejection inside Intn would draw again, so the
+// prefix checks, for each vertex and either bound k-2 or k-1, whether
+// it could (mayRedraw). If any could (a chance of about 2k/2^64 per
+// vertex), r is restored to its state before the prefix and the whole
+// tree runs through attachDraw (redraw). Vertices after the prefix
+// always run through attachDraw.
 func FathersAtMost(r *rng.RNG, size int, p float64, a int) (bool, error) {
 	if err := validateTree(size, p); err != nil {
 		return false, err
@@ -128,15 +136,63 @@ func FathersAtMost(r *rng.RNG, size int, p float64, a int) (bool, error) {
 	return fathersAtMost(r, size, p, a), nil
 }
 
-// fathersAtMost is FathersAtMost's loop. Its only data-dependent branch
-// is Lemire's rare rejection inside Intn: the coin is unpredictable by
-// design, so it selects values (the bound inside attachDraw, the
-// tracked idx here) instead of steering control flow.
+// fathersAtMost is FathersAtMost's pass: the coin-free prefix up to
+// vertex min(a+1, size), then attachDraw for the rest, or redraw when
+// a prefix draw could have been rejected.
 //
 //sf:hotpath
 func fathersAtMost(r *rng.RNG, size int, p float64, a int) bool {
+	end := min(a, size-1) + 1 // the prefix's last vertex, without a+1 overflowing
+	saved := *r
+	if !skipPrefix(r, end) {
+		return redraw(r, saved, size, p, a)
+	}
+	return fathersFrom(r, end+1, size, p, a)
+}
+
+// skipPrefix advances r past vertices 3..end as attachDraw would, two
+// outputs per vertex, and reports whether that was exact: false when
+// some vertex's index output could make Intn draw again, whatever its
+// coin chose.
+//
+//sf:hotpath
+func skipPrefix(r *rng.RNG, end int) bool {
+	for k := 3; k <= end; k++ {
+		r.Uint64() // the coin
+		x, n := r.Uint64(), uint64(k)
+		if mayRedraw(x, n-2) || mayRedraw(x, n-1) {
+			return false
+		}
+	}
+	return true
+}
+
+// mayRedraw reports whether Lemire's bounded draw (rng.Uint64n) with
+// bound n >= 1 could reject the output x and draw again. It rejects
+// when x·n mod 2^64 < (2^64 - n) mod n, so a low word below n is
+// necessary.
+func mayRedraw(x, n uint64) bool {
+	return x*n < n
+}
+
+// redraw is the exact fallback: it restores r to saved, its state
+// before the prefix, and runs every vertex through attachDraw.
+func redraw(r *rng.RNG, saved rng.RNG, size int, p float64, a int) bool {
+	*r = saved
+	return fathersFrom(r, 3, size, p, a)
+}
+
+// fathersFrom runs vertices from..size through attachDraw and reports
+// whether none of them drew a uniform father above a. Its only
+// data-dependent branch is Lemire's rare rejection inside Intn: the
+// coin is unpredictable by design, so it selects values (the bound
+// inside attachDraw, the tracked idx here) instead of steering control
+// flow.
+//
+//sf:hotpath
+func fathersFrom(r *rng.RNG, from, size int, p float64, a int) bool {
 	worst := 0 // the largest uniform idx so far; its father is worst+1
-	for k := 3; k <= size; k++ {
+	for k := max(from, 3); k <= size; k++ {
 		idx, pref := attachDraw(r, k, p)
 		if pref {
 			idx = 0

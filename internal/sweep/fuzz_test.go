@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 )
 
@@ -48,6 +49,51 @@ func FuzzShardFile(f *testing.F) {
 		}
 		if !bytes.Equal(re, data) {
 			t.Fatalf("shard file re-encodes to different bytes:\n got %x\nwant %x", re, data)
+		}
+	})
+}
+
+// FuzzWireMessages feeds arbitrary protocol lines to splitMsg and every
+// field parser of the coordinator wire protocol (parseLease,
+// parseResult, parseID and parseMillis), whatever the verb. Seed
+// corpora live in testdata/fuzz/FuzzWireMessages: one valid line per
+// verb, plus a WAIT whose millisecond count overflows a Duration. For
+// any line:
+//   - no input panics;
+//   - parseMillis never returns a negative duration without an error;
+//   - a parsed LEASE or RESULT, formatted again by formatLease or
+//     formatResult and parsed, gives back the same message, and a
+//     parsed duration formatted as milliseconds parses to itself.
+func FuzzWireMessages(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line string) {
+		_, fields := splitMsg(line)
+		parseID(fields) // any text may fail to parse; only a panic is a bug
+		if len(fields) > 0 {
+			if d, err := parseMillis(fields[0]); err == nil {
+				if d < 0 {
+					t.Fatalf("parseMillis(%q) = %v without an error", fields[0], d)
+				}
+				again, err := parseMillis(strconv.FormatInt(d.Milliseconds(), 10))
+				if err != nil || again != d {
+					t.Fatalf("parseMillis(%q) = %v, but its millisecond count parses to %v, %v", fields[0], d, again, err)
+				}
+			}
+		}
+		if m, err := parseLease(fields); err == nil {
+			v, fs := splitMsg(formatLease(m))
+			again, err := parseLease(fs)
+			if v != "LEASE" || err != nil || again != m {
+				t.Fatalf("lease %+v formats to %q and parses back as %q %+v, %v", m, formatLease(m), v, again, err)
+			}
+		}
+		if m, err := parseResult(fields); err == nil {
+			line := formatResult(m.LeaseID, m.ExpID, m.Index, m.Payload)
+			v, fs := splitMsg(line)
+			again, err := parseResult(fs)
+			if v != "RESULT" || err != nil || again.LeaseID != m.LeaseID || again.ExpID != m.ExpID ||
+				again.Index != m.Index || !bytes.Equal(again.Payload, m.Payload) {
+				t.Fatalf("result %+v formats to %q and parses back as %q %+v, %v", m, line, v, again, err)
+			}
 		}
 	})
 }

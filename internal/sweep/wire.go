@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -245,10 +246,12 @@ func parseResult(fields []string) (resultMsg, error) {
 }
 
 // parseMillis parses the numeric field of WAIT and the optional
-// heartbeat field of OK.
+// heartbeat field of OK. A count whose Duration would overflow is
+// rejected: multiplied out, it would wrap to a negative or garbage
+// interval.
 func parseMillis(field string) (time.Duration, error) {
-	ms, err := strconv.Atoi(field)
-	if err != nil || ms < 0 {
+	ms, err := strconv.ParseInt(field, 10, 64)
+	if err != nil || ms < 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 		return 0, fmt.Errorf("sweep: bad millisecond count %q", field)
 	}
 	return time.Duration(ms) * time.Millisecond, nil
