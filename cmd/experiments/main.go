@@ -520,7 +520,7 @@ func runAll(ctx context.Context, selected []experiment.Experiment, cfg experimen
 			e.ID, e.Title, cfg.Scale, cfg.Seed, o.workers)
 		opts := engine.Options{Workers: o.workers, Trace: rec}
 		if o.progress {
-			opts.Progress = progressHook(engine.NewRateTracker(0))
+			opts.Progress = progressHook(engine.NewRateTracker())
 		}
 		rec.Emit(trace.Record{Ph: 'B', Name: "experiment " + e.ID, Cat: "sweep"})
 		start := time.Now()
@@ -556,7 +556,7 @@ func runShards(ctx context.Context, selected []experiment.Experiment, cfg experi
 			e.ID, spec, e.Title, cfg.Scale, cfg.Seed, fp, path)
 		opts := engine.Options{Workers: workers}
 		if progress {
-			opts.Progress = progressHook(engine.NewRateTracker(0))
+			opts.Progress = progressHook(engine.NewRateTracker())
 		}
 		start := time.Now()
 		stats, err := e.RunShard(ctx, cfg, spec, opts, cache, path)
@@ -651,7 +651,7 @@ func runCoordinator(ctx context.Context, selected []experiment.Experiment, cfg e
 	// scheduling or results, which the golden observability test pins.
 	var rt *engine.RateTracker
 	if o.progress || o.statusAddr != "" {
-		rt = engine.NewRateTracker(0)
+		rt = engine.NewRateTracker()
 		progress := o.progress
 		copts.OnResult = func(worker, expID string, t engine.Trial, done int) {
 			rt.Observe(engine.Progress{Done: done, Total: total})
@@ -736,7 +736,7 @@ func runWorker(ctx context.Context, selected []experiment.Experiment, cfg experi
 	rec.BFSSample = o.traceBFS
 	eopts := engine.Options{Workers: o.workers, Trace: rec}
 	if o.progress {
-		eopts.Progress = progressHook(engine.NewRateTracker(0))
+		eopts.Progress = progressHook(engine.NewRateTracker())
 	}
 	name := sweep.DefaultWorkerName()
 	wopts := sweep.WorkerOptions{

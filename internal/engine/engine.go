@@ -1,27 +1,26 @@
 // Package engine executes experiment trials on a bounded worker pool.
 //
 // A Trial is the unit of parallel work: an index into its plan, a
-// human-readable key, and a derived seed. Run executes a pure trial
-// function over a slice of trials and returns the results in trial
-// order, so a deterministic reduction over the result slice produces
-// output that is bit-identical regardless of the worker count. The
-// contract the caller must honour is that the trial function depends
-// only on (Trial, r) — never on shared mutable state or on the order
-// in which other trials complete. Shared *read-only* state (a graph
-// generated at plan time, an algorithm value) is fine.
+// human-readable key, and a derived seed. RunScratch executes a pure
+// trial function over a slice of trials and returns the results in
+// trial order, so a deterministic reduction over the result slice
+// produces output that is bit-identical regardless of the worker
+// count. The contract the caller must honour is that the trial
+// function depends only on (Trial, r) — never on shared mutable state
+// or on the order in which other trials complete. Shared *read-only*
+// state (a graph generated at plan time, an algorithm value) is fine.
 //
 // Each trial gets a private RNG seeded from Trial.Seed, which is the
 // rng package's intended concurrency model: one generator per
 // goroutine, streams fanned out with rng.DeriveSeed.
 //
-// RunScratch extends the contract with per-worker scratch state: each
-// worker goroutine owns one scratch value (built by a factory at worker
-// start) that is handed to every trial the worker executes. Scratch is
-// for reusable buffers only — trial *results* must still be a pure
-// function of (Trial, r), so a trial may use the scratch's memory but
-// never read information another trial left behind. This is what makes
-// repeated fixed-size trials allocation-free without breaking the
-// bit-identical-across-worker-counts guarantee.
+// Each worker goroutine also owns one scratch value (built by a factory
+// at worker start) that is handed to every trial the worker executes.
+// Scratch is for reusable buffers only — trial *results* must still be
+// a pure function of (Trial, r), so a trial may use the scratch's
+// memory but never read information another trial left behind. This
+// is what makes repeated fixed-size trials allocation-free without
+// breaking the bit-identical-across-worker-counts guarantee.
 package engine
 
 import (
@@ -39,8 +38,8 @@ import (
 
 // Trial identifies one independent unit of work inside a plan.
 type Trial struct {
-	// Index is the trial's position in the plan; Run places its result
-	// at this position in the returned slice.
+	// Index is the trial's position in the plan; RunScratch places its
+	// result at this position in the returned slice.
 	Index int
 	// Key labels the trial for progress output and error messages,
 	// e.g. "E1/p=0.25/m=1/degree-greedy-weak/n=512/rep=3".
@@ -49,8 +48,10 @@ type Trial struct {
 	Seed uint64
 }
 
-// Progress reports the completion of one trial. Done counts completed
-// trials (successful or not) across the whole run.
+// Progress is the one record of an executed trial, so whatever it
+// feeds agrees with the trace. Done counts completed trials
+// (successful or not) across the whole run; Elapsed is the trial's
+// duration, to the nanosecond its trial span's.
 type Progress struct {
 	Done    int
 	Total   int
@@ -88,28 +89,18 @@ func (o Options) effectiveWorkers(trials int) int {
 	return w
 }
 
-// Run executes fn over trials on a bounded worker pool and returns the
-// results in trial order. The first trial error cancels the run (no new
-// trials start; in-flight trials finish) and is returned wrapped with
-// its trial key; with several concurrent failures the lowest-indexed
-// one that actually ran wins, so single-failure error reporting is
-// deterministic. Cancellation of ctx likewise stops the run and
-// surfaces ctx.Err(). A panicking trial is recovered and reported as an
-// error rather than tearing down the process.
-func Run[T any](ctx context.Context, trials []Trial, opts Options, fn func(ctx context.Context, t Trial, r *rng.RNG) (T, error)) ([]T, error) {
-	return RunScratch(ctx, trials, opts,
-		func() struct{} { return struct{}{} },
-		func(ctx context.Context, t Trial, r *rng.RNG, _ struct{}) (T, error) {
-			return fn(ctx, t, r)
-		})
-}
-
-// RunScratch is Run with per-worker scratch state: newScratch is called
-// once per worker goroutine and the resulting value is passed to every
-// trial that worker executes, so trials of the same shape can reuse
-// buffers instead of re-allocating. newScratch may return nil (for
-// pointer-typed scratch); fn must then fall back to fresh allocation.
-// See the package comment for the purity contract scratch must honour.
+// RunScratch executes fn over trials on a bounded worker pool and
+// returns the results in trial order. newScratch is called once per
+// worker goroutine, and its value is passed to every trial that worker
+// executes (see the package comment); it may return nil for
+// pointer-typed scratch, and fn must then allocate afresh. The first
+// trial error cancels the run (no new trials start; in-flight trials
+// finish) and is returned wrapped with its trial key; with several
+// concurrent failures the lowest-indexed one that actually ran wins,
+// so single-failure error reporting is deterministic. Cancellation of
+// ctx likewise stops the run and surfaces ctx.Err(). A panicking trial
+// is recovered and reported as an error rather than tearing down the
+// process.
 func RunScratch[T, S any](ctx context.Context, trials []Trial, opts Options, newScratch func() S, fn func(ctx context.Context, t Trial, r *rng.RNG, scratch S) (T, error)) ([]T, error) {
 	results := make([]T, len(trials))
 	if len(trials) == 0 {
@@ -157,9 +148,8 @@ func RunScratch[T, S any](ctx context.Context, trials []Trial, opts Options, new
 					// and skipped trials must not masquerade as failures.
 					continue
 				}
-				tw.Begin(trials[i].Key, "trial")
-				res, elapsed, err := timedTrial(ctx, trials[i], scratch, fn)
-				tw.End()
+				res, elapsed, err := runTrial(ctx, trials[i], scratch, tw, fn)
+				opts.Trace.Flush(tw) // no span is open between trials
 				if err != nil {
 					errs[i] = err
 					cancel()
@@ -199,24 +189,22 @@ func RunScratch[T, S any](ctx context.Context, trials []Trial, opts Options, new
 	return results, nil
 }
 
-// timedTrial runs one trial and measures its wall-clock duration. The
-// duration feeds only Progress.Elapsed; it never reaches a result, so
-// this is the single sanctioned wall-clock read in the engine.
+// runTrial runs one trial in its span with a fresh RNG, converting a
+// panic into an error so one bad trial cannot take down the pool. Its
+// start and end are the engine's one clock pair per trial; the
+// duration is observability output and never reaches a result.
 //
-//sf:wallclock — per-trial elapsed time is progress output only.
-func timedTrial[T, S any](ctx context.Context, t Trial, scratch S, fn func(ctx context.Context, t Trial, r *rng.RNG, scratch S) (T, error)) (T, time.Duration, error) {
+//sf:wallclock — per-trial timing is observability output only.
+func runTrial[T, S any](ctx context.Context, t Trial, scratch S, tw *trace.Writer, fn func(ctx context.Context, t Trial, r *rng.RNG, scratch S) (T, error)) (res T, elapsed time.Duration, err error) {
 	start := time.Now()
-	res, err := runTrial(ctx, t, scratch, fn)
-	return res, time.Since(start), err
-}
-
-// runTrial runs one trial with a fresh RNG, converting panics into
-// errors so one bad trial cannot take down the pool.
-func runTrial[T, S any](ctx context.Context, t Trial, scratch S, fn func(ctx context.Context, t Trial, r *rng.RNG, scratch S) (T, error)) (res T, err error) {
+	tw.BeginAt(start, t.Key, "trial")
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("engine: trial panicked: %v", p)
 		}
+		elapsed = time.Since(start)
+		tw.EndAt(start.Add(elapsed))
 	}()
-	return fn(ctx, t, rng.New(t.Seed), scratch)
+	res, err = fn(ctx, t, rng.New(t.Seed), scratch)
+	return // the deferred call sets elapsed and ends the span
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"scalefree/internal/obs/trace"
 	"scalefree/internal/rng"
 )
 
@@ -23,8 +24,14 @@ func makeTrials(n int) []Trial {
 	return trials
 }
 
-// run one deterministic "workload": a few draws from the per-trial RNG
-// mixed with the trial identity.
+// run is RunScratch for trial functions that need no scratch.
+func run[T any](ctx context.Context, trials []Trial, opts Options, fn func(context.Context, Trial, *rng.RNG) (T, error)) ([]T, error) {
+	return RunScratch(ctx, trials, opts, func() struct{} { return struct{}{} },
+		func(ctx context.Context, t Trial, r *rng.RNG, _ struct{}) (T, error) { return fn(ctx, t, r) })
+}
+
+// workload is one deterministic trial: a few draws from the per-trial
+// RNG mixed with the trial identity.
 func workload(_ context.Context, t Trial, r *rng.RNG) (uint64, error) {
 	sum := uint64(t.Index)
 	for i := 0; i < 100; i++ {
@@ -35,7 +42,7 @@ func workload(_ context.Context, t Trial, r *rng.RNG) (uint64, error) {
 
 func TestRunResultsInTrialOrder(t *testing.T) {
 	trials := makeTrials(50)
-	got, err := Run(context.Background(), trials, Options{Workers: 1}, workload)
+	got, err := run(context.Background(), trials, Options{Workers: 1}, workload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,12 +56,12 @@ func TestRunResultsInTrialOrder(t *testing.T) {
 
 func TestRunWorkerCountInvariance(t *testing.T) {
 	trials := makeTrials(97)
-	serial, err := Run(context.Background(), trials, Options{Workers: 1}, workload)
+	serial, err := run(context.Background(), trials, Options{Workers: 1}, workload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16, 200} {
-		parallel, err := Run(context.Background(), trials, Options{Workers: workers}, workload)
+		parallel, err := run(context.Background(), trials, Options{Workers: workers}, workload)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -69,7 +76,7 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 
 func TestRunPerTrialRNGSeededFromTrialSeed(t *testing.T) {
 	trials := makeTrials(8)
-	got, err := Run(context.Background(), trials, Options{Workers: 4},
+	got, err := run(context.Background(), trials, Options{Workers: 4},
 		func(_ context.Context, _ Trial, r *rng.RNG) (uint64, error) {
 			return r.Uint64(), nil
 		})
@@ -86,7 +93,7 @@ func TestRunPerTrialRNGSeededFromTrialSeed(t *testing.T) {
 func TestRunErrorCarriesTrialKey(t *testing.T) {
 	trials := makeTrials(10)
 	boom := errors.New("boom")
-	_, err := Run(context.Background(), trials, Options{Workers: 1},
+	_, err := run(context.Background(), trials, Options{Workers: 1},
 		func(_ context.Context, t Trial, _ *rng.RNG) (int, error) {
 			if t.Index == 3 {
 				return 0, boom
@@ -104,7 +111,7 @@ func TestRunErrorCarriesTrialKey(t *testing.T) {
 func TestRunErrorCancelsRemainingTrials(t *testing.T) {
 	trials := makeTrials(100)
 	var ran sync.Map
-	_, err := Run(context.Background(), trials, Options{Workers: 2},
+	_, err := run(context.Background(), trials, Options{Workers: 2},
 		func(_ context.Context, t Trial, _ *rng.RNG) (int, error) {
 			ran.Store(t.Index, true)
 			if t.Index == 0 {
@@ -126,7 +133,7 @@ func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	trials := makeTrials(20)
 	ran := 0
-	_, err := Run(ctx, trials, Options{Workers: 1},
+	_, err := run(ctx, trials, Options{Workers: 1},
 		func(_ context.Context, t Trial, _ *rng.RNG) (int, error) {
 			ran++
 			if t.Index == 2 {
@@ -149,7 +156,7 @@ func TestRunContextCancellation(t *testing.T) {
 func TestRunPrefersRealErrorOverCancellationEcho(t *testing.T) {
 	trials := makeTrials(2)
 	boom := errors.New("root cause")
-	_, err := Run(context.Background(), trials, Options{Workers: 2},
+	_, err := run(context.Background(), trials, Options{Workers: 2},
 		func(ctx context.Context, tr Trial, _ *rng.RNG) (int, error) {
 			if tr.Index == 0 {
 				// Context-aware trial: blocks until the run is cancelled,
@@ -166,7 +173,7 @@ func TestRunPrefersRealErrorOverCancellationEcho(t *testing.T) {
 
 func TestRunPanicBecomesError(t *testing.T) {
 	trials := makeTrials(4)
-	_, err := Run(context.Background(), trials, Options{Workers: 2},
+	_, err := run(context.Background(), trials, Options{Workers: 2},
 		func(_ context.Context, t Trial, _ *rng.RNG) (int, error) {
 			if t.Index == 1 {
 				panic("kaboom")
@@ -181,7 +188,7 @@ func TestRunPanicBecomesError(t *testing.T) {
 func TestRunProgressStream(t *testing.T) {
 	trials := makeTrials(30)
 	var events []Progress
-	_, err := Run(context.Background(), trials, Options{
+	_, err := run(context.Background(), trials, Options{
 		Workers:  4,
 		Progress: func(p Progress) { events = append(events, p) },
 	}, workload)
@@ -200,7 +207,7 @@ func TestRunProgressStream(t *testing.T) {
 }
 
 func TestRunEmptyPlan(t *testing.T) {
-	got, err := Run(context.Background(), nil, Options{}, workload)
+	got, err := run(context.Background(), nil, Options{}, workload)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty plan: got %v, %v", got, err)
 	}
@@ -253,7 +260,7 @@ func TestRunScratchPerWorkerScratch(t *testing.T) {
 	if made != workers {
 		t.Errorf("scratch factory ran %d times, want one per worker (%d)", made, workers)
 	}
-	want, err := Run(context.Background(), trials, Options{Workers: 1},
+	want, err := run(context.Background(), trials, Options{Workers: 1},
 		func(_ context.Context, tr Trial, r *rng.RNG) (uint64, error) { return r.Uint64(), nil })
 	if err != nil {
 		t.Fatal(err)
@@ -262,5 +269,109 @@ func TestRunScratchPerWorkerScratch(t *testing.T) {
 		if results[i] != want[i] {
 			t.Fatalf("trial %d: scratch path %d != scratch-free path %d", i, results[i], want[i])
 		}
+	}
+}
+
+// phaseScratch carries the worker's trace writer into trials, as
+// core.Scratch does, so a trial can record phase spans.
+type phaseScratch struct{ w *trace.Writer }
+
+func (s *phaseScratch) AttachTrace(w *trace.Writer) { s.w = w }
+
+// tracedRun runs trials that each record two phase spans inside their
+// trial span (six records a trial) and returns the recorder's records
+// and the Progress stream.
+func tracedRun(t *testing.T, trials []Trial, writerCap int) (*trace.Recorder, []trace.Record, []Progress) {
+	t.Helper()
+	rec := trace.New()
+	rec.WriterCap = writerCap
+	var progress []Progress
+	opts := Options{Workers: 2, Trace: rec, Progress: func(p Progress) { progress = append(progress, p) }}
+	_, err := RunScratch(context.Background(), trials, opts,
+		func() *phaseScratch { return &phaseScratch{} },
+		func(_ context.Context, _ Trial, r *rng.RNG, s *phaseScratch) (uint64, error) {
+			s.w.Begin("generate", "phase")
+			v := r.Uint64()
+			s.w.End()
+			s.w.Begin("search", "phase")
+			v += r.Uint64()
+			s.w.End()
+			return v, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec, rec.Drain(), progress
+}
+
+// trialSpans pairs B/E records per lane and returns each trial span's
+// duration by trial key, failing on a stream that does not nest.
+func trialSpans(t *testing.T, recs []trace.Record) map[string]int64 {
+	t.Helper()
+	open := map[int32][]trace.Record{}
+	spans := map[string]int64{}
+	for _, rec := range recs {
+		switch rec.Ph {
+		case 'B':
+			open[rec.TID] = append(open[rec.TID], rec)
+		case 'E':
+			st := open[rec.TID]
+			if len(st) == 0 {
+				t.Fatalf("lane %d: E with no open span", rec.TID)
+			}
+			b := st[len(st)-1]
+			open[rec.TID] = st[:len(st)-1]
+			if b.Cat == "trial" {
+				if _, dup := spans[b.Name]; dup {
+					t.Fatalf("trial %s has two spans", b.Name)
+				}
+				spans[b.Name] = rec.TS - b.TS
+			}
+		}
+	}
+	for tid, st := range open {
+		if len(st) > 0 {
+			t.Fatalf("lane %d: %d spans never ended", tid, len(st))
+		}
+	}
+	return spans
+}
+
+// TestTraceKeepsEveryTrialSpan: a plan whose records exceed the writer
+// capacity many times over loses nothing, because the engine hands a
+// half-full writer to the recorder at each trial boundary; and each
+// trial's span lasts exactly its Progress.Elapsed, since both come
+// from the engine's one clock pair.
+func TestTraceKeepsEveryTrialSpan(t *testing.T) {
+	trials := makeTrials(300) // 1,800 records through 16-record writers
+	rec, recs, progress := tracedRun(t, trials, 16)
+	if d := rec.Dropped(); d != 0 {
+		t.Fatalf("dropped %d records; a trial needs 6 of a writer's 16", d)
+	}
+	spans := trialSpans(t, recs)
+	if len(spans) != len(trials) || len(progress) != len(trials) {
+		t.Fatalf("%d trial spans and %d progress records for %d trials", len(spans), len(progress), len(trials))
+	}
+	for _, p := range progress {
+		if got := spans[p.Trial.Key]; got != int64(p.Elapsed) {
+			t.Fatalf("trial %s: span lasts %d ns, Progress.Elapsed %d ns", p.Trial.Key, got, int64(p.Elapsed))
+		}
+	}
+}
+
+// TestTraceTinyWriterReportsLoss: a writer smaller than one trial's
+// records cannot be saved by flushing, and the export says so.
+func TestTraceTinyWriterReportsLoss(t *testing.T) {
+	rec, recs, _ := tracedRun(t, makeTrials(20), 4)
+	if rec.Dropped() == 0 {
+		t.Fatal("a 4-record writer recorded 6-record trials without loss")
+	}
+	trialSpans(t, recs) // what was kept still nests
+	var buf strings.Builder
+	if err := rec.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"trace_dropped"`) {
+		t.Fatal("a lossy trace exported no trace_dropped instant")
 	}
 }

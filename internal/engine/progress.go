@@ -28,13 +28,10 @@ type RateTracker struct {
 	now    func() time.Time // injectable clock for tests
 }
 
-// NewRateTracker builds a tracker measuring throughput over the given
-// trailing window; window <= 0 defaults to 30 seconds.
-func NewRateTracker(window time.Duration) *RateTracker {
-	if window <= 0 {
-		window = 30 * time.Second
-	}
-	return &RateTracker{window: window, now: time.Now}
+// NewRateTracker builds a tracker measuring throughput over the
+// trailing 30 seconds.
+func NewRateTracker() *RateTracker {
+	return &RateTracker{window: 30 * time.Second, now: time.Now}
 }
 
 // Observe records one completed trial.

@@ -17,7 +17,8 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func newTestTracker(window time.Duration) (*RateTracker, *fakeClock) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
-	rt := NewRateTracker(window)
+	rt := NewRateTracker()
+	rt.window = window
 	rt.now = clock.now
 	return rt, clock
 }
@@ -194,9 +195,9 @@ func TestRateTrackerWithEngine(t *testing.T) {
 	for i := range trials {
 		trials[i] = Trial{Index: i, Key: "t", Seed: uint64(i)}
 	}
-	rt := NewRateTracker(0)
+	rt := NewRateTracker()
 	opts := Options{Workers: 4, Progress: func(p Progress) { rt.Observe(p) }}
-	_, err := Run(context.Background(), trials, opts,
+	_, err := run(context.Background(), trials, opts,
 		func(_ context.Context, tr Trial, _ *rng.RNG) (int, error) { return tr.Index, nil })
 	if err != nil {
 		t.Fatal(err)

@@ -127,13 +127,6 @@ func (g *Gauge) appendText(b []byte) []byte {
 	return appendIntSample(b, g.d.name, "", "", g.v.Load())
 }
 
-func (g *gaugeFunc) appendText(b []byte) []byte {
-	b = appendHeader(b, g.d, "gauge")
-	return appendLabeledSample(b, g.d.name, "", "", "", func(b []byte) []byte {
-		return appendFloat(b, g.fn())
-	})
-}
-
 func (m *infoMetric) appendText(b []byte) []byte {
 	b = appendHeader(b, m.d, "gauge")
 	b = append(b, m.d.name...)

@@ -115,8 +115,6 @@ func kindOf(m metric) string {
 		return "counter"
 	case *Gauge:
 		return "gauge"
-	case *gaugeFunc:
-		return "gauge func"
 	case *Histogram:
 		return "histogram"
 	case *CounterVec:
@@ -139,15 +137,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 // Gauge registers (or returns the existing) integer gauge under name.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.register(name, "gauge", func(d desc) metric { return &Gauge{d: d} }, help).(*Gauge)
-}
-
-// GaugeFunc registers a gauge whose value is computed by fn at scrape
-// time — for cheap point-in-time reads (queue depths, table sizes)
-// where updating a gauge on every transition would be invasive. fn
-// must be safe for concurrent use. Re-registering a name keeps the
-// first fn.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(name, "gauge func", func(d desc) metric { return &gaugeFunc{d: d, fn: fn} }, help)
 }
 
 // Histogram registers (or returns the existing) fixed-bucket histogram
@@ -257,12 +246,6 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// gaugeFunc is a scrape-time computed gauge.
-type gaugeFunc struct {
-	d  desc
-	fn func() float64
 }
 
 // Histogram counts observations into fixed buckets. Observe is

@@ -18,7 +18,6 @@ func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z_total", "last by name").Add(7)
 	r.Gauge("b_gauge", "a gauge").Set(-3)
-	r.GaugeFunc("c_func", "computed", func() float64 { return 2.5 })
 	h := r.Histogram("a_hist", `histogram with "quotes" and \slash`, []float64{0.1, 1, 10})
 	h.Observe(0.05) // bucket le=0.1
 	h.Observe(0.5)  // bucket le=1
@@ -46,9 +45,6 @@ a_hist_count 4
 # HELP b_gauge a gauge
 # TYPE b_gauge gauge
 b_gauge -3
-# HELP c_func computed
-# TYPE c_func gauge
-c_func 2.5
 # HELP d_vec_total labeled
 # TYPE d_vec_total counter
 d_vec_total{worker="w\"1\\x"} 1
@@ -165,7 +161,6 @@ func TestMetricsRace(t *testing.T) {
 	h := r.Histogram("race_seconds", "", nil)
 	v := r.CounterVec("race_vec_total", "", "worker")
 	hv := r.HistogramVec("race_hv_seconds", "", "exp", []float64{0.5})
-	r.GaugeFunc("race_func", "", func() float64 { return float64(c.Value()) })
 
 	const perG = 2000
 	n := runtime.NumCPU()

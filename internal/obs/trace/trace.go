@@ -15,9 +15,9 @@
 // Span and flow ids are derived by FNV-1a from the sweep's
 // deterministic fingerprint plus chunk/trial indices — no math/rand,
 // no hashing of wall-clock — so ids are stable across runs and across
-// processes without coordination. Timestamps are wall-clock, but they
-// flow only into the trace file, never into a result; the single
-// sanctioned clock read lives in nowNano below.
+// processes without coordination. Timestamps flow only into the trace
+// file, never into a result; the single sanctioned clock read lives in
+// clockNow below.
 //
 // Hot-path discipline: a Writer is single-goroutine (the engine hands
 // one to each worker goroutine) and records into a preallocated slice
@@ -26,23 +26,25 @@
 // every span already open, so an End never fails for lack of room.
 // When a Begin is dropped, every nested Begin is dropped with it
 // (suppress counting), so the recorded stream always nests correctly.
-// Steady-state Begin/End/Instant on a warm Writer performs zero
-// allocations (pinned by TestWriterZeroAlloc).
+// Steady-state Begin/End on a warm Writer performs zero allocations
+// (pinned by TestWriterZeroAlloc).
 package trace
 
 import (
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Record is one trace event. TS is absolute wall-clock nanoseconds;
-// export normalizes to microseconds relative to the earliest record.
+// Record is one trace event. TS is absolute nanoseconds (the trace
+// clock); export normalizes to microseconds from the earliest record.
 // B/E pairs carry no id — Chrome matches them by per-(pid,tid) stack
 // order, which the Writer discipline guarantees. ID is used by flow
 // events ('s'/'f') only.
 type Record struct {
-	TS   int64  // wall-clock nanoseconds (the trace clock)
+	TS   int64  // nanoseconds on the trace clock
 	ID   uint64 // flow id for 's'/'f'; 0 otherwise
 	TID  int32  // lane within the emitting process
 	Ph   byte   // 'B', 'E', 'i', 's', or 'f'
@@ -51,15 +53,17 @@ type Record struct {
 	Arg  string // optional detail, exported as args:{"detail":...}
 }
 
-// nowNano is the trace clock. Timestamps feed only the trace file,
-// never a result, so this is the package's one sanctioned clock read.
+// clockNow is the package's one sanctioned clock read. The trace clock
+// is the wall clock at startup plus monotonic time since (stamp), so it
+// never runs backwards and a span stamped from a clock pair lasts
+// exactly the pair's difference. Timestamps feed only the trace file.
 //
 //sf:wallclock — trace timestamps are observability output only.
-func nowNano() int64 { return time.Now().UnixNano() }
+func clockNow() time.Time { return time.Now() }
 
-// Now exposes the trace clock for callers that build Records by hand
-// (the coordinator's cold-path lease spans). It is not for trial code.
-func Now() int64 { return nowNano() }
+var epoch = clockNow()
+
+func stamp(t time.Time) int64 { return epoch.UnixNano() + int64(t.Sub(epoch)) }
 
 // Writer records spans for one goroutine. It is not safe for
 // concurrent use; acquire one per goroutine from Recorder.Writer and
@@ -74,14 +78,6 @@ type Writer struct {
 	bfsSample int   // copy of Recorder.BFSSample
 }
 
-// TID returns the lane this writer records into (0 for a nil writer).
-func (w *Writer) TID() int32 {
-	if w == nil {
-		return 0
-	}
-	return w.tid
-}
-
 // SampleEvery returns the BFS level-span sampling stride: 0 disables
 // level spans, k records every k-th level.
 func (w *Writer) SampleEvery() int {
@@ -91,13 +87,22 @@ func (w *Writer) SampleEvery() int {
 	return w.bfsSample
 }
 
-// Begin opens a span. The overflow policy is drop-newest with
+// Begin opens a span now.
+//
+//sf:hotpath — runs inside the trial loop.
+func (w *Writer) Begin(name, cat string) {
+	if w != nil {
+		w.BeginAt(clockNow(), name, cat)
+	}
+}
+
+// BeginAt opens a span at t. The overflow policy is drop-newest with
 // guaranteed pairing: recording requires room for this Begin, its own
 // End, and the reserved Ends of every open span; otherwise the span
 // and everything nested in it are suppressed and counted as dropped.
 //
 //sf:hotpath — runs inside the trial loop.
-func (w *Writer) Begin(name, cat string) {
+func (w *Writer) BeginAt(t time.Time, name, cat string) {
 	if w == nil {
 		return
 	}
@@ -106,16 +111,25 @@ func (w *Writer) Begin(name, cat string) {
 		w.dropped++
 		return
 	}
-	w.recs = append(w.recs, Record{TS: nowNano(), TID: w.tid, Ph: 'B', Name: name, Cat: cat})
+	w.recs = append(w.recs, Record{TS: stamp(t), TID: w.tid, Ph: 'B', Name: name, Cat: cat})
 	w.reserved++
 }
 
-// End closes the innermost open span. Ends of suppressed Begins are
-// absorbed by the suppress count; Ends of recorded Begins always have
-// a reserved slot, so a recorded B is never left unmatched.
+// End closes the innermost open span now.
 //
 //sf:hotpath — runs inside the trial loop.
 func (w *Writer) End() {
+	if w != nil {
+		w.EndAt(clockNow())
+	}
+}
+
+// EndAt closes the innermost open span at t. Ends of suppressed Begins
+// are absorbed by the suppress count; Ends of recorded Begins always
+// have a reserved slot, so a recorded B is never left unmatched.
+//
+//sf:hotpath — runs inside the trial loop.
+func (w *Writer) EndAt(t time.Time) {
 	if w == nil {
 		return
 	}
@@ -127,30 +141,16 @@ func (w *Writer) End() {
 		return // unmatched End: ignore rather than corrupt the stream
 	}
 	w.reserved--
-	w.recs = append(w.recs, Record{TS: nowNano(), TID: w.tid, Ph: 'E'})
-}
-
-// Instant records a zero-duration event. It must not eat into the
-// reserved End slots, so it needs reserved+1 free records.
-//
-//sf:hotpath — runs inside the trial loop.
-func (w *Writer) Instant(name, cat, arg string) {
-	if w == nil {
-		return
-	}
-	if cap(w.recs)-len(w.recs) < w.reserved+1 {
-		w.dropped++
-		return
-	}
-	w.recs = append(w.recs, Record{TS: nowNano(), TID: w.tid, Ph: 'i', Name: name, Cat: cat, Arg: arg})
+	w.recs = append(w.recs, Record{TS: stamp(t), TID: w.tid, Ph: 'E'})
 }
 
 // defaultWriterCap bounds one writer's buffer: 8192 records ≈ 0.6 MiB.
-// Long sweeps overflow into the drop-newest policy rather than grow.
+// A writer never grows: the engine flushes it between trials, and a
+// trial that overflows it falls into the drop-newest policy.
 const defaultWriterCap = 8192
 
 // Recorder owns the process's trace state: it hands out per-goroutine
-// Writers, collects their records on release, accepts cold-path
+// Writers, collects their records on flush and release, accepts cold-path
 // records via Emit, merges worker batches received over the wire into
 // per-worker process lanes, and exports the whole timeline as Chrome
 // trace-event JSON. All methods are safe on a nil receiver, and the
@@ -238,12 +238,32 @@ func (r *Recorder) Release(w *Writer) {
 	}
 	w.suppress = 0
 	r.mu.Lock()
+	r.collect(w)
+	r.free = append(r.free, w)
+	r.mu.Unlock()
+}
+
+// Flush drains a writer that is at least half full into the recorder,
+// as Release does, but leaves the writer with its owner. The engine
+// calls it at every trial boundary, where no span is open, so a sweep
+// of any length loses nothing as long as one trial fits in half a
+// writer; otherwise it costs one comparison.
+func (r *Recorder) Flush(w *Writer) {
+	if r == nil || w == nil || w.reserved+w.suppress > 0 || 2*len(w.recs) < cap(w.recs) {
+		return
+	}
+	r.mu.Lock()
+	r.collect(w)
+	r.mu.Unlock()
+}
+
+// collect moves a writer's records and loss count into the recorder.
+// Called with mu held.
+func (r *Recorder) collect(w *Writer) {
 	r.spill = append(r.spill, w.recs...)
 	r.dropped += w.dropped
 	w.recs = w.recs[:0]
 	w.dropped = 0
-	r.free = append(r.free, w)
-	r.mu.Unlock()
 }
 
 // Emit appends one cold-path record (coordinator lease spans, flow
@@ -254,16 +274,15 @@ func (r *Recorder) Emit(rec Record) {
 		return
 	}
 	if rec.TS == 0 {
-		rec.TS = nowNano()
+		rec.TS = stamp(clockNow())
 	}
 	r.mu.Lock()
 	r.spill = append(r.spill, rec)
 	r.mu.Unlock()
 }
 
-// Drain removes and returns every locally recorded record (released
-// writers plus Emit). Workers call it after each lease to ship the
-// batch on the COMPLETE line.
+// Drain removes and returns every locally recorded record (flushed and
+// released writers plus Emit).
 func (r *Recorder) Drain() []Record {
 	if r == nil {
 		return nil
@@ -275,38 +294,69 @@ func (r *Recorder) Drain() []Record {
 	return out
 }
 
-// Reset discards locally recorded records in place, keeping capacity.
-// Benchmarks use it to hold steady-state between iterations.
-func (r *Recorder) Reset() {
+// DrainBatch drains the recorder into one wire batch of at most max
+// bytes, which a worker ships on the COMPLETE line of each traced
+// lease. The records lost on the way, to writer overflow since the
+// last drain or cut by EncodeBatch to fit max, are counted in one
+// trailing trace_dropped record; Merge adds that count to the
+// receiving recorder's Dropped. Returns nil when there is nothing to
+// ship.
+func (r *Recorder) DrainBatch(max int) []byte {
 	if r == nil {
-		return
+		return nil
 	}
 	r.mu.Lock()
-	r.spill = r.spill[:0]
+	recs, lost := r.spill, r.dropped
+	r.spill, r.dropped = nil, 0
 	r.mu.Unlock()
+	buf, cut := EncodeBatch(recs, max-lossRoom)
+	if lost += int64(cut); lost > 0 {
+		if buf == nil {
+			buf = []byte{codecVersion}
+		}
+		buf = appendRecord(buf, Record{TS: stamp(clockNow()), Ph: 'i', Name: lossName, Cat: lossCat,
+			Arg: strconv.FormatInt(lost, 10)})
+	}
+	return buf
 }
 
 // Merge files a worker's wire batch under that worker's process lane.
 // The first batch from a name allocates the lane; order of first
-// arrival defines worker pids.
+// arrival defines worker pids. A batch's trace_dropped record (see
+// DrainBatch) is not filed: its count joins Dropped, which the export
+// reports in its one trace_dropped instant.
 func (r *Recorder) Merge(worker string, recs []Record) {
 	if r == nil || len(recs) == 0 {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, name := range r.workers {
-		if name == worker {
-			r.merged[i] = append(r.merged[i], recs...)
-			return
-		}
+	lane := slices.Index(r.workers, worker)
+	if lane < 0 {
+		lane = len(r.workers)
+		r.workers = append(r.workers, worker)
+		r.merged = append(r.merged, nil)
 	}
-	r.workers = append(r.workers, worker)
-	r.merged = append(r.merged, append([]Record(nil), recs...))
+	for _, rec := range recs {
+		if n, ok := lossCount(rec); ok {
+			r.dropped += n
+			continue
+		}
+		r.merged[lane] = append(r.merged[lane], rec)
+	}
 }
 
-// Dropped returns the number of records lost to writer overflow so
-// far collected (released writers only).
+// lossCount reads the count of a well-formed trace_dropped record.
+func lossCount(rec Record) (int64, bool) {
+	if rec.Ph != 'i' || rec.Name != lossName || rec.Cat != lossCat {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(rec.Arg, 10, 64)
+	return n, err == nil && n > 0
+}
+
+// Dropped returns the number of records lost so far: to the overflow
+// of flushed and released writers, and in merged worker batches.
 func (r *Recorder) Dropped() int64 {
 	if r == nil {
 		return 0
@@ -314,21 +364,6 @@ func (r *Recorder) Dropped() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
-}
-
-// SetPending remembers a flow id for a key (a chunk whose lease was
-// stolen or failed) until the chunk is re-granted. Leaf-locked, so
-// callable from under the lease table's lock.
-func (r *Recorder) SetPending(key string, id uint64) {
-	if !r.Enabled() {
-		return
-	}
-	r.mu.Lock()
-	if r.pending == nil {
-		r.pending = make(map[string]uint64)
-	}
-	r.pending[key] = id
-	r.mu.Unlock()
 }
 
 // NextFlow derives the retry-flow id for the key's next attempt (a
@@ -376,7 +411,7 @@ func (r *Recorder) AbandonPending() {
 	if !r.Enabled() {
 		return
 	}
-	now := nowNano()
+	now := stamp(clockNow())
 	r.mu.Lock()
 	for key, id := range r.pending {
 		r.spill = append(r.spill, Record{TS: now, ID: id, Ph: 'f', Name: "retry_abandoned", Cat: "flow", Arg: key})
@@ -417,12 +452,6 @@ func LeaseContext(expID, fingerprint string, lo, hi int) uint64 {
 	h = fnvInt(h, uint64(lo))
 	h = fnvInt(h, uint64(hi))
 	return h
-}
-
-// RetryFlow derives the flow id linking a steal or failure of a chunk
-// (attempt n) to its re-grant (attempt n+1).
-func RetryFlow(expID, fingerprint string, lo, hi, attempt int) uint64 {
-	return fnvInt(LeaseContext(expID, fingerprint, lo, hi), uint64(attempt))
 }
 
 // Attacher is implemented by scratch types that can carry a trace

@@ -41,7 +41,8 @@ func TestWriterMatchedPairsUnderOverflow(t *testing.T) {
 		w.Begin("outer", "t")
 		for j := 0; j < 10; j++ {
 			w.Begin("inner", "t")
-			w.Instant("tick", "t", "")
+			w.Begin("leaf", "t")
+			w.End()
 			w.End()
 		}
 		w.End()
@@ -81,11 +82,10 @@ func TestWriterZeroAlloc(t *testing.T) {
 	// suppressed path must both be allocation-free.
 	allocs := testing.AllocsPerRun(5000, func() {
 		w.Begin("trial", "t")
-		w.Instant("tick", "t", "tag")
 		w.End()
 	})
 	if allocs != 0 {
-		t.Fatalf("Begin/Instant/End allocated %.1f per op, want 0", allocs)
+		t.Fatalf("Begin/End allocated %.1f per op, want 0", allocs)
 	}
 }
 
@@ -94,9 +94,8 @@ func TestNilSafety(t *testing.T) {
 	var w *Writer
 	w.Begin("a", "b")
 	w.End()
-	w.Instant("a", "b", "c")
-	if w.SampleEvery() != 0 || w.TID() != 0 {
-		t.Fatal("nil writer getters")
+	if w.SampleEvery() != 0 {
+		t.Fatal("nil writer getter")
 	}
 	if r.Writer() != nil {
 		t.Fatal("nil recorder handed out a writer")
@@ -104,9 +103,15 @@ func TestNilSafety(t *testing.T) {
 	r.Release(nil)
 	r.Emit(Record{Ph: 'i'})
 	r.Merge("w", []Record{{Ph: 'i'}})
-	r.SetPending("k", 1)
+	r.Flush(w)
+	if _, ok := r.NextFlow("k", 1); ok {
+		t.Fatal("nil recorder derived a flow")
+	}
 	if _, ok := r.TakePending("k"); ok {
 		t.Fatal("nil recorder stored a pending flow")
+	}
+	if r.DrainBatch(1<<10) != nil {
+		t.Fatal("nil recorder encoded a batch")
 	}
 	r.AbandonPending()
 	if r.Drain() != nil || r.Dropped() != 0 {
@@ -148,9 +153,6 @@ func TestIDsDeterministic(t *testing.T) {
 	}
 	if a == LeaseContext("E4", "fp", 4, 8) || a == LeaseContext("E5", "fp", 0, 4) {
 		t.Fatal("LeaseContext collides across chunks")
-	}
-	if RetryFlow("E4", "fp", 0, 4, 1) == RetryFlow("E4", "fp", 0, 4, 2) {
-		t.Fatal("RetryFlow collides across attempts")
 	}
 }
 
@@ -211,6 +213,14 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if _, err := DecodeBatch(good[:len(good)-1]); err == nil {
 		t.Fatal("torn record accepted")
 	}
+	if _, err := DecodeBatch(good[:1]); err == nil {
+		t.Fatal("a batch of no records accepted")
+	}
+	bad := append([]byte(nil), good...)
+	bad[1] = 'M' // metadata: the recorder never writes it
+	if _, err := DecodeBatch(bad); err == nil {
+		t.Fatal("a record with phase M accepted")
+	}
 }
 
 func TestWriteJSONStructure(t *testing.T) {
@@ -225,8 +235,8 @@ func TestWriteJSONStructure(t *testing.T) {
 	r.Emit(Record{Ph: 's', ID: 42, Name: "retry", Cat: "flow"})
 	r.Emit(Record{Ph: 'f', ID: 42, Name: "retry", Cat: "flow"})
 	r.Merge("worker-a", []Record{
-		{TS: Now(), TID: 1, Ph: 'B', Name: "lease", Cat: "lease"},
-		{TS: Now(), TID: 1, Ph: 'E'},
+		{TS: stamp(clockNow()), TID: 1, Ph: 'B', Name: "lease", Cat: "lease"},
+		{TS: stamp(clockNow()), TID: 1, Ph: 'E'},
 	})
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -303,32 +313,167 @@ func TestWriteJSONStructure(t *testing.T) {
 
 func TestPendingFlows(t *testing.T) {
 	r := New()
-	r.SetPending("E4:0:4", 99)
-	if id, ok := r.TakePending("E4:0:4"); !ok || id != 99 {
-		t.Fatalf("TakePending = %d,%v", id, ok)
+	id, ok := r.NextFlow("E4:0:4", 99)
+	if !ok {
+		t.Fatal("enabled recorder derived no flow")
+	}
+	if again, _ := r.NextFlow("E4:0:4", 99); again == id {
+		t.Fatal("NextFlow repeats an id across attempts of one key")
+	}
+	if got, ok := r.TakePending("E4:0:4"); !ok || got == id {
+		t.Fatalf("TakePending = %d,%v, want the second attempt's id", got, ok)
 	}
 	if _, ok := r.TakePending("E4:0:4"); ok {
 		t.Fatal("pending flow survived Take")
 	}
-	r.SetPending("E5:0:4", 7)
+	abandoned, _ := r.NextFlow("E5:0:4", 7)
 	r.AbandonPending()
 	recs := r.Drain()
-	if len(recs) != 1 || recs[0].Ph != 'f' || recs[0].ID != 7 {
-		t.Fatalf("AbandonPending emitted %+v", recs)
+	if len(recs) != 1 || recs[0].Ph != 'f' || recs[0].ID != abandoned {
+		t.Fatalf("AbandonPending emitted %+v, want one 'f' with id %d", recs, abandoned)
 	}
 }
 
 func TestWriterRecycling(t *testing.T) {
 	r := New()
 	w1 := r.Writer()
-	tid := w1.TID()
+	tid := w1.tid
 	r.Release(w1)
 	w2 := r.Writer()
-	if w2.TID() != tid {
-		t.Fatalf("freelist miss: tid %d then %d", tid, w2.TID())
+	if w2.tid != tid {
+		t.Fatalf("freelist miss: tid %d then %d", tid, w2.tid)
 	}
 	w3 := r.Writer()
-	if w3.TID() == w2.TID() {
+	if w3.tid == w2.tid {
 		t.Fatal("two live writers share a tid")
+	}
+}
+
+func TestFlushKeepsWriterWithOwner(t *testing.T) {
+	r := New()
+	r.WriterCap = 8
+	w := r.Writer()
+	w.Begin("a", "t")
+	w.End()
+	w.Begin("b", "t")
+	w.Begin("c", "t")
+	r.Flush(w) // half full, but spans are open: nothing moves
+	if len(r.Drain()) != 0 {
+		t.Fatal("Flush drained a writer with open spans")
+	}
+	w.End()
+	w.End()
+	r.Flush(w)
+	if got := pairCheck(t, r.Drain()); got != 3 || len(w.recs) != 0 {
+		t.Fatalf("Flush moved %d spans and left %d records, want 3 and 0", got, len(w.recs))
+	}
+	w.Begin("d", "t")
+	w.End()
+	r.Flush(w) // a quarter full: stays put
+	if len(r.Drain()) != 0 || len(w.recs) != 2 {
+		t.Fatal("Flush drained a writer less than half full")
+	}
+	if w2 := r.Writer(); w2 == w || w2.tid == w.tid {
+		t.Fatal("a flushed writer was recycled while its owner still holds it")
+	}
+}
+
+// TestCodecKeepsWholeSpans: a batch over budget drops its newest whole
+// spans, keeps the End of every span it keeps (the lease span opened
+// first and closed last included), and still nests.
+func TestCodecKeepsWholeSpans(t *testing.T) {
+	in := []Record{{TS: 1, Ph: 'f', ID: 9, Name: "lease", Cat: "flow"}, {TS: 2, Ph: 'B', Name: "lease E1[0,100)", Cat: "lease"}}
+	for i := 0; i < 100; i++ {
+		in = append(in,
+			Record{TS: int64(10 + 4*i), TID: 1, Ph: 'B', Name: "E1/n=512/rep=" + strings.Repeat("9", i%7), Cat: "trial"},
+			Record{TS: int64(11 + 4*i), TID: 1, Ph: 'B', Name: "search", Cat: "phase"},
+			Record{TS: int64(12 + 4*i), TID: 1, Ph: 'E'},
+			Record{TS: int64(13 + 4*i), TID: 1, Ph: 'E'})
+	}
+	in = append(in, Record{TS: 1000, Ph: 'E'})
+	full, _ := EncodeBatch(in, 1<<20)
+	for _, max := range []int{len(full) - 1, len(full) / 2, 200, 150} {
+		buf, dropped := EncodeBatch(in, max)
+		if len(buf) > max || dropped == 0 {
+			t.Fatalf("budget %d: %d bytes, %d dropped", max, len(buf), dropped)
+		}
+		out, err := DecodeBatch(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out)+dropped != len(in) {
+			t.Fatalf("budget %d: kept %d and dropped %d of %d records", max, len(out), dropped, len(in))
+		}
+		if out[1] != in[1] || out[len(out)-1] != in[len(in)-1] {
+			t.Fatalf("budget %d: the lease span lost its Begin or its End", max)
+		}
+		if len(out) > 3 && out[2] != in[2] {
+			t.Fatalf("budget %d: the oldest trial span was dropped before a newer one", max)
+		}
+		for tid := int32(0); tid < 2; tid++ {
+			var lane []Record
+			for _, rec := range out {
+				if rec.TID == tid {
+					lane = append(lane, rec)
+				}
+			}
+			pairCheck(t, lane)
+		}
+	}
+	if buf, dropped := EncodeBatch(in, recordOverhead); buf != nil || dropped != len(in) {
+		t.Fatalf("a budget too small for any record encoded %x", buf)
+	}
+}
+
+// TestDrainBatchCountsLoss: the records a worker lost, to writer
+// overflow and to its batch budget, reach the coordinator's Dropped
+// through the batch's trace_dropped record, which is not filed as an
+// event.
+func TestDrainBatchCountsLoss(t *testing.T) {
+	wr := New()
+	wr.WriterCap = 4
+	w := wr.Writer()
+	w.Begin("trial", "trial")
+	w.Begin("generate", "phase")
+	w.End()
+	w.Begin("search", "phase") // no room: dropped
+	w.End()
+	w.End()
+	wr.Release(w)
+	for i := 0; i < 50; i++ {
+		wr.Emit(Record{Ph: 'B', Name: "lease", Cat: "lease"})
+		wr.Emit(Record{Ph: 'E'})
+	}
+	const max = 1000
+	buf := wr.DrainBatch(max)
+	if len(buf) > max {
+		t.Fatalf("batch of %d bytes for a %d-byte budget", len(buf), max)
+	}
+	recs, err := DecodeBatch(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := recs[len(recs)-1]
+	lost, ok := lossCount(last)
+	if !ok {
+		t.Fatalf("batch ends in %+v, want its trace_dropped record", last)
+	}
+	if want := int64(1 + 104 - (len(recs) - 1)); lost != want {
+		t.Fatalf("trace_dropped counts %d, want %d", lost, want)
+	}
+	coord := New()
+	coord.Merge("w", recs)
+	if coord.Dropped() != lost {
+		t.Fatalf("Merge counted %d dropped, want %d", coord.Dropped(), lost)
+	}
+	var out bytes.Buffer
+	if err := coord.WriteJSON(&out); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(out.String(), `"trace_dropped"`); n != 1 {
+		t.Fatalf("export holds %d trace_dropped instants, want 1", n)
+	}
+	if wr.DrainBatch(max) != nil {
+		t.Fatal("a drained recorder shipped a second batch")
 	}
 }

@@ -3,8 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"scalefree/internal/engine"
 	"scalefree/internal/obs/trace"
@@ -53,10 +51,11 @@ func (s Stats) String() string {
 // for persistence, and a sweep that silently cannot resume is worse
 // than a loud disk error.
 //
+// Execute reads no clock: a hook before opts.Progress feeds the trial
+// metrics and Stats.Executed from the engine's one record per trial.
+//
 // newScratch and fn follow engine.RunScratch's contract; fn's result
 // must be a registered codec type whenever cache is non-nil.
-//
-//sf:wallclock — per-trial timing feeds the metrics registry only.
 func Execute[S any](
 	ctx context.Context,
 	job Job,
@@ -87,34 +86,36 @@ func Execute[S any](
 			opts.Trace.Emit(trace.Record{Ph: 'i', Name: "cache", Cat: "sweep",
 				Arg: fmt.Sprintf("%s hits=%d misses=%d", job.ExpID, stats.CacheHits, len(run))})
 		}
+		inner := fn
+		fn = func(ctx context.Context, t engine.Trial, r *rng.RNG, scratch S) (any, error) {
+			v, err := inner(ctx, t, r, scratch)
+			if err != nil {
+				return nil, err
+			}
+			if err := storeTrial(cache, job.ExpID, job.Fingerprint, t, v); err != nil {
+				return nil, fmt.Errorf("caching result: %w", err)
+			}
+			return v, nil
+		}
 	}
 
-	// Per-experiment instrumentation, resolved once per Execute call so
-	// the hot path is a pure atomic add. Timing wraps only fn — the
-	// latency histogram measures trial work, not cache persistence.
-	var (
-		trialsDone   = mTrialsCompleted.With(job.ExpID)
-		trialsFailed = mTrialFailures.With(job.ExpID)
-		trialSecs    = mTrialSeconds.With(job.ExpID)
-	)
-	var executed atomic.Int64
-	wrapped := func(ctx context.Context, t engine.Trial, r *rng.RNG, scratch S) (any, error) {
-		t0 := time.Now()
-		v, err := fn(ctx, t, r, scratch)
-		if err != nil {
-			trialsFailed.Inc()
-			return nil, err
+	// The engine serializes Progress calls and returns after the last,
+	// so stats needs no lock.
+	done, failed := mTrialsCompleted.With(job.ExpID), mTrialFailures.With(job.ExpID)
+	secs, next := mTrialSeconds.With(job.ExpID), opts.Progress
+	opts.Progress = func(p engine.Progress) {
+		secs.ObserveDuration(p.Elapsed)
+		if p.Err != nil {
+			failed.Inc()
+		} else {
+			done.Inc()
+			stats.Executed++
 		}
-		trialSecs.ObserveDuration(time.Since(t0))
-		if err := storeTrial(cache, job.ExpID, job.Fingerprint, t, v); err != nil {
-			return nil, fmt.Errorf("caching result: %w", err)
+		if next != nil {
+			next(p)
 		}
-		executed.Add(1)
-		trialsDone.Inc()
-		return v, nil
 	}
-	ran, err := engine.RunScratch(ctx, run, opts, newScratch, wrapped)
-	stats.Executed = int(executed.Load())
+	ran, err := engine.RunScratch(ctx, run, opts, newScratch, fn)
 	if err != nil {
 		// The engine returns no results on failure, but every trial
 		// counted here completed (and, with a cache, was persisted)

@@ -20,11 +20,11 @@ import (
 var (
 	// Trial execution (worker or single-process side; Execute).
 	mTrialsCompleted = obs.Default().CounterVec("scalefree_trials_completed_total",
-		"Trials executed to completion, by experiment.", "exp")
+		"Trials executed to completion (result cached, when caching), by experiment.", "exp")
 	mTrialFailures = obs.Default().CounterVec("scalefree_trial_failures_total",
-		"Trial executions that returned an error, by experiment.", "exp")
+		"Trial executions that returned an error or failed to cache their result, by experiment.", "exp")
 	mTrialSeconds = obs.Default().HistogramVec("scalefree_trial_seconds",
-		"Wall-clock latency of executed trials, by experiment.", "exp", nil)
+		"Wall-clock duration of executed trials, failed ones and the cache write included, by experiment.", "exp", nil)
 
 	// Result cache (Cache).
 	mCacheHits = obs.Default().Counter("scalefree_cache_hits_total",

@@ -10,9 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"scalefree/internal/engine"
 	"scalefree/internal/obs"
-	"scalefree/internal/rng"
 )
 
 // TestCoordObserverSnapshot runs a coordinated sweep with the observer
@@ -259,51 +257,5 @@ func TestCoordObserverSeesSteal(t *testing.T) {
 	}
 	if steals == 0 {
 		t.Error("no lease_steal event recorded for the expired lease")
-	}
-}
-
-// BenchmarkMetricsOverhead prices the observability layer (DESIGN.md
-// §9.1): a no-op trial loop on the engine, bare versus carrying the
-// exact per-trial instrumentation Execute adds (a timed histogram
-// observation and a counter increment, resolved once outside the
-// loop). The bare arm is the engine's own scheduling cost per trial.
-// On no-op trials the tax is visible — two clock reads plus a few
-// atomic adds next to that scheduling cost — which is the point of
-// the ns/trial metric: real trials run milliseconds, so the same
-// absolute cost vanishes there. Zero extra allocations is the hard
-// assertion; compare the ns/trial columns for the absolute tax.
-func BenchmarkMetricsOverhead(b *testing.B) {
-	trials := make([]engine.Trial, 1024)
-	for i := range trials {
-		trials[i] = engine.Trial{Index: i, Key: "noop", Seed: rng.DeriveSeed(1, uint64(i))}
-	}
-	reg := obs.NewRegistry()
-	ctr := reg.CounterVec("bench_trials_completed_total", "bench", "exp").With("BENCH")
-	hist := reg.HistogramVec("bench_trial_seconds", "bench", "exp", nil).With("BENCH")
-	variants := []struct {
-		name string
-		fn   func(context.Context, engine.Trial, *rng.RNG) (uint64, error)
-	}{
-		{"bare", func(_ context.Context, t engine.Trial, r *rng.RNG) (uint64, error) {
-			return r.Uint64(), nil
-		}},
-		{"instrumented", func(_ context.Context, t engine.Trial, r *rng.RNG) (uint64, error) {
-			t0 := time.Now()
-			v := r.Uint64()
-			hist.ObserveDuration(time.Since(t0))
-			ctr.Inc()
-			return v, nil
-		}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Run(context.Background(), trials, engine.Options{Workers: 4}, v.fn); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(trials)), "ns/trial")
-		})
 	}
 }

@@ -87,9 +87,11 @@ const (
 	workerHandshakeTimeout = 10 * time.Second
 	// traceBatchBudget bounds the binary span batch a COMPLETE line
 	// carries: hex doubles it, and the verb + lease id need headroom
-	// inside wireMaxLine. Overflow drops the newest records (the codec
-	// reports the count); a chunk's spans are a few records per trial,
-	// so a real batch is orders of magnitude below this.
+	// inside wireMaxLine. A search trial's eight records take about
+	// 300 bytes, so a chunk of well over a thousand such trials
+	// overflows; the batch then drops its newest whole spans and
+	// counts them in a trace_dropped record, which makes the merged
+	// trace say it is lossy.
 	traceBatchBudget = (wireMaxLine - 64) / 2
 )
 
@@ -547,10 +549,10 @@ func runLease(ctx context.Context, wc *wireConn, m leaseMsg, resolve WorkerJobRe
 	if m.Trace != "" && opts.Trace != nil {
 		// Close the lease span first so it rides in its own batch, then
 		// drain everything this lease recorded (trial and phase spans
-		// from the engine writers included) onto the COMPLETE line.
+		// from the engine writers included) onto the COMPLETE line,
+		// with a count of whatever did not fit.
 		endSpan()
-		if batch := opts.Trace.Drain(); len(batch) > 0 {
-			enc, _ := trace.EncodeBatch(batch, traceBatchBudget)
+		if enc := opts.Trace.DrainBatch(traceBatchBudget); enc != nil {
 			completeLine += " " + hex.EncodeToString(enc)
 		}
 	}
