@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-short vet lint bench bench-smoke ci
+.PHONY: all build test test-short vet fmt-check lint bench bench-smoke ci
 
 all: ci
 
@@ -16,12 +16,19 @@ test-short:
 vet:
 	$(GO) vet ./...
 
-# lint runs the full static suite: go vet, the repo's own invariant
-# analyzers (cmd/sflint: determinism, lockorder, hotpath, codecreg —
-# see DESIGN.md §10), and, when installed, staticcheck and govulncheck.
-# The external tools are gated on availability so offline checkouts
-# still get vet + sflint; CI installs them and runs the same target.
-lint: vet
+# fmt-check fails, listing the files, when gofmt would reformat any tracked
+# Go file (bench/ and the lint fixtures included) or cannot parse one.
+fmt-check:
+	@out=$$(git ls-files -z '*.go' | xargs -0 -r gofmt -l 2>&1) || { echo "$$out"; exit 1; }; \
+	if [ -n "$$out" ]; then echo "gofmt: these files need formatting:"; echo "$$out"; exit 1; fi
+
+# lint runs the full static suite: gofmt over every tracked Go file,
+# go vet, the repo's own invariant analyzers (cmd/sflint: determinism,
+# lockorder, hotpath, codecreg — see DESIGN.md §10), and, when
+# installed, staticcheck and govulncheck. The external tools are gated
+# on availability so offline checkouts still get gofmt + vet + sflint;
+# CI installs them and runs the same target.
+lint: fmt-check vet
 	$(GO) run ./cmd/sflint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

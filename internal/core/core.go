@@ -7,10 +7,9 @@
 //
 //   - MeasureOne / MeasureSearch — one replication, or a replicated
 //     expected-request measurement, of any search algorithm over
-//     random graphs;
-//   - ScalingSweep — the same measurement swept over graph sizes as
-//     independent engine trials, with the scaling exponent fitted on
-//     log-log axes (experiment plans run it through addScalingCell);
+//     random graphs; experiment plans run each replication of a size
+//     sweep as its own engine trial and assemble the replications with
+//     NewMeasurement into a ScalingResult;
 //   - Theorem1Bound / StrongModelExponent — the paper's lower bounds,
 //     against which the measurements are compared (the Cooper–Frieze
 //     bound is equivalence.Lemma1BoundCF's Monte-Carlo estimate).
@@ -101,10 +100,6 @@ func (s *Scratch) DegreesOf(g *graph.Graph) []int {
 	s.Degs = g.AppendDegrees(s.Degs[:0])
 	return s.Degs
 }
-
-// ParScratch returns the scratch's frontier-parallel traversal state
-// for graph.BFSParallelInto-family calls.
-func (s *Scratch) ParScratch() *graph.BFSScratch { return &s.Par }
 
 // GraphGen produces a fresh random graph for one replication. The
 // scratch is never nil: the generator may reuse its buffers, so the
@@ -254,7 +249,7 @@ func MeasureOne(gen GraphGen, spec SearchSpec, rep int, s *Scratch) (SearchOutco
 
 // NewMeasurement assembles per-replication outcomes (in replication
 // order) into a Measurement. It is the deterministic reduce step shared
-// by MeasureSearch and ScalingSweep.Collect.
+// by MeasureSearch and plans that run replications as separate trials.
 func NewMeasurement(spec SearchSpec, outcomes []SearchOutcome) Measurement {
 	requests := make([]float64, len(outcomes))
 	found := 0

@@ -6,7 +6,6 @@ import (
 
 	"scalefree/internal/cooperfrieze"
 	"scalefree/internal/mori"
-	"scalefree/internal/rng"
 	"scalefree/internal/search"
 )
 
@@ -119,82 +118,6 @@ func TestMeasureSearchCooperFrieze(t *testing.T) {
 	}
 	if m.FoundRate != 1 {
 		t.Errorf("found rate %v on connected CF graphs with unlimited budget", m.FoundRate)
-	}
-}
-
-// runSweep executes a ScalingSweep's trials serially through one
-// scratch, each with the fresh per-trial RNG the engine would hand it,
-// and collects the result.
-func runSweep(sizes []int, genFor func(n int) GraphGen, boundFor func(n int, r *rng.RNG) (float64, error), spec SearchSpec) (ScalingResult, error) {
-	sweep, err := NewScalingSweep(sizes, genFor, boundFor, spec)
-	if err != nil {
-		return ScalingResult{}, err
-	}
-	s := NewScratch()
-	var results []any
-	for _, tr := range sweep.Trials() {
-		res, err := tr.Run(rng.New(tr.Seed), s)
-		if err != nil {
-			return ScalingResult{}, err
-		}
-		results = append(results, res)
-	}
-	return sweep.Collect(results)
-}
-
-// TestMeasureScaling runs a full ScalingSweep (NewScalingSweep, Trials,
-// Collect): every point carries its bound, dominates it, and the
-// fitted exponent is positive.
-func TestMeasureScaling(t *testing.T) {
-	sizes := []int{64, 128, 256}
-	res, err := runSweep(sizes,
-		func(n int) GraphGen { return MoriGen(mori.Config{N: n, M: 1, P: 0.5}) },
-		func(n int, _ *rng.RNG) (float64, error) { return Theorem1Bound(n, 0.5) },
-		SearchSpec{Algorithm: search.NewFlood(), Reps: 12, Seed: 5},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 3 {
-		t.Fatalf("points = %d", len(res.Points))
-	}
-	for _, pt := range res.Points {
-		if pt.Bound <= 0 {
-			t.Errorf("missing bound at n=%d", pt.N)
-		}
-		// Lemma 1: every algorithm's mean must sit above |V|P(E)/2.
-		if pt.Measurement.Requests.Mean < pt.Bound {
-			t.Errorf("n=%d: flood mean %.1f below theorem bound %.1f",
-				pt.N, pt.Measurement.Requests.Mean, pt.Bound)
-		}
-	}
-	if res.Fit.Exponent <= 0 {
-		t.Errorf("flood cost should grow with n; exponent %v", res.Fit.Exponent)
-	}
-	if res.Algorithm != "flood" || len(res.Points[0].Measurement.Samples) != 12 {
-		t.Errorf("sweep metadata wrong: %s, %d samples", res.Algorithm, len(res.Points[0].Measurement.Samples))
-	}
-}
-
-func TestMeasureScalingValidation(t *testing.T) {
-	genFor := func(n int) GraphGen { return MoriGen(mori.Config{N: n, M: 1, P: 0.5}) }
-	if _, err := NewScalingSweep([]int{10}, genFor, nil,
-		SearchSpec{Algorithm: search.NewFlood(), Reps: 2, Seed: 1}); err == nil {
-		t.Error("single-size sweep accepted")
-	}
-	if _, err := NewScalingSweep([]int{10, 20}, genFor, nil, SearchSpec{Reps: 2}); err == nil {
-		t.Error("nil algorithm accepted")
-	}
-	sweep, err := NewScalingSweep([]int{10, 20}, genFor, nil,
-		SearchSpec{Algorithm: search.NewFlood(), Reps: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sweep.Collect(make([]any, len(sweep.Trials())-1)); err == nil {
-		t.Error("short result slice accepted")
-	}
-	if _, err := sweep.Collect(make([]any, len(sweep.Trials()))); err == nil {
-		t.Error("mistyped results accepted")
 	}
 }
 

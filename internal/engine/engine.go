@@ -192,7 +192,9 @@ func RunScratch[T, S any](ctx context.Context, trials []Trial, opts Options, new
 // runTrial runs one trial in its span with a fresh RNG, converting a
 // panic into an error so one bad trial cannot take down the pool. Its
 // start and end are the engine's one clock pair per trial; the
-// duration is observability output and never reaches a result.
+// duration is observability output and never reaches a result. The
+// end closes every span still open, the trial span and any phase a
+// panic unwound, so each ends at start+elapsed.
 //
 //sf:wallclock — per-trial timing is observability output only.
 func runTrial[T, S any](ctx context.Context, t Trial, scratch S, tw *trace.Writer, fn func(ctx context.Context, t Trial, r *rng.RNG, scratch S) (T, error)) (res T, elapsed time.Duration, err error) {
@@ -203,7 +205,7 @@ func runTrial[T, S any](ctx context.Context, t Trial, scratch S, tw *trace.Write
 			err = fmt.Errorf("engine: trial panicked: %v", p)
 		}
 		elapsed = time.Since(start)
-		tw.EndAt(start.Add(elapsed))
+		tw.EndAllAt(start.Add(elapsed))
 	}()
 	res, err = fn(ctx, t, rng.New(t.Seed), scratch)
 	return // the deferred call sets elapsed and ends the span

@@ -359,6 +359,40 @@ func TestTraceKeepsEveryTrialSpan(t *testing.T) {
 	}
 }
 
+// TestTracePanicInsidePhaseEndsTrialSpan: a trial that panics while a
+// phase span is open fails the run, and the engine still closes both
+// the phase and the trial span at the trial's end, start+Elapsed, so
+// the export is balanced and the trial span lasts its Progress.Elapsed.
+func TestTracePanicInsidePhaseEndsTrialSpan(t *testing.T) {
+	rec := trace.New()
+	var progress []Progress
+	opts := Options{Workers: 1, Trace: rec, Progress: func(p Progress) { progress = append(progress, p) }}
+	_, err := RunScratch(context.Background(), makeTrials(1), opts,
+		func() *phaseScratch { return &phaseScratch{} },
+		func(_ context.Context, _ Trial, _ *rng.RNG, s *phaseScratch) (int, error) {
+			s.w.Begin("generate", "phase")
+			panic("boom")
+		})
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("err = %v, want the trial's panic", err)
+	}
+	if d := rec.Dropped(); d != 0 {
+		t.Fatalf("dropped %d records", d)
+	}
+	recs := rec.Drain()
+	spans := trialSpans(t, recs) // fails unless every B has its E
+	if len(recs) != 4 || len(progress) != 1 {
+		t.Fatalf("%d records and %d progress records, want 4 and 1", len(recs), len(progress))
+	}
+	elapsed := int64(progress[0].Elapsed)
+	if got := spans[progress[0].Trial.Key]; got != elapsed {
+		t.Fatalf("trial span lasts %d ns, Progress.Elapsed %d ns", got, elapsed)
+	}
+	if end := recs[0].TS + elapsed; recs[2].TS != end || recs[3].TS != end {
+		t.Fatalf("phase ends at %d and trial at %d, want both at start+Elapsed %d", recs[2].TS, recs[3].TS, end)
+	}
+}
+
 // TestTraceTinyWriterReportsLoss: a writer smaller than one trial's
 // records cannot be saved by flushing, and the export says so.
 func TestTraceTinyWriterReportsLoss(t *testing.T) {

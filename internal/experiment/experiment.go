@@ -23,9 +23,11 @@
 // builder.add (deriving each trial's seed from cfg.seed so experiments
 // stay independent), capture the returned indices, and finish with
 // builder.build(reduce) where reduce formats the tables from
-// results-by-index. Scaling sweeps over (sizes × replications) should
-// go through addScalingCell, which takes its trials and their seed
-// derivation from core.ScalingSweep. Then register the constructor in
+// results-by-index. A search battery, every algorithm of a list swept
+// over (sizes × replications), goes through addBattery: it registers
+// one addScalingCell per algorithm, and each cell registers its trials
+// on the builder under the seed scheme addScalingCell owns and collects
+// them back into a core.ScalingResult. Then register the constructor in
 // Registry with the next ID. Rules: never touch shared mutable state
 // inside a trial (shared read-only state built at plan time is fine),
 // and never let the reduce's output depend on anything but the result

@@ -3,6 +3,9 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -122,6 +125,48 @@ var smokeDigests = map[string]string{
 	"E11": "0c8529338bf9aed84cf608ce94bcbe9b3d568ffd970dc7b7300abdc62e117884",
 	"E12": "dab69d40e522855560e63b20772fba4e325743021ab39860253e7fa4682d1436",
 	"E13": "c3fc3a9103e6931f29537a0c7a676b6257463e97ef229e3dbd215cac59308d0c",
+}
+
+// planDigests pins every experiment's trial identity at the scales the
+// repository benchmark runs (0.25, 0.35, 0.5) and at full scale, where
+// smokeDigests' scale 0.05 hides the size lists behind scaleInt's
+// floors: per (seed, scale), the SHA-256 over each experiment's ID and
+// plan fingerprint in registry order. A plan refactor that keeps every
+// trial key, seed and position keeps these digests.
+var planDigests = []struct {
+	cfg    Config
+	digest string
+}{
+	{Config{Seed: 2024, Scale: 0.25}, "22f0fd645d1dd460e98e0387dfa9d8945bc65517d2d39181371652ebd60be2a7"},
+	{Config{Seed: 2024, Scale: 0.35}, "090bab378d98e516e691692fb5ff756f55aa390f035c079d10c3eae49c76da2b"},
+	{Config{Seed: 2024, Scale: 0.5}, "e5df8fd2febd4b87de29cfbe4532152909d0b55730bfa0808618dd4b28c85b1f"},
+	{Config{Seed: 2024, Scale: 1}, "de3368e1baca252695ed911a21117a6a8292a35509133919bf2600e508b58cad"},
+	{Config{Seed: 7, Scale: 0.25}, "40e5c71849b0f0f8b9c3f9718159601e1e288c494a56df96d712c1056b4b17f2"},
+	{Config{Seed: 7, Scale: 0.35}, "72797e979204901f2df665c633b7234b8f0647c57200ffbb8b2efbc6a6b48117"},
+	{Config{Seed: 7, Scale: 0.5}, "e590dbec47a962bff38eccec1d0c3b14c71b7f342dc828041ba818397ed6bf9e"},
+	{Config{Seed: 7, Scale: 1}, "a35144d6cabf848f85fc3d4d5e28145697912aaa7ecd9160be401c51dcdc34f8"},
+}
+
+// TestPlanFingerprints plans every experiment at each planDigests
+// Config (planning runs no trial) and checks the recorded digest; on a
+// mismatch it prints each experiment's fingerprint, so the plan that
+// moved can be found by diffing against the parent's output.
+func TestPlanFingerprints(t *testing.T) {
+	for _, pd := range planDigests {
+		cfg := pd.cfg
+		var list strings.Builder
+		for _, e := range Registry() {
+			fp, err := e.Fingerprint(cfg)
+			if err != nil {
+				t.Fatalf("%s at %+v: %v", e.ID, cfg, err)
+			}
+			fmt.Fprintf(&list, "%s %s\n", e.ID, fp)
+		}
+		sum := sha256.Sum256([]byte(list.String()))
+		if got := hex.EncodeToString(sum[:]); got != pd.digest {
+			t.Errorf("seed %d scale %g: digest %s, pinned %q; fingerprints:\n%s", cfg.Seed, cfg.Scale, got, pd.digest, list.String())
+		}
+	}
 }
 
 // TestAllExperimentsSmoke runs every experiment at a tiny scale: the

@@ -40,29 +40,10 @@ func PlanE11(cfg Config) (*Plan, error) {
 			})
 	}
 
-	type cell struct {
-		alg     search.Algorithm
-		collect cellCollector
-	}
-	var cells []cell
-	stream := uint64(1100)
-	for _, alg := range search.WeakAlgorithms() {
-		stream++
-		spec := core.SearchSpec{
-			Algorithm: alg,
-			Reps:      reps,
-			Seed:      cfg.seed(stream),
-		}
-		if isWalk(alg) {
-			spec.Budget = walkBudgetFactor * sizes[len(sizes)-1]
-		}
-		collect := addScalingCell(b,
-			fmt.Sprintf("E11/%s", alg.Name()), sizes,
-			func(n int) core.GraphGen { return core.MoriGen(mori.Config{N: n, M: 1, P: 0}) },
-			exactBound(func(n int) (float64, error) { return core.Theorem1Bound(n, 0) }),
-			spec)
-		cells = append(cells, cell{alg: alg, collect: collect})
-	}
+	cells := addBattery(b, cfg, 1101, "E11", search.WeakAlgorithms(), sizes,
+		func(n int) core.GraphGen { return core.MoriGen(mori.Config{N: n, M: 1, P: 0}) },
+		func(n int, _ *rng.RNG) (float64, error) { return core.Theorem1Bound(n, 0) },
+		core.SearchSpec{Reps: reps})
 
 	return b.build(func(results []any) ([]Table, error) {
 		probs := &Table{
@@ -88,12 +69,11 @@ func PlanE11(cfg Config) (*Plan, error) {
 			},
 		}
 		for _, c := range cells {
-			res, err := c.collect(results)
+			res, last, err := c.collect(results)
 			if err != nil {
-				return nil, fmt.Errorf("E11 %s: %w", c.alg.Name(), err)
+				return nil, err
 			}
-			last := res.Points[len(res.Points)-1]
-			table.AddRow(c.alg.Name(), last.N,
+			table.AddRow(res.Algorithm, last.N,
 				last.Measurement.Requests.Mean, last.Bound,
 				res.Fit.Exponent, res.Fit.ExponentSE,
 				last.Measurement.FoundRate)

@@ -101,32 +101,10 @@ func planRegistryBattery(cfg Config, id, family, tag string, base uint64) (*Plan
 
 	// Battery cells: every weak and every strong algorithm over the
 	// same size sweep, exactly the E1/E2 measurement shape.
-	type cell struct {
-		kind    string
-		alg     search.Algorithm
-		collect cellCollector
-	}
-	var cells []cell
-	stream := base
-	addBattery := func(kind string, algs []search.Algorithm) {
-		for _, alg := range algs {
-			stream++
-			spec := core.SearchSpec{
-				Algorithm: alg,
-				Reps:      reps,
-				Seed:      cfg.seed(stream),
-			}
-			if isWalk(alg) {
-				spec.Budget = walkBudgetFactor * sizes[len(sizes)-1]
-			}
-			collect := addScalingCell(b,
-				fmt.Sprintf("%s/%s/%s/%s", id, kind, tag, alg.Name()), sizes,
-				genFor, nil, spec)
-			cells = append(cells, cell{kind: kind, alg: alg, collect: collect})
-		}
-	}
-	addBattery("weak", search.WeakAlgorithms())
-	addBattery("strong", search.StrongAlgorithms())
+	weakCells := addBattery(b, cfg, base+1, id+"/weak/"+tag, search.WeakAlgorithms(), sizes,
+		genFor, nil, core.SearchSpec{Reps: reps})
+	strongCells := addBattery(b, cfg, base+1+uint64(len(weakCells)), id+"/strong/"+tag, search.StrongAlgorithms(), sizes,
+		genFor, nil, core.SearchSpec{Reps: reps})
 
 	title := map[string]string{
 		"fitness": "Bianconi–Barabási fitness model",
@@ -153,7 +131,7 @@ func planRegistryBattery(cfg Config, id, family, tag string, base uint64) (*Plan
 			structure.AddRow(sr.N, sr.MaxDeg, sr.MaxIn, alpha, se, xmin)
 		}
 
-		battery := func(kind string) (*Table, error) {
+		battery := func(kind string, cells []*scalingCell) (*Table, error) {
 			table := &Table{
 				Title: fmt.Sprintf("%s%s  %s — expected requests to find vertex n (%s model)", id,
 					map[string]string{"weak": "b", "strong": "c"}[kind], title, kind),
@@ -166,26 +144,22 @@ func planRegistryBattery(cfg Config, id, family, tag string, base uint64) (*Plan
 				},
 			}
 			for _, c := range cells {
-				if c.kind != kind {
-					continue
-				}
-				res, err := c.collect(results)
+				res, last, err := c.collect(results)
 				if err != nil {
-					return nil, fmt.Errorf("%s %s %s: %w", id, kind, c.alg.Name(), err)
+					return nil, err
 				}
-				last := res.Points[len(res.Points)-1]
-				table.AddRow(c.alg.Name(), last.N,
+				table.AddRow(res.Algorithm, last.N,
 					last.Measurement.Requests.Mean, math.Sqrt(float64(last.N)),
 					res.Fit.Exponent, res.Fit.ExponentSE,
 					last.Measurement.FoundRate)
 			}
 			return table, nil
 		}
-		weak, err := battery("weak")
+		weak, err := battery("weak", weakCells)
 		if err != nil {
 			return nil, err
 		}
-		strong, err := battery("strong")
+		strong, err := battery("strong", strongCells)
 		if err != nil {
 			return nil, err
 		}

@@ -25,42 +25,28 @@ func PlanE8(cfg Config) (*Plan, error) {
 	sizes := cfg.sizes(1024, 4)
 	reps := cfg.scaleInt(60, 8)
 	b := newPlanBuilder()
-	algos := []struct {
-		alg    search.Algorithm
-		theory func(k float64) float64
-	}{
-		{search.NewDegreeGreedyStrong(), core.AdamicGreedyExponent},
-		{search.NewRandomWalkStrong(), core.AdamicWalkExponent},
+	algs := []search.Algorithm{search.NewDegreeGreedyStrong(), search.NewRandomWalkStrong()}
+	theory := []func(k float64) float64{core.AdamicGreedyExponent, core.AdamicWalkExponent}
+	type battery struct {
+		k     float64
+		cells []*scalingCell // greedy, walk
 	}
-	type cell struct {
-		k       float64
-		ai      int
-		collect cellCollector
-	}
-	var cells []cell
-	stream := uint64(700)
-	for _, k := range []float64{2.1, 2.3, 2.5} {
-		for ai, a := range algos {
-			stream++
-			spec := core.SearchSpec{
-				Algorithm:    a.alg,
+	var batteries []battery
+	for i, k := range []float64{2.1, 2.3, 2.5} {
+		batteries = append(batteries, battery{k: k, cells: addBattery(b, cfg, 701+uint64(i*len(algs)),
+			fmt.Sprintf("E8/k=%v", k), algs, sizes,
+			func(n int) core.GraphGen {
+				return func(r *rng.RNG, _ *core.Scratch) (*graph.Graph, error) {
+					g, _, err := configmodel.Config{N: n, Exponent: k, MinDeg: 2}.GenerateGiant(r)
+					return g, err
+				}
+			},
+			nil, core.SearchSpec{
 				Reps:         reps,
-				Seed:         cfg.seed(stream),
 				RandomStart:  true,
 				RandomTarget: true,
 				Budget:       walkBudgetFactor * sizes[len(sizes)-1],
-			}
-			collect := addScalingCell(b,
-				fmt.Sprintf("E8/k=%v/%s", k, a.alg.Name()), sizes,
-				func(n int) core.GraphGen {
-					return func(r *rng.RNG, _ *core.Scratch) (*graph.Graph, error) {
-						g, _, err := configmodel.Config{N: n, Exponent: k, MinDeg: 2}.GenerateGiant(r)
-						return g, err
-					}
-				},
-				nil, spec)
-			cells = append(cells, cell{k: k, ai: ai, collect: collect})
-		}
+			})})
 	}
 	return b.build(func(results []any) ([]Table, error) {
 		table := &Table{
@@ -77,36 +63,26 @@ func PlanE8(cfg Config) (*Plan, error) {
 			Columns: []string{"k", "greedy-mean", "walk-mean", "t", "p-value", "greedy-wins"},
 			Notes:   []string{"the paper's related-work claim: high-degree search beats the walk"},
 		}
-		lastSamples := map[float64][][]float64{}
-		lastMeans := map[float64][]float64{}
-		var ks []float64
-		for _, c := range cells {
-			a := algos[c.ai]
-			res, err := c.collect(results)
+		for _, bat := range batteries {
+			last := make([]core.Measurement, len(bat.cells))
+			for ai, c := range bat.cells {
+				res, pt, err := c.collect(results)
+				if err != nil {
+					return nil, err
+				}
+				last[ai] = pt.Measurement
+				table.AddRow(res.Algorithm, bat.k, pt.N,
+					pt.Measurement.Requests.Mean,
+					res.Fit.Exponent, res.Fit.ExponentSE,
+					theory[ai](bat.k),
+					pt.Measurement.FoundRate)
+			}
+			wres, err := stats.WelchTTest(last[0].Samples, last[1].Samples)
 			if err != nil {
-				return nil, fmt.Errorf("E8 k=%v %s: %w", c.k, a.alg.Name(), err)
+				return nil, fmt.Errorf("E8 Welch k=%v: %w", bat.k, err)
 			}
-			last := res.Points[len(res.Points)-1]
-			if c.ai == 0 {
-				ks = append(ks, c.k)
-				lastSamples[c.k] = make([][]float64, len(algos))
-				lastMeans[c.k] = make([]float64, len(algos))
-			}
-			lastSamples[c.k][c.ai] = last.Measurement.Samples
-			lastMeans[c.k][c.ai] = last.Measurement.Requests.Mean
-			table.AddRow(a.alg.Name(), c.k, last.N,
-				last.Measurement.Requests.Mean,
-				res.Fit.Exponent, res.Fit.ExponentSE,
-				a.theory(c.k),
-				last.Measurement.FoundRate)
-		}
-		for _, k := range ks {
-			wres, err := stats.WelchTTest(lastSamples[k][0], lastSamples[k][1])
-			if err != nil {
-				return nil, fmt.Errorf("E8 Welch k=%v: %w", k, err)
-			}
-			welch.AddRow(k, lastMeans[k][0], lastMeans[k][1], wres.T, wres.PValue,
-				fmt.Sprintf("%v", lastMeans[k][0] < lastMeans[k][1]))
+			welch.AddRow(bat.k, last[0].Requests.Mean, last[1].Requests.Mean, wres.T, wres.PValue,
+				fmt.Sprintf("%v", last[0].Requests.Mean < last[1].Requests.Mean))
 		}
 		return []Table{*table, *welch}, nil
 	}), nil

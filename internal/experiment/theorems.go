@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"scalefree/internal/cooperfrieze"
 	"scalefree/internal/core"
@@ -12,21 +11,6 @@ import (
 	"scalefree/internal/rng"
 	"scalefree/internal/search"
 )
-
-// walkBudgetFactor caps walk-style algorithms at this multiple of n so
-// that pathological walks terminate; the found-rate column records how
-// often the cap bit. Non-walk algorithms run uncensored (they finish
-// within m requests on connected graphs).
-const walkBudgetFactor = 50
-
-func isWalk(a search.Algorithm) bool {
-	switch a.Name() {
-	case "random-walk", "self-avoiding-walk", "random-walk-strong":
-		return true
-	default:
-		return strings.HasPrefix(a.Name(), "biased-walk")
-	}
-}
 
 // PlanE1 measures Theorem 1 in the weak model: for every weak algorithm
 // and several (p, m), the expected number of requests to find vertex n
@@ -37,31 +21,19 @@ func PlanE1(cfg Config) (*Plan, error) {
 	reps := cfg.scaleInt(24, 6)
 	b := newPlanBuilder()
 	type cell struct {
-		p       float64
-		m       int
-		alg     search.Algorithm
-		collect cellCollector
+		p float64
+		m int
+		*scalingCell
 	}
 	var cells []cell
-	stream := uint64(0)
 	for _, p := range []float64{0.25, 0.5, 0.75, 1.0} {
 		for _, m := range []int{1, 2} {
-			for _, alg := range search.WeakAlgorithms() {
-				stream++
-				spec := core.SearchSpec{
-					Algorithm: alg,
-					Reps:      reps,
-					Seed:      cfg.seed(stream),
-				}
-				if isWalk(alg) {
-					spec.Budget = walkBudgetFactor * sizes[len(sizes)-1]
-				}
-				collect := addScalingCell(b,
-					fmt.Sprintf("E1/p=%v/m=%d/%s", p, m, alg.Name()), sizes,
-					func(n int) core.GraphGen { return core.MoriGen(mori.Config{N: n, M: m, P: p}) },
-					exactBound(func(n int) (float64, error) { return core.Theorem1Bound(n, p) }),
-					spec)
-				cells = append(cells, cell{p: p, m: m, alg: alg, collect: collect})
+			for _, c := range addBattery(b, cfg, 1+uint64(len(cells)),
+				fmt.Sprintf("E1/p=%v/m=%d", p, m), search.WeakAlgorithms(), sizes,
+				func(n int) core.GraphGen { return core.MoriGen(mori.Config{N: n, M: m, P: p}) },
+				func(n int, _ *rng.RNG) (float64, error) { return core.Theorem1Bound(n, p) },
+				core.SearchSpec{Reps: reps}) {
+				cells = append(cells, cell{p: p, m: m, scalingCell: c})
 			}
 		}
 	}
@@ -76,12 +48,11 @@ func PlanE1(cfg Config) (*Plan, error) {
 			},
 		}
 		for _, c := range cells {
-			res, err := c.collect(results)
+			res, last, err := c.collect(results)
 			if err != nil {
-				return nil, fmt.Errorf("E1 p=%v m=%d %s: %w", c.p, c.m, c.alg.Name(), err)
+				return nil, err
 			}
-			last := res.Points[len(res.Points)-1]
-			table.AddRow(c.alg.Name(), c.p, c.m, last.N,
+			table.AddRow(res.Algorithm, c.p, c.m, last.N,
 				last.Measurement.Requests.Mean, last.Bound,
 				res.Fit.Exponent, res.Fit.ExponentSE, res.Fit.R2,
 				last.Measurement.FoundRate)
@@ -97,28 +68,16 @@ func PlanE2(cfg Config) (*Plan, error) {
 	reps := cfg.scaleInt(24, 6)
 	b := newPlanBuilder()
 	type cell struct {
-		p       float64
-		alg     search.Algorithm
-		collect cellCollector
+		p float64
+		*scalingCell
 	}
 	var cells []cell
-	stream := uint64(100)
 	for _, p := range []float64{0.1, 0.25, 0.4} {
-		for _, alg := range search.StrongAlgorithms() {
-			stream++
-			spec := core.SearchSpec{
-				Algorithm: alg,
-				Reps:      reps,
-				Seed:      cfg.seed(stream),
-			}
-			if isWalk(alg) {
-				spec.Budget = walkBudgetFactor * sizes[len(sizes)-1]
-			}
-			collect := addScalingCell(b,
-				fmt.Sprintf("E2/p=%v/%s", p, alg.Name()), sizes,
-				func(n int) core.GraphGen { return core.MoriGen(mori.Config{N: n, M: 1, P: p}) },
-				nil, spec)
-			cells = append(cells, cell{p: p, alg: alg, collect: collect})
+		for _, c := range addBattery(b, cfg, 101+uint64(len(cells)),
+			fmt.Sprintf("E2/p=%v", p), search.StrongAlgorithms(), sizes,
+			func(n int) core.GraphGen { return core.MoriGen(mori.Config{N: n, M: 1, P: p}) },
+			nil, core.SearchSpec{Reps: reps}) {
+			cells = append(cells, cell{p: p, scalingCell: c})
 		}
 	}
 	return b.build(func(results []any) ([]Table, error) {
@@ -132,12 +91,11 @@ func PlanE2(cfg Config) (*Plan, error) {
 			},
 		}
 		for _, c := range cells {
-			res, err := c.collect(results)
+			res, last, err := c.collect(results)
 			if err != nil {
-				return nil, fmt.Errorf("E2 p=%v %s: %w", c.p, c.alg.Name(), err)
+				return nil, err
 			}
-			last := res.Points[len(res.Points)-1]
-			table.AddRow(c.alg.Name(), c.p, last.N,
+			table.AddRow(res.Algorithm, c.p, last.N,
 				last.Measurement.Requests.Mean,
 				res.Fit.Exponent, res.Fit.ExponentSE,
 				core.StrongModelExponent(c.p),
@@ -169,32 +127,20 @@ func PlanE3(cfg Config) (*Plan, error) {
 	mcReps := cfg.scaleInt(400, 100)
 	b := newPlanBuilder()
 	type cell struct {
-		alpha   float64
-		alg     search.Algorithm
-		collect cellCollector
+		alpha float64
+		*scalingCell
 	}
 	var cells []cell
-	stream := uint64(200)
 	for _, alpha := range []float64{0.5, 0.8} {
-		for _, alg := range search.WeakAlgorithms() {
-			stream++
-			spec := core.SearchSpec{
-				Algorithm: alg,
-				Reps:      reps,
-				Seed:      cfg.seed(stream),
-			}
-			if isWalk(alg) {
-				spec.Budget = walkBudgetFactor * sizes[len(sizes)-1]
-			}
-			collect := addScalingCell(b,
-				fmt.Sprintf("E3/alpha=%v/%s", alpha, alg.Name()), sizes,
-				func(n int) core.GraphGen { return core.CooperFriezeGen(cfConfig(n, alpha)) },
-				func(n int, r *rng.RNG) (float64, error) {
-					bound, _, _, err := equivalence.Lemma1BoundCF(r, cfConfig(n, alpha), mcReps)
-					return bound, err
-				},
-				spec)
-			cells = append(cells, cell{alpha: alpha, alg: alg, collect: collect})
+		for _, c := range addBattery(b, cfg, 201+uint64(len(cells)),
+			fmt.Sprintf("E3/alpha=%v", alpha), search.WeakAlgorithms(), sizes,
+			func(n int) core.GraphGen { return core.CooperFriezeGen(cfConfig(n, alpha)) },
+			func(n int, r *rng.RNG) (float64, error) {
+				bound, _, _, err := equivalence.Lemma1BoundCF(r, cfConfig(n, alpha), mcReps)
+				return bound, err
+			},
+			core.SearchSpec{Reps: reps}) {
+			cells = append(cells, cell{alpha: alpha, scalingCell: c})
 		}
 	}
 	return b.build(func(results []any) ([]Table, error) {
@@ -208,12 +154,11 @@ func PlanE3(cfg Config) (*Plan, error) {
 			},
 		}
 		for _, c := range cells {
-			res, err := c.collect(results)
+			res, last, err := c.collect(results)
 			if err != nil {
-				return nil, fmt.Errorf("E3 alpha=%v %s: %w", c.alpha, c.alg.Name(), err)
+				return nil, err
 			}
-			last := res.Points[len(res.Points)-1]
-			table.AddRow(c.alg.Name(), c.alpha, last.N,
+			table.AddRow(res.Algorithm, c.alpha, last.N,
 				last.Measurement.Requests.Mean, last.Bound,
 				res.Fit.Exponent, res.Fit.ExponentSE,
 				last.Measurement.FoundRate)

@@ -31,23 +31,16 @@ func Components(g *Graph) (labels []int32, count int) {
 	return labels, int(next)
 }
 
-// ComponentsParallel is Components with each component flood expanded
-// by the frontier-parallel machinery of BFSParallelInto. Seeds are
-// still scanned in increasing vertex order and labels assigned in seed
+// ComponentsParallelInto is Components with each component flood
+// expanded by the frontier-parallel machinery of BFSParallelInto,
+// writing labels into a caller buffer of length >= n+1 (every entry is
+// overwritten) with a reusable traversal scratch; nil s falls back to
+// fresh buffers. It returns the component count. Seeds are still
+// scanned in increasing vertex order and labels assigned in seed
 // order, so the (labels, count) output is byte-identical to serial
 // Components for every worker count; only the within-flood work is
 // parallel, which is where all the time goes on graphs dominated by a
 // giant component.
-func ComponentsParallel(g *Graph, workers int) (labels []int32, count int) {
-	labels = make([]int32, g.NumVertices()+1)
-	count = ComponentsParallelInto(g, labels, workers, nil)
-	return labels, count
-}
-
-// ComponentsParallelInto is ComponentsParallel writing labels into a
-// caller buffer of length >= n+1 (every entry is overwritten) with a
-// reusable traversal scratch; nil s falls back to fresh buffers. It
-// returns the component count.
 func ComponentsParallelInto(g *Graph, labels []int32, workers int, s *BFSScratch) int {
 	if s == nil {
 		s = &BFSScratch{}

@@ -260,16 +260,6 @@ func (g *Graph) Endpoints(e EdgeID) (from, to Vertex) {
 	return g.from[e], g.to[e]
 }
 
-// AppendNeighbors appends the multiset of v's neighbors (one entry per
-// half-edge, so parallel edges repeat and a self-loop contributes v
-// twice) to dst and returns the extended slice.
-func (g *Graph) AppendNeighbors(dst []Vertex, v Vertex) []Vertex {
-	for _, h := range g.Incident(v) {
-		dst = append(dst, h.Other)
-	}
-	return dst
-}
-
 // Degrees returns the undirected degree of every vertex, indexed 1..n
 // (entry 0 is zero padding).
 func (g *Graph) Degrees() []int {

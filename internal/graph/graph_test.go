@@ -113,13 +113,13 @@ func TestParallelEdges(t *testing.T) {
 	if got := g.NumEdges(); got != 3 {
 		t.Errorf("NumEdges = %d, want 3", got)
 	}
-	ns := g.AppendNeighbors(nil, 1)
-	if len(ns) != 3 {
-		t.Fatalf("neighbors of 1 = %v, want 3 entries", ns)
+	hs := g.Incident(1)
+	if len(hs) != 3 {
+		t.Fatalf("incident halves of 1 = %v, want 3", hs)
 	}
-	for _, w := range ns {
-		if w != 2 {
-			t.Errorf("unexpected neighbor %d", w)
+	for _, h := range hs {
+		if h.Other != 2 {
+			t.Errorf("unexpected neighbor %d", h.Other)
 		}
 	}
 }

@@ -322,13 +322,6 @@ func frontierChunk(frontier, workers int) int {
 	return c
 }
 
-// BFSParallel is BFSParallelInto with fresh buffers.
-func BFSParallel(g *Graph, src Vertex, workers int) []int32 {
-	dist := make([]int32, g.NumVertices()+1)
-	BFSParallelInto(g, src, dist, workers, nil)
-	return dist
-}
-
 // BFSParallelInto computes undirected hop distances from src exactly
 // like BFSInto, but expands each BFS level with up to workers
 // goroutines: the frontier is claimed in chunks, newly discovered

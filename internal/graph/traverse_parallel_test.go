@@ -161,13 +161,13 @@ func TestBFSParallelDirections(t *testing.T) {
 	}
 }
 
-// TestBFSParallelNilScratchAndConvenience covers the nil-scratch path
-// and the allocating wrapper.
+// TestBFSParallelNilScratchAndConvenience covers the nil-scratch path,
+// which allocates its own traversal buffers.
 func TestBFSParallelNilScratchAndConvenience(t *testing.T) {
 	g := randomMultigraph(rng.New(4), 800, 2400)
 	want := BFS(g, 3)
-	BFSParallelInto(g, 3, make([]int32, g.NumVertices()+1), 4, nil)
-	got := BFSParallel(g, 3, 4)
+	got := make([]int32, g.NumVertices()+1)
+	BFSParallelInto(g, 3, got, 4, nil)
 	for v := range want {
 		if want[v] != got[v] {
 			t.Fatalf("dist[%d] = %d, want %d", v, got[v], want[v])
@@ -216,9 +216,10 @@ func TestComponentsParallelMatchesSerial(t *testing.T) {
 				}
 			}
 		}
-		gotLabels, gotCount := ComponentsParallel(g, 3)
+		gotLabels := make([]int32, size.n+1)
+		gotCount := ComponentsParallelInto(g, gotLabels, 3, nil)
 		if gotCount != wantCount {
-			t.Fatalf("ComponentsParallel count %d, want %d", gotCount, wantCount)
+			t.Fatalf("ComponentsParallelInto (nil scratch) count %d, want %d", gotCount, wantCount)
 		}
 		sizes := ComponentSizesFrom(g, gotLabels, gotCount)
 		total := 0

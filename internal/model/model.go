@@ -194,12 +194,6 @@ func Names() []string {
 	return out
 }
 
-// ByName looks a family up.
-func ByName(name string) (Family, bool) {
-	f, ok := families[name]
-	return f, ok
-}
-
 // New instantiates a model: params is a comma-separated "name=value"
 // list validated against the family's parameter table (missing
 // parameters take their defaults; unknown names, malformed values, and

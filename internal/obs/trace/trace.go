@@ -144,6 +144,21 @@ func (w *Writer) EndAt(t time.Time) {
 	w.recs = append(w.recs, Record{TS: stamp(t), TID: w.tid, Ph: 'E'})
 }
 
+// EndAllAt closes every open span at t, innermost first, and absorbs
+// the Ends of suppressed Begins, so no span is left open: what the
+// engine does at a trial's end, however the trial unwound.
+//
+//sf:hotpath — runs once per trial.
+func (w *Writer) EndAllAt(t time.Time) {
+	if w == nil {
+		return
+	}
+	w.suppress = 0
+	for w.reserved > 0 {
+		w.EndAt(t)
+	}
+}
+
 // defaultWriterCap bounds one writer's buffer: 8192 records ≈ 0.6 MiB.
 // A writer never grows: the engine flushes it between trials, and a
 // trial that overflows it falls into the drop-newest policy.
@@ -233,10 +248,7 @@ func (r *Recorder) Release(w *Writer) {
 	if r == nil || w == nil {
 		return
 	}
-	for w.reserved > 0 {
-		w.End()
-	}
-	w.suppress = 0
+	w.EndAllAt(clockNow())
 	r.mu.Lock()
 	r.collect(w)
 	r.free = append(r.free, w)

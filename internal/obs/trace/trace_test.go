@@ -64,14 +64,22 @@ func TestWriterMatchedPairsUnderOverflow(t *testing.T) {
 	pairCheck(t, recs)
 }
 
+// TestWriterReleaseClosesDangling: Release closes every open span and
+// absorbs a suppressed one (a 4-record writer has no room for c), so
+// the recycled writer starts with no span open.
 func TestWriterReleaseClosesDangling(t *testing.T) {
 	r := New()
+	r.WriterCap = 4
 	w := r.Writer()
 	w.Begin("a", "t")
 	w.Begin("b", "t")
+	w.Begin("c", "t")
 	r.Release(w)
 	if spans := pairCheck(t, r.Drain()); spans != 2 {
 		t.Fatalf("got %d closed spans, want 2", spans)
+	}
+	if w.reserved != 0 || w.suppress != 0 {
+		t.Fatalf("released writer still open: reserved=%d suppress=%d", w.reserved, w.suppress)
 	}
 }
 

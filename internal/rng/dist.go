@@ -6,50 +6,6 @@ import (
 	"sort"
 )
 
-// Geometric returns the number of failures before the first success in
-// independent Bernoulli(p) trials, i.e. a sample from the geometric
-// distribution on {0, 1, 2, ...}. It panics unless 0 < p <= 1.
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic(fmt.Sprintf("rng: Geometric with p = %v out of (0, 1]", p))
-	}
-	if p == 1 {
-		return 0
-	}
-	// Inversion: floor(log(U) / log(1-p)) with U in (0, 1).
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return int(math.Log(u) / math.Log1p(-p))
-}
-
-// Exp returns an exponentially distributed sample with rate lambda > 0.
-func (r *RNG) Exp(lambda float64) float64 {
-	if lambda <= 0 {
-		panic(fmt.Sprintf("rng: Exp with lambda = %v <= 0", lambda))
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / lambda
-}
-
-// Pareto returns a continuous bounded Pareto sample on [lo, hi] with tail
-// exponent k > 1 (density proportional to x^(-k)). Inversion on the
-// truncated CDF keeps the sample exact.
-func (r *RNG) Pareto(k, lo, hi float64) float64 {
-	if !(k > 1) || !(lo > 0) || !(hi >= lo) {
-		panic(fmt.Sprintf("rng: Pareto with invalid k=%v lo=%v hi=%v", k, lo, hi))
-	}
-	a := k - 1 // CCDF exponent
-	u := r.Float64()
-	la := math.Pow(lo, -a)
-	ha := math.Pow(hi, -a)
-	return math.Pow(la-u*(la-ha), -1/a)
-}
-
 // PowerLaw is a sampler for a discrete bounded power law
 // P(X = d) ∝ d^(-k) on the integer range [Min, Max].
 //

@@ -250,54 +250,6 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(31)
-	const p, draws = 0.25, 100000
-	sum := 0
-	for i := 0; i < draws; i++ {
-		sum += r.Geometric(p)
-	}
-	got := float64(sum) / draws
-	want := (1 - p) / p
-	if math.Abs(got-want) > 0.1 {
-		t.Errorf("Geometric(%v) mean %v, want %v", p, got, want)
-	}
-	if v := r.Geometric(1); v != 0 {
-		t.Errorf("Geometric(1) = %d, want 0", v)
-	}
-}
-
-func TestGeometricPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Geometric(0) did not panic")
-		}
-	}()
-	New(1).Geometric(0)
-}
-
-func TestExpMean(t *testing.T) {
-	r := New(37)
-	const lambda, draws = 2.0, 100000
-	sum := 0.0
-	for i := 0; i < draws; i++ {
-		sum += r.Exp(lambda)
-	}
-	if got := sum / draws; math.Abs(got-1/lambda) > 0.02 {
-		t.Errorf("Exp(%v) mean %v, want %v", lambda, got, 1/lambda)
-	}
-}
-
-func TestParetoBounds(t *testing.T) {
-	r := New(41)
-	for i := 0; i < 10000; i++ {
-		v := r.Pareto(2.5, 1, 100)
-		if v < 1 || v > 100 {
-			t.Fatalf("Pareto sample %v out of [1, 100]", v)
-		}
-	}
-}
-
 func TestReseedMatchesNew(t *testing.T) {
 	r := New(1)
 	r.Uint64() // disturb the state

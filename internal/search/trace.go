@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"io"
 
 	"scalefree/internal/graph"
 )
@@ -53,27 +52,4 @@ func (o *Oracle) record(ev TraceEvent) {
 	ev.Seq = o.requests
 	ev.Found = o.found
 	o.trace = append(o.trace, ev)
-}
-
-// WriteTrace renders a recorded trace, one request per line, in the
-// order the requests were paid for.
-func WriteTrace(w io.Writer, events []TraceEvent) error {
-	for _, ev := range events {
-		var line string
-		switch ev.Kind {
-		case TraceEdgeRequest:
-			line = fmt.Sprintf("#%d edge (%d, slot %d) -> %d", ev.Seq, ev.Subject, ev.Slot, ev.Revealed)
-		case TraceVertexRequest:
-			line = fmt.Sprintf("#%d vertex %d", ev.Seq, ev.Subject)
-		default:
-			line = fmt.Sprintf("#%d unknown", ev.Seq)
-		}
-		if ev.Found {
-			line += "  [target revealed]"
-		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return fmt.Errorf("search: writing trace: %w", err)
-		}
-	}
-	return nil
 }

@@ -1,8 +1,6 @@
 package search
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"scalefree/internal/rng"
@@ -97,23 +95,6 @@ func TestTraceStrongModel(t *testing.T) {
 	}
 	if !trace[1].Found {
 		t.Error("hub request should reveal the target")
-	}
-}
-
-func TestWriteTrace(t *testing.T) {
-	events := []TraceEvent{
-		{Seq: 1, Kind: TraceEdgeRequest, Subject: 3, Slot: 0, Revealed: 7},
-		{Seq: 2, Kind: TraceVertexRequest, Subject: 7, Slot: -1, Found: true},
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"#1 edge (3, slot 0) -> 7", "#2 vertex 7", "[target revealed]"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace output missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -6,9 +6,7 @@
 //     sampler behind every generator hot loop;
 //   - Fenwick: a binary indexed tree over integer weights with O(log n)
 //     increment and O(log n) proportional sampling — the reference
-//     implementation the production path is validated against;
-//   - Alias: Walker's alias method for O(1) sampling from a fixed
-//     discrete distribution, used when the weights are static.
+//     implementation the production path is validated against.
 //
 // A design note (DESIGN.md §5.2; BenchmarkFenwickSample and
 // BenchmarkEndpointArraySample are the per-draw ablation): the
@@ -115,76 +113,3 @@ func (f *Fenwick) find(target int64) int {
 	}
 	return idx + 1
 }
-
-// Alias is Walker's alias table: O(1) sampling from a fixed discrete
-// distribution over {0, ..., n-1}. Build once with NewAlias.
-type Alias struct {
-	prob  []float64
-	alias []int
-}
-
-// NewAlias builds an alias table from non-negative weights, at least
-// one of which must be positive.
-func NewAlias(weights []float64) (*Alias, error) {
-	n := len(weights)
-	if n == 0 {
-		return nil, fmt.Errorf("weights: alias table needs at least one weight")
-	}
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("weights: alias weight %d is negative (%v)", i, w)
-		}
-		total += w
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("weights: alias weights sum to %v", total)
-	}
-	scaled := make([]float64, n)
-	for i, w := range weights {
-		scaled[i] = w * float64(n) / total
-	}
-	a := &Alias{prob: make([]float64, n), alias: make([]int, n)}
-	small := make([]int, 0, n)
-	large := make([]int, 0, n)
-	for i, s := range scaled {
-		if s < 1 {
-			small = append(small, i)
-		} else {
-			large = append(large, i)
-		}
-	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		a.prob[s] = scaled[s]
-		a.alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
-			large = large[:len(large)-1]
-			small = append(small, l)
-		}
-	}
-	for _, i := range large {
-		a.prob[i] = 1
-		a.alias[i] = i
-	}
-	for _, i := range small {
-		a.prob[i] = 1 // numerical leftovers; probability is within rounding of 1
-		a.alias[i] = i
-	}
-	return a, nil
-}
-
-// Sample draws an index with probability proportional to its weight.
-func (a *Alias) Sample(r *rng.RNG) int {
-	i := r.Intn(len(a.prob))
-	if r.Float64() < a.prob[i] {
-		return i
-	}
-	return a.alias[i]
-}
-
-// Len returns the support size.
-func (a *Alias) Len() int { return len(a.prob) }

@@ -147,68 +147,6 @@ func TestFenwickIndexPanics(t *testing.T) {
 	}
 }
 
-func TestAliasValidation(t *testing.T) {
-	if _, err := NewAlias(nil); err == nil {
-		t.Error("empty weights accepted")
-	}
-	if _, err := NewAlias([]float64{0, 0}); err == nil {
-		t.Error("all-zero weights accepted")
-	}
-	if _, err := NewAlias([]float64{1, -1}); err == nil {
-		t.Error("negative weight accepted")
-	}
-}
-
-func TestAliasProportions(t *testing.T) {
-	a, err := NewAlias([]float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != 4 {
-		t.Fatalf("Len = %d", a.Len())
-	}
-	r := rng.New(11)
-	const draws = 200000
-	counts := make([]int, 4)
-	for i := 0; i < draws; i++ {
-		counts[a.Sample(r)]++
-	}
-	for i, c := range counts {
-		want := float64(i+1) / 10
-		got := float64(c) / draws
-		if math.Abs(got-want) > 0.005 {
-			t.Errorf("P(%d) = %v, want %v", i, got, want)
-		}
-	}
-}
-
-func TestAliasZeroWeightNeverSampled(t *testing.T) {
-	a, err := NewAlias([]float64{0, 1, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(13)
-	for i := 0; i < 20000; i++ {
-		got := a.Sample(r)
-		if got == 0 || got == 2 {
-			t.Fatalf("sampled zero-weight index %d", got)
-		}
-	}
-}
-
-func TestAliasSingleton(t *testing.T) {
-	a, err := NewAlias([]float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(17)
-	for i := 0; i < 100; i++ {
-		if a.Sample(r) != 0 {
-			t.Fatal("singleton alias sampled nonzero index")
-		}
-	}
-}
-
 func TestEndpointArrayProportions(t *testing.T) {
 	e := NewEndpointArray(10)
 	e.Record(1)
@@ -299,21 +237,4 @@ func BenchmarkEndpointArraySample(b *testing.B) {
 			e.Record(e.Sample(r))
 		}
 	})
-}
-
-func BenchmarkAliasSample(b *testing.B) {
-	n := 1 << 16
-	ws := make([]float64, n)
-	r := rng.New(1)
-	for i := range ws {
-		ws[i] = r.Float64() + 0.01
-	}
-	a, err := NewAlias(ws)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Sample(r)
-	}
 }
