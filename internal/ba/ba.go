@@ -47,14 +47,16 @@ func (c Config) numEdges() int { return 1 + c.M*(c.N-1) }
 // every later vertex t attaches M edges to existing vertices chosen
 // proportionally to total degree (multi-edges allowed, matching the
 // Bollobás–Riordan formalization). The result is connected with
-// 1 + M·(N-1) edges.
+// 1 + M·(N-1) edges. Generate is GenerateScratch on a fresh scratch,
+// and the graph it returns pins none of that scratch's working
+// buffers.
 func (c Config) Generate(r *rng.RNG) (*graph.Graph, error) {
-	if err := c.Validate(); err != nil {
+	g, err := c.GenerateScratch(r, new(Scratch))
+	if err != nil {
 		return nil, err
 	}
-	b := graph.NewBuilder(c.N, c.numEdges())
-	c.generate(r, b, weights.NewEndpointArray(2*c.numEdges()))
-	return b.Freeze(), nil
+	out := *g
+	return &out, nil
 }
 
 // Scratch holds the reusable buffers of one generation worker: the
@@ -73,9 +75,6 @@ type Scratch struct {
 // the same scratch; callers that outlive the scratch must use
 // Generate.
 func (c Config) GenerateScratch(r *rng.RNG, s *Scratch) (*graph.Graph, error) {
-	if s == nil {
-		return c.Generate(r)
-	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}

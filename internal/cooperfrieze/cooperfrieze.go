@@ -111,9 +111,17 @@ type Result struct {
 
 // Generate runs the process until N vertices exist and returns the
 // frozen graph. Vertex 1 is the seed (with a self-loop); vertices are
-// numbered by arrival.
+// numbered by arrival. Generate is GenerateScratch on a fresh scratch,
+// and the Result it returns pins none of that scratch's working
+// buffers.
 func (c Config) Generate(r *rng.RNG) (*Result, error) {
-	return c.GenerateScratch(r, new(Scratch))
+	res, err := c.GenerateScratch(r, new(Scratch))
+	if err != nil {
+		return nil, err
+	}
+	out, g := *res, *res.Graph
+	out.Graph = &g
+	return &out, nil
 }
 
 // Scratch holds the reusable buffers of one generation worker: the
@@ -134,11 +142,8 @@ type Scratch struct {
 // for equal seeds, the identical graph) through s's reusable buffers.
 // The returned Result and its graph alias s and are valid until the
 // next call with the same scratch; callers that outlive the scratch
-// must copy (or use Generate, which allocates a private scratch).
+// must use Generate.
 func (c Config) GenerateScratch(r *rng.RNG, s *Scratch) (*Result, error) {
-	if s == nil {
-		return c.Generate(r)
-	}
 	q, p, err := c.tables()
 	if err != nil {
 		return nil, err

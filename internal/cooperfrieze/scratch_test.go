@@ -66,9 +66,11 @@ func TestGenerateScratchAllocsBounded(t *testing.T) {
 		}
 	}
 	gen() // warm up the buffers
-	allocs := testing.AllocsPerRun(10, gen)
-	if allocs > 10 {
-		t.Errorf("steady-state GenerateScratch allocates %v times per graph, want O(1) <= 10", allocs)
+	for i := 0; i < 10; i++ {
+		if allocs := testing.AllocsPerRun(1, gen); allocs > 10 {
+			t.Errorf("steady-state GenerateScratch run %d allocates %v times, want O(1) <= 10", i, allocs)
+			break
+		}
 	}
 }
 

@@ -127,6 +127,38 @@ var smokeDigests = map[string]string{
 	"E13": "c3fc3a9103e6931f29537a0c7a676b6257463e97ef229e3dbd215cac59308d0c",
 }
 
+// suiteDigest pins what `experiments -run all -scale 0.1 -seed 2024`
+// prints: the SHA-256 of every experiment's tables, rendered as text in
+// registry order. At smokeDigests' scale 0.05 most size lists sit at
+// scaleInt's floors; at 0.1 they move, so a generator, oracle or
+// traversal that changes a draw at a size the floors hide still moves
+// this digest.
+const suiteDigest = "e489dac2e9443f34fba9f5026edfa36bf95ada3acff4457ec81d99e96435bcb2"
+
+// TestSuiteTablesDigest runs the whole suite at scale 0.1, as the CLI
+// does, and checks suiteDigest.
+func TestSuiteTablesDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the scale-0.1 suite is not short")
+	}
+	cfg := Config{Seed: 2024, Scale: 0.1}
+	h := sha256.New()
+	for _, e := range Registry() {
+		tables, _, err := e.RunCached(context.Background(), cfg, engine.Options{}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		for _, tab := range tables {
+			if err := tab.Render(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != suiteDigest {
+		t.Errorf("suite tables at seed 2024, scale 0.1 hash to %s, pinned %s; diff `experiments -run all -scale 0.1 -seed 2024` against the parent's", got, suiteDigest)
+	}
+}
+
 // planDigests pins every experiment's trial identity at the scales the
 // repository benchmark runs (0.25, 0.35, 0.5) and at full scale, where
 // smokeDigests' scale 0.05 hides the size lists behind scaleInt's

@@ -23,11 +23,11 @@
 // the joint draw exactly proportional to η_u·d(u). Fitness is bounded
 // below by Eta0 > 0, so each attempt accepts with probability at least
 // Eta0 and generation costs O(n·M/Eta0) expected time with O(1)
-// allocations (amortized zero with a Scratch). GenerateRef keeps an
-// O(n) per-draw exact-inversion sampler as the reference
-// implementation the rejection path is validated against (chi-square
-// equivalence in the tests); the two consume RNG streams differently,
-// so equal seeds yield different (identically distributed) graphs.
+// allocations (amortized zero with a Scratch). The tests keep an O(n)
+// per-draw exact-inversion sampler as the reference implementation the
+// rejection path is validated against (chi-square equivalence); the
+// two consume RNG streams differently, so equal seeds yield different
+// (identically distributed) graphs.
 package fitness
 
 import (
@@ -100,15 +100,16 @@ type Scratch struct {
 // (positive initial degree mass, as in the BA generator), and every
 // later vertex t attaches M edges to existing vertices chosen
 // proportionally to η·degree (multi-edges allowed). The result is
-// connected with 1 + M·(N-1) edges, standalone — it pins none of the
-// generation buffers.
+// connected with 1 + M·(N-1) edges. Generate is GenerateScratch on a
+// fresh scratch, and the graph it returns pins none of that scratch's
+// working buffers.
 func (c Config) Generate(r *rng.RNG) (*graph.Graph, error) {
-	if err := c.Validate(); err != nil {
+	g, err := c.GenerateScratch(r, new(Scratch))
+	if err != nil {
 		return nil, err
 	}
-	b := graph.NewBuilder(c.N, c.numEdges())
-	c.generate(r, b, weights.NewEndpointArray(2*c.numEdges()), make([]float64, c.N+1))
-	return b.Freeze(), nil
+	out := *g
+	return &out, nil
 }
 
 // GenerateScratch is Generate drawing the identical distribution (and,
@@ -117,9 +118,6 @@ func (c Config) Generate(r *rng.RNG) (*graph.Graph, error) {
 // the same scratch; callers that outlive the scratch must use
 // Generate.
 func (c Config) GenerateScratch(r *rng.RNG, s *Scratch) (*graph.Graph, error) {
-	if s == nil {
-		return c.Generate(r)
-	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -165,56 +163,4 @@ func (c Config) generate(r *rng.RNG, b *graph.Builder, ends *weights.EndpointArr
 			ends.Record(int32(to))
 		}
 	}
-}
-
-// GenerateRef is the reference generator: the same process drawing
-// every attachment target by exact inversion over the weights η_u·d(u)
-// with an O(n) linear scan per draw. It samples exactly the same
-// distribution as Generate and is kept for the sampler ablation and
-// the chi-square equivalence test; the two consume RNG streams
-// differently, so equal seeds yield different (identically
-// distributed) graphs.
-func (c Config) GenerateRef(r *rng.RNG) (*graph.Graph, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	b := graph.NewBuilder(c.N, c.numEdges())
-	eta := make([]float64, c.N+1)
-	deg := make([]int, c.N+1)
-
-	b.AddVertex()
-	eta[1] = c.drawFitness(r)
-	b.AddEdge(1, 1)
-	deg[1] = 2
-	total := 2 * eta[1] // running Σ η_u·d(u)
-
-	for t := 2; t <= c.N; t++ {
-		v := b.AddVertex()
-		eta[v] = c.drawFitness(r)
-		base := b.NumEdges()
-		for i := 0; i < c.M; i++ {
-			x := r.Float64() * total
-			w := graph.Vertex(1)
-			for u := 1; u < t; u++ {
-				x -= eta[u] * float64(deg[u])
-				if x < 0 {
-					w = graph.Vertex(u)
-					break
-				}
-				// Accumulated rounding can push x past every weight;
-				// the last positive-degree vertex absorbs it.
-				if deg[u] > 0 {
-					w = graph.Vertex(u)
-				}
-			}
-			b.AddEdge(v, w)
-		}
-		for i := 0; i < c.M; i++ {
-			from, to := b.Endpoints(graph.EdgeID(base + i))
-			deg[from]++
-			deg[to]++
-			total += eta[from] + eta[to]
-		}
-	}
-	return b.Freeze(), nil
 }

@@ -23,11 +23,11 @@
 // degree·kernel. The kernel is bounded below by e^{−√2/(2R)} (the
 // torus diameter), so the rejection loop is exact and terminates in
 // O(e^{√2/(2R)}) expected attempts — O(1) for fixed R — with O(1)
-// allocations (amortized zero with a Scratch). GenerateRef keeps an
-// O(n) per-draw exact-inversion sampler as the reference
-// implementation the rejection path is validated against (chi-square
-// equivalence in the tests); the two consume RNG streams differently,
-// so equal seeds yield different (identically distributed) graphs.
+// allocations (amortized zero with a Scratch). The tests keep an O(n)
+// per-draw exact-inversion sampler as the reference implementation the
+// rejection path is validated against (chi-square equivalence); the
+// two consume RNG streams differently, so equal seeds yield different
+// (identically distributed) graphs.
 package geopa
 
 import (
@@ -113,16 +113,16 @@ type Scratch struct {
 // self-loop at a uniform position, and every later vertex t arrives at
 // a uniform position and attaches M edges chosen proportionally to
 // degree·e^{−dist/R} (multi-edges allowed). The result is connected
-// with 1 + M·(N-1) edges, standalone — it pins none of the generation
-// buffers.
+// with 1 + M·(N-1) edges. Generate is GenerateScratch on a fresh
+// scratch, and the graph it returns pins none of that scratch's
+// working buffers.
 func (c Config) Generate(r *rng.RNG) (*graph.Graph, error) {
-	if err := c.Validate(); err != nil {
+	g, err := c.GenerateScratch(r, new(Scratch))
+	if err != nil {
 		return nil, err
 	}
-	b := graph.NewBuilder(c.N, c.numEdges())
-	c.generate(r, b, weights.NewEndpointArray(2*c.numEdges()),
-		make([]float64, c.N+1), make([]float64, c.N+1))
-	return b.Freeze(), nil
+	out := *g
+	return &out, nil
 }
 
 // GenerateScratch is Generate drawing the identical distribution (and,
@@ -131,9 +131,6 @@ func (c Config) Generate(r *rng.RNG) (*graph.Graph, error) {
 // the same scratch; callers that outlive the scratch must use
 // Generate.
 func (c Config) GenerateScratch(r *rng.RNG, s *Scratch) (*graph.Graph, error) {
-	if s == nil {
-		return c.Generate(r)
-	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -182,62 +179,4 @@ func (c Config) generate(r *rng.RNG, b *graph.Builder, ends *weights.EndpointArr
 			ends.Record(int32(to))
 		}
 	}
-}
-
-// GenerateRef is the reference generator: the same process drawing
-// every attachment target by exact inversion over the weights
-// d(u)·e^{−dist/R} with an O(n) linear scan per draw. It samples
-// exactly the same distribution as Generate and is kept for the
-// chi-square equivalence test; the two consume RNG streams
-// differently, so equal seeds yield different (identically
-// distributed) graphs.
-func (c Config) GenerateRef(r *rng.RNG) (*graph.Graph, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	b := graph.NewBuilder(c.N, c.numEdges())
-	xs := make([]float64, c.N+1)
-	ys := make([]float64, c.N+1)
-	deg := make([]int, c.N+1)
-
-	b.AddVertex()
-	xs[1], ys[1] = r.Float64(), r.Float64()
-	b.AddEdge(1, 1)
-	deg[1] = 2
-
-	w := make([]float64, c.N+1) // per-step weights d(u)·kernel
-	for t := 2; t <= c.N; t++ {
-		v := b.AddVertex()
-		vx, vy := r.Float64(), r.Float64()
-		xs[v], ys[v] = vx, vy
-		total := 0.0
-		for u := 1; u < t; u++ {
-			w[u] = float64(deg[u]) * c.kernel(torusDist(vx, vy, xs[u], ys[u]))
-			total += w[u]
-		}
-		base := b.NumEdges()
-		for i := 0; i < c.M; i++ {
-			x := r.Float64() * total
-			target := graph.Vertex(1)
-			for u := 1; u < t; u++ {
-				x -= w[u]
-				if x < 0 {
-					target = graph.Vertex(u)
-					break
-				}
-				// Accumulated rounding can push x past every weight;
-				// the last weighted vertex absorbs it.
-				if w[u] > 0 {
-					target = graph.Vertex(u)
-				}
-			}
-			b.AddEdge(v, target)
-		}
-		for i := 0; i < c.M; i++ {
-			from, to := b.Endpoints(graph.EdgeID(base + i))
-			deg[from]++
-			deg[to]++
-		}
-	}
-	return b.Freeze(), nil
 }

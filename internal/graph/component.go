@@ -54,7 +54,7 @@ func ComponentsParallelInto(g *Graph, labels []int32, workers int, s *BFSScratch
 			continue
 		}
 		labels[v] = next
-		s.frontier = append(s.frontier[:0], v)
+		s.seed(g.NumVertices(), v)
 		s.flood(g, labels, workers, false, next)
 		next++
 	}

@@ -1,8 +1,14 @@
 // Package graph provides the graph substrate shared by every model and
 // algorithm in the repository: a growable directed multigraph builder
 // for the evolving random-graph models, an immutable CSR snapshot for
-// searching and measurement, traversal (BFS, eccentricity, diameter),
-// connected components, and edge-list serialization.
+// searching and measurement, traversal into caller buffers (BFS, the
+// double-sweep diameter bound, sampled mean distance), its
+// frontier-parallel forms on a reusable BFSScratch, connected
+// components, edge-list export and binary snapshot files. Each distance
+// pass has one body that takes the BFS it runs, serial or parallel, as
+// a parameter. The allocating conveniences no program needs (BFS,
+// Eccentricity, ExactDiameter and the edge-list parser among them) live
+// in the package's tests.
 //
 // Conventions, chosen to match the paper:
 //

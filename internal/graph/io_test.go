@@ -1,12 +1,78 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 
 	"scalefree/internal/rng"
 )
+
+// ReadEdgeList parses the format written by WriteEdgeList. No program
+// reads edge lists back, so the parser lives with the round-trip tests,
+// exported for the external-package benchmarks.
+func ReadEdgeList(r io.Reader) (*Graph, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<24)
+
+	line, err := nextLine(sc)
+	if err != nil {
+		return nil, fmt.Errorf("graph: reading magic line: %w", err)
+	}
+	if !strings.HasPrefix(line, "# scalefree edgelist") {
+		return nil, fmt.Errorf("graph: bad magic line %q", line)
+	}
+	line, err = nextLine(sc)
+	if err != nil {
+		return nil, fmt.Errorf("graph: reading size line: %w", err)
+	}
+	var n, m int
+	if _, err := fmt.Sscanf(line, "n %d m %d", &n, &m); err != nil {
+		return nil, fmt.Errorf("graph: bad size line %q: %w", line, err)
+	}
+	if n < 0 || m < 0 {
+		return nil, fmt.Errorf("graph: negative sizes in %q", line)
+	}
+	b := NewBuilder(n, m)
+	b.AddVertices(n)
+	for e := 0; e < m; e++ {
+		line, err = nextLine(sc)
+		if err != nil {
+			return nil, fmt.Errorf("graph: reading edge %d: %w", e, err)
+		}
+		sep := strings.IndexByte(line, ' ')
+		if sep < 0 {
+			return nil, fmt.Errorf("graph: bad edge line %q", line)
+		}
+		u, err := strconv.Atoi(line[:sep])
+		if err != nil {
+			return nil, fmt.Errorf("graph: bad edge tail in %q: %w", line, err)
+		}
+		v, err := strconv.Atoi(line[sep+1:])
+		if err != nil {
+			return nil, fmt.Errorf("graph: bad edge head in %q: %w", line, err)
+		}
+		if u < 1 || u > n || v < 1 || v > n {
+			return nil, fmt.Errorf("graph: edge %d endpoint out of range in %q", e, line)
+		}
+		b.AddEdge(Vertex(u), Vertex(v))
+	}
+	return b.Freeze(), nil
+}
+
+func nextLine(sc *bufio.Scanner) (string, error) {
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return "", err
+		}
+		return "", io.ErrUnexpectedEOF
+	}
+	return strings.TrimRight(sc.Text(), "\r"), nil
+}
 
 func TestEdgeListRoundTrip(t *testing.T) {
 	b := NewBuilder(4, 5)

@@ -7,6 +7,7 @@ package graph_test
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"scalefree/internal/graph"
@@ -125,4 +126,83 @@ func TestSnapshotRoundTripAllModels(t *testing.T) {
 		}
 		snap.Close()
 	}
+}
+
+// TestBFSParallelSteadyStateAllocsOnMori is the zero-allocation gate
+// where it is hardest to keep: a 2^18-vertex Móri graph, whose skewed
+// levels let the dynamically claimed chunks hand each worker a
+// different share of every level, with more workers than the two
+// cores. After five warm-ups, each of 40 traversals is counted on its
+// own, since testing.AllocsPerRun's integer average hides any count
+// below one per run, and the last one's distances must match
+// BFSInto's. AllocsPerRun also runs its function with GOMAXPROCS 1,
+// where the last worker spawned takes nearly every chunk and the
+// shares barely vary, so this gate reads the allocation count around
+// each traversal itself, at GOMAXPROCS 2. The runtime allocates
+// goroutine descriptors until its free lists hold enough of them, so
+// the warm-up first runs a few hundred goroutines at once.
+func TestBFSParallelSteadyStateAllocsOnMori(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	m, err := model.New("mori", "n=262144,m=2,p=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := m.Generate(rng.New(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	want := make([]int32, n+1)
+	graph.BFSInto(g, 1, want, make([]graph.Vertex, 0, n))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	stockGoroutines(512)
+	dist := make([]int32, n+1)
+	for _, workers := range []int{2, 4, 8} {
+		var s graph.BFSScratch
+		for i := 0; i < 5; i++ {
+			graph.BFSParallelInto(g, 1, dist, workers, &s)
+		}
+		allocating := 0
+		for i := 0; i < 40; i++ {
+			before := mallocs()
+			graph.BFSParallelInto(g, 1, dist, workers, &s)
+			if mallocs() != before {
+				allocating++
+			}
+		}
+		if allocating > 0 {
+			t.Errorf("workers=%d: %d of 40 steady-state traversals allocated, want 0", workers, allocating)
+		}
+		for v := range dist {
+			if dist[v] != want[v] {
+				t.Fatalf("workers=%d: dist[%d] = %d, want %d", workers, v, dist[v], want[v])
+			}
+		}
+	}
+}
+
+// stockGoroutines runs k goroutines at once and waits for them all to
+// exit, leaving the runtime enough free goroutine descriptors that
+// spawning a traversal's workers allocates none.
+func stockGoroutines(k int) {
+	var wg sync.WaitGroup
+	release := make(chan struct{})
+	wg.Add(k)
+	for i := 0; i < k; i++ {
+		go func() {
+			defer wg.Done()
+			<-release
+		}()
+	}
+	close(release)
+	wg.Wait()
+}
+
+// mallocs reads the process's cumulative count of heap allocations.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
 }

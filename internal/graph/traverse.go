@@ -7,22 +7,15 @@ import (
 	"scalefree/internal/obs/trace"
 )
 
-// Unreachable is the distance reported by BFS for vertices not connected
-// to the source.
+// Unreachable is the distance the BFS passes report for vertices not
+// connected to the source.
 const Unreachable int32 = -1
 
-// BFS returns undirected hop distances from src to every vertex.
-// The result is indexed 1..n; unreachable vertices get Unreachable.
-func BFS(g *Graph, src Vertex) []int32 {
-	dist := make([]int32, g.NumVertices()+1)
-	queue := make([]Vertex, 0, g.NumVertices())
-	BFSInto(g, src, dist, queue)
-	return dist
-}
-
-// BFSInto is BFS with caller-provided buffers for allocation-free reuse
-// across many sources. dist must have length n+1; queue is a scratch
-// buffer whose contents are overwritten.
+// BFSInto computes undirected hop distances from src to every vertex
+// into caller-provided buffers, for allocation-free reuse across many
+// sources. dist must have length n+1 and is indexed 1..n; unreachable
+// vertices get Unreachable. queue is a scratch buffer whose contents
+// are overwritten.
 //
 //sf:hotpath
 func BFSInto(g *Graph, src Vertex, dist []int32, queue []Vertex) {
@@ -69,12 +62,17 @@ const (
 	bfsTopDownBeta   = 24
 )
 
+// bfsBlock is the number of settled vertices a worker collects before
+// it copies them into the queue.
+const bfsBlock = 1024
+
 // BFSScratch holds the reusable state of frontier-parallel traversal:
-// the current/next frontier buffers and one record per worker. The
-// zero value is ready to use; after a warm-up call at a given size and
-// worker count, subsequent traversals allocate nothing. A scratch
-// belongs to one traversal at a time (one goroutine calls in; the
-// workers it fans out to are internal).
+// the queue of settled vertices, sized for the largest graph seen, and
+// one record per worker. The zero value is ready to use; after a
+// warm-up call at a given size and worker count, subsequent traversals
+// allocate nothing, however a level's work splits between the workers.
+// A scratch belongs to one traversal at a time (one goroutine calls
+// in; the workers it fans out to are internal).
 type BFSScratch struct {
 	// Trace, when non-nil, records sampled frontier-level spans
 	// ("bfs_level") on the traversing goroutine's trace writer;
@@ -85,11 +83,18 @@ type BFSScratch struct {
 	Trace       *trace.Writer
 	TraceSample int
 
+	// queue holds a flood's vertices in the order they are settled,
+	// level after level, as in a serial BFS queue: a flood settles each
+	// vertex once, so n entries hold every level. frontier is the
+	// current level's run of it; the next level is written right after.
+	queue    []Vertex
 	frontier []Vertex
-	next     []Vertex
 	workers  []bfsWorker
 	wg       sync.WaitGroup
 	cursor   atomic.Int64
+	// tail is the end of the queue entries that a fanned-out level's
+	// workers have reserved.
+	tail atomic.Int64
 
 	// Per-level state read by the worker goroutines; written only
 	// between level barriers. A top-down level claims chunks of
@@ -107,22 +112,23 @@ type BFSScratch struct {
 	topDownLevels, bottomUpLevels int
 }
 
-// bfsWorker is one worker's slot: its owning scratch, its private
-// next-frontier buffer, and a pre-bound spawn func. Spawning `go w.run()`
-// directly would allocate a fresh closure per level per worker (the
-// compiler wraps the receiver for newproc); binding the method value
-// once and spawning `go w.spawn()` keeps steady-state traversal
-// allocation-free. The padding keeps the hot, constantly-updated slice
-// headers of different workers on different cache lines.
+// bfsWorker is one worker's slot: its owning scratch, the block of
+// vertices it has settled but not yet copied into the queue, and a
+// pre-bound spawn func. Spawning `go w.run()` directly would allocate
+// a fresh closure per level per worker (the compiler wraps the
+// receiver for newproc); binding the method value once and spawning
+// `go w.spawn()` keeps steady-state traversal allocation-free. The
+// block has a fixed size, so no share of a level, however large, makes
+// a worker allocate.
 type bfsWorker struct {
 	s     *BFSScratch
-	next  []Vertex
 	spawn func()
-	_     [32]byte
+	n     int // vertices held in block
+	block [bfsBlock]Vertex
 }
 
-// run claims chunks of the level's work until none remain and appends
-// the vertices it settles to its private buffer.
+// run claims chunks of the level's work until none remain and hands
+// the vertices it settles to the queue, after the frontier.
 //
 // Top-down, it expands each claimed frontier vertex's incidence list.
 // Discovery is settled by a compare-and-swap from Unreachable, so
@@ -139,7 +145,7 @@ type bfsWorker struct {
 func (w *bfsWorker) run() {
 	s := w.s
 	g, target, val := s.g, s.target, s.writeVal
-	w.next = w.next[:0]
+	w.n = 0
 	chunk := s.chunk
 	for {
 		hi := int(s.cursor.Add(int64(chunk)))
@@ -159,7 +165,7 @@ func (w *bfsWorker) run() {
 				for _, h := range g.Incident(v) {
 					if atomic.LoadInt32(&target[h.Other]) == level {
 						atomic.StoreInt32(&target[v], val)
-						w.next = append(w.next, v)
+						w.push(v)
 						break
 					}
 				}
@@ -171,12 +177,33 @@ func (w *bfsWorker) run() {
 				o := h.Other
 				if atomic.LoadInt32(&target[o]) == Unreachable &&
 					atomic.CompareAndSwapInt32(&target[o], Unreachable, val) {
-					w.next = append(w.next, o)
+					w.push(o)
 				}
 			}
 		}
 	}
+	w.flush()
 	s.wg.Done()
+}
+
+// push adds one settled vertex to the worker's block, flushing a full
+// block first.
+func (w *bfsWorker) push(v Vertex) {
+	if w.n == bfsBlock {
+		w.flush()
+	}
+	w.block[w.n] = v
+	w.n++
+}
+
+// flush reserves room for the block at the queue's tail and copies it
+// there. A flood settles every vertex once, so the reservations never
+// outrun the queue.
+func (w *bfsWorker) flush() {
+	s := w.s
+	end := int(s.tail.Add(int64(w.n)))
+	copy(s.queue[end-w.n:end], w.block[:w.n])
+	w.n = 0
 }
 
 func (s *BFSScratch) ensureWorkers(workers int) {
@@ -200,14 +227,26 @@ func (s *BFSScratch) ensureWorkers(workers int) {
 	}
 }
 
+// seed starts a flood over an n-vertex graph from v alone, first
+// giving the queue room for every vertex, so that no level can
+// outgrow it. The caller sets v's target entry.
+func (s *BFSScratch) seed(n int, v Vertex) {
+	if len(s.queue) < n {
+		s.queue = make([]Vertex, n)
+	}
+	s.queue[0] = v
+	s.frontier = s.queue[:1]
+}
+
 // flood runs one level-synchronous flood over the undirected view,
-// starting from the seeds already in s.frontier (whose target entries
-// the caller has set). When levelValues is true each discovered vertex
-// receives its BFS level (seed level + 1, + 2, ...); otherwise every
-// vertex receives the constant val (component labelling). Top-down
-// levels at or above bfsSerialFrontier vertices, and bottom-up levels
-// on graphs of at least that many vertices, are fanned out to the
-// workers; the rest are expanded inline.
+// starting from the vertex seed put in the queue. When levelValues is
+// true each discovered vertex receives its BFS level (seed level + 1,
+// + 2, ...); otherwise every vertex receives the constant val
+// (component labelling). Each level is written into the queue right
+// after the frontier and becomes the next frontier. Top-down levels at
+// or above bfsSerialFrontier vertices, and bottom-up levels on graphs
+// of at least that many vertices, are fanned out to the workers; the
+// rest are expanded inline.
 //
 // Only a level-valued flood goes bottom-up, by the bfsBottomUpAlpha
 // and bfsTopDownBeta rules and at most once: its frontier is exactly
@@ -226,6 +265,7 @@ func (s *BFSScratch) flood(g *Graph, target []int32, workers int, levelValues bo
 		unexplored = 2*g.NumEdges() - frontHalves
 	}
 	level := int32(0)
+	tail := len(s.frontier) // seed puts the frontier at the queue's head
 	for len(s.frontier) > 0 {
 		if levelValues {
 			val = level + 1
@@ -247,6 +287,8 @@ func (s *BFSScratch) flood(g *Graph, target []int32, workers int, levelValues bo
 		} else {
 			s.topDownLevels++
 		}
+		// next appends in place: the queue has room for every vertex.
+		next := s.queue[tail:tail]
 		switch {
 		case workers > 1 && work >= bfsSerialFrontier:
 			s.ensureWorkers(workers)
@@ -254,17 +296,14 @@ func (s *BFSScratch) flood(g *Graph, target []int32, workers int, levelValues bo
 			s.bottomUp, s.work = bottomUp, work
 			s.chunk = frontierChunk(work, workers)
 			s.cursor.Store(0)
+			s.tail.Store(int64(tail))
 			s.wg.Add(workers)
 			for i := range s.workers {
 				go s.workers[i].spawn()
 			}
 			s.wg.Wait()
-			s.next = s.next[:0]
-			for i := range s.workers {
-				s.next = append(s.next, s.workers[i].next...)
-			}
+			next = s.queue[tail:s.tail.Load()]
 		case bottomUp:
-			s.next = s.next[:0]
 			for v := Vertex(1); v <= Vertex(n); v++ {
 				if target[v] != Unreachable {
 					continue
@@ -272,18 +311,17 @@ func (s *BFSScratch) flood(g *Graph, target []int32, workers int, levelValues bo
 				for _, h := range g.Incident(v) {
 					if target[h.Other] == level {
 						target[v] = val
-						s.next = append(s.next, v)
+						next = append(next, v)
 						break
 					}
 				}
 			}
 		default:
-			s.next = s.next[:0]
 			for _, u := range s.frontier {
 				for _, h := range g.Incident(u) {
 					if target[h.Other] == Unreachable {
 						target[h.Other] = val
-						s.next = append(s.next, h.Other)
+						next = append(next, h.Other)
 					}
 				}
 			}
@@ -292,10 +330,11 @@ func (s *BFSScratch) flood(g *Graph, target []int32, workers int, levelValues bo
 			s.Trace.End()
 		}
 		if mayTurn && !bottomUp {
-			frontHalves = halvesOf(g, s.next)
+			frontHalves = halvesOf(g, next)
 			unexplored -= frontHalves
 		}
-		s.frontier, s.next = s.next, s.frontier
+		s.frontier = next
+		tail += len(next)
 		level++
 	}
 }
@@ -325,14 +364,15 @@ func frontierChunk(frontier, workers int) int {
 // BFSParallelInto computes undirected hop distances from src exactly
 // like BFSInto, but expands each BFS level with up to workers
 // goroutines: the frontier is claimed in chunks, newly discovered
-// vertices are settled by compare-and-swap, and per-worker
-// next-frontier buffers are merged at the level barrier. Dense middle
-// levels run bottom-up instead (see bfsBottomUpAlpha): workers claim
-// chunks of vertex ids and settle each unvisited vertex that has a
-// neighbour on the frontier. Because a vertex's distance is its BFS
-// level — a property of the graph, not of visit order or direction —
-// the dist array is byte-identical to serial BFSInto output for every
-// worker count and schedule.
+// vertices are settled by compare-and-swap, and each worker copies
+// them, a fixed-size block at a time, into the queue after the
+// frontier.
+// Dense middle levels run bottom-up instead (see bfsBottomUpAlpha):
+// workers claim chunks of vertex ids and settle each unvisited vertex
+// that has a neighbour on the frontier. Because a vertex's distance is
+// its BFS level — a property of the graph, not of visit order or
+// direction — the dist array is byte-identical to serial BFSInto
+// output for every worker count and schedule.
 //
 // dist must have length >= n+1 (every entry is overwritten, matching
 // BFSInto). s may be nil (fresh buffers); passing a reused *BFSScratch
@@ -351,104 +391,16 @@ func BFSParallelInto(g *Graph, src Vertex, dist []int32, workers int, s *BFSScra
 		dist[i] = Unreachable
 	}
 	dist[src] = 0
-	s.frontier = append(s.frontier[:0], src)
+	s.seed(g.NumVertices(), src)
 	s.flood(g, dist, workers, true, 0)
 }
 
-// Eccentricity returns the maximum finite BFS distance from src, i.e.
-// the eccentricity of src within its connected component.
-func Eccentricity(g *Graph, src Vertex) int {
-	dist := BFS(g, src)
-	ecc := int32(0)
-	for v := 1; v <= g.NumVertices(); v++ {
-		if dist[v] > ecc {
-			ecc = dist[v]
-		}
-	}
-	return int(ecc)
-}
-
-// DoubleSweepLowerBound returns a lower bound on the diameter of src's
-// component using the classic double-sweep heuristic: BFS from src,
-// then BFS again from the farthest vertex found.
-func DoubleSweepLowerBound(g *Graph, src Vertex) int {
-	n := g.NumVertices()
-	return DoubleSweepLowerBoundInto(g, src, make([]int32, n+1), make([]Vertex, 0, n))
-}
-
-// DoubleSweepLowerBoundInto is DoubleSweepLowerBound with caller-
-// provided BFS buffers (BFSInto conventions) for allocation-free reuse.
-//
-//sf:hotpath
+// DoubleSweepLowerBoundInto returns a lower bound on the diameter of
+// src's component using the classic double-sweep heuristic: BFS from
+// src, then BFS again from the farthest vertex found. It runs BFSInto
+// on caller-provided buffers, for allocation-free reuse.
 func DoubleSweepLowerBoundInto(g *Graph, src Vertex, dist []int32, queue []Vertex) int {
-	BFSInto(g, src, dist, queue)
-	far := src
-	best := int32(0)
-	for v := Vertex(1); v <= Vertex(g.NumVertices()); v++ {
-		if dist[v] > best {
-			best = dist[v]
-			far = v
-		}
-	}
-	BFSInto(g, far, dist, queue)
-	ecc := int32(0)
-	for v := 1; v <= g.NumVertices(); v++ {
-		if dist[v] > ecc {
-			ecc = dist[v]
-		}
-	}
-	return int(ecc)
-}
-
-// ExactDiameter computes the exact diameter of a connected graph by
-// all-pairs BFS. It is O(n·(n+m)) and intended for small graphs and
-// tests; it returns the largest finite pairwise distance.
-func ExactDiameter(g *Graph) int {
-	n := g.NumVertices()
-	dist := make([]int32, n+1)
-	queue := make([]Vertex, 0, n)
-	diam := int32(0)
-	for src := Vertex(1); src <= Vertex(n); src++ {
-		BFSInto(g, src, dist, queue)
-		for v := 1; v <= n; v++ {
-			if dist[v] > diam {
-				diam = dist[v]
-			}
-		}
-	}
-	return int(diam)
-}
-
-// AverageDistanceSampled estimates the mean pairwise distance within
-// src's component by running BFS from sources and averaging finite
-// distances. sources must be non-empty.
-func AverageDistanceSampled(g *Graph, sources []Vertex) float64 {
-	n := g.NumVertices()
-	return AverageDistanceSampledInto(g, sources, make([]int32, n+1), make([]Vertex, 0, n))
-}
-
-// AverageDistanceSampledInto is AverageDistanceSampled with caller-
-// provided BFS buffers (BFSInto conventions) for allocation-free reuse.
-func AverageDistanceSampledInto(g *Graph, sources []Vertex, dist []int32, queue []Vertex) float64 {
-	if len(sources) == 0 {
-		panic("graph: AverageDistanceSampled needs at least one source")
-	}
-	n := g.NumVertices()
-	var sum float64
-	var count int64
-	for _, src := range sources {
-		BFSInto(g, src, dist, queue)
-		for v := 1; v <= n; v++ {
-			if dist[v] > 0 {
-				sum += float64(dist[v])
-				count++
-			}
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return sum / float64(count)
+	return doubleSweep(g, src, dist, func(src Vertex) { BFSInto(g, src, dist, queue) })
 }
 
 // DoubleSweepLowerBoundParallelInto is DoubleSweepLowerBoundInto with
@@ -456,7 +408,16 @@ func AverageDistanceSampledInto(g *Graph, sources []Vertex, dist []int32, queue 
 // matches BFSParallelInto; the result equals the serial double sweep
 // because each sweep's dist array does.
 func DoubleSweepLowerBoundParallelInto(g *Graph, src Vertex, dist []int32, workers int, s *BFSScratch) int {
-	BFSParallelInto(g, src, dist, workers, s)
+	return doubleSweep(g, src, dist, func(src Vertex) { BFSParallelInto(g, src, dist, workers, s) })
+}
+
+// doubleSweep is the double sweep with bfs, which fills dist from a
+// source, as its traversal. bfs does not escape, so the callers'
+// closures stay on their stacks.
+//
+//sf:hotpath
+func doubleSweep(g *Graph, src Vertex, dist []int32, bfs func(src Vertex)) int {
+	bfs(src)
 	far := src
 	best := int32(0)
 	for v := Vertex(1); v <= Vertex(g.NumVertices()); v++ {
@@ -465,7 +426,7 @@ func DoubleSweepLowerBoundParallelInto(g *Graph, src Vertex, dist []int32, worke
 			far = v
 		}
 	}
-	BFSParallelInto(g, far, dist, workers, s)
+	bfs(far)
 	ecc := int32(0)
 	for v := 1; v <= g.NumVertices(); v++ {
 		if dist[v] > ecc {
@@ -475,11 +436,25 @@ func DoubleSweepLowerBoundParallelInto(g *Graph, src Vertex, dist []int32, worke
 	return int(ecc)
 }
 
+// AverageDistanceSampledInto estimates the mean pairwise distance
+// within the sources' components by running BFSInto from each source
+// on caller-provided buffers and averaging the finite nonzero
+// distances. sources must be non-empty.
+func AverageDistanceSampledInto(g *Graph, sources []Vertex, dist []int32, queue []Vertex) float64 {
+	return averageDistance(g, sources, dist, func(src Vertex) { BFSInto(g, src, dist, queue) })
+}
+
 // AverageDistanceSampledParallelInto is AverageDistanceSampledInto on
 // the frontier-parallel BFS: identical estimate (each source's dist
 // array is byte-identical to the serial one), one graph pass per
 // source spread over workers goroutines.
 func AverageDistanceSampledParallelInto(g *Graph, sources []Vertex, dist []int32, workers int, s *BFSScratch) float64 {
+	return averageDistance(g, sources, dist, func(src Vertex) { BFSParallelInto(g, src, dist, workers, s) })
+}
+
+// averageDistance is the sampled mean distance with bfs, which fills
+// dist from a source, as its traversal.
+func averageDistance(g *Graph, sources []Vertex, dist []int32, bfs func(src Vertex)) float64 {
 	if len(sources) == 0 {
 		panic("graph: AverageDistanceSampled needs at least one source")
 	}
@@ -487,7 +462,7 @@ func AverageDistanceSampledParallelInto(g *Graph, sources []Vertex, dist []int32
 	var sum float64
 	var count int64
 	for _, src := range sources {
-		BFSParallelInto(g, src, dist, workers, s)
+		bfs(src)
 		for v := 1; v <= n; v++ {
 			if dist[v] > 0 {
 				sum += float64(dist[v])

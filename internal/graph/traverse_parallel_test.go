@@ -255,9 +255,36 @@ func TestDistancePassesParallelMatchSerial(t *testing.T) {
 	}
 }
 
+// TestDistancePassesAllocFree: the serial and parallel distance passes
+// hand their shared bodies the BFS they run as closures, which must
+// stay on the stack, so a warm pass allocates nothing.
+func TestDistancePassesAllocFree(t *testing.T) {
+	g := randomMultigraph(rng.New(32), 3000, 9000)
+	n := g.NumVertices()
+	dist := make([]int32, n+1)
+	queue := make([]Vertex, 0, n)
+	sources := []Vertex{1, 17, 1500, 3000}
+	var s BFSScratch
+	passes := map[string]func(){
+		"double sweep":           func() { DoubleSweepLowerBoundInto(g, 1, dist, queue) },
+		"parallel double sweep":  func() { DoubleSweepLowerBoundParallelInto(g, 1, dist, 2, &s) },
+		"mean distance":          func() { AverageDistanceSampledInto(g, sources, dist, queue) },
+		"parallel mean distance": func() { AverageDistanceSampledParallelInto(g, sources, dist, 2, &s) },
+	}
+	for name, pass := range passes {
+		pass()
+		for i := 0; i < 5; i++ {
+			if allocs := testing.AllocsPerRun(1, pass); allocs != 0 {
+				t.Errorf("%s run %d allocates %v times, want 0", name, i, allocs)
+				break
+			}
+		}
+	}
+}
+
 // TestBFSParallelSteadyStateAllocs pins the zero-allocation contract:
 // after warm-up, repeated traversals of the same graph through one
-// scratch allocate nothing — frontier buffers, worker records, and
+// scratch allocate nothing — the queue, worker records, and
 // goroutine bookkeeping are all reused.
 func TestBFSParallelSteadyStateAllocs(t *testing.T) {
 	g := randomMultigraph(rng.New(8), 30000, 90000)
@@ -267,10 +294,13 @@ func TestBFSParallelSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		BFSParallelInto(g, 1, dist, workers, &s)
 	}
-	if avg := testing.AllocsPerRun(10, func() {
-		BFSParallelInto(g, 1, dist, workers, &s)
-	}); avg != 0 {
-		t.Errorf("BFSParallelInto allocates %.1f per run in steady state, want 0", avg)
+	for i := 0; i < 10; i++ {
+		if allocs := testing.AllocsPerRun(1, func() {
+			BFSParallelInto(g, 1, dist, workers, &s)
+		}); allocs != 0 {
+			t.Errorf("steady-state BFSParallelInto run %d allocates %v times, want 0", i, allocs)
+			break
+		}
 	}
 }
 

@@ -6,6 +6,52 @@ import (
 	"scalefree/internal/rng"
 )
 
+// The allocating traversal forms below are the tests' references; no
+// program needs them, so they live here, exported so that the
+// external-package tests and benchmarks can call them too.
+
+// BFS returns undirected hop distances from src to every vertex.
+// The result is indexed 1..n; unreachable vertices get Unreachable.
+func BFS(g *Graph, src Vertex) []int32 {
+	dist := make([]int32, g.NumVertices()+1)
+	BFSInto(g, src, dist, make([]Vertex, 0, g.NumVertices()))
+	return dist
+}
+
+// Eccentricity returns the maximum finite BFS distance from src, i.e.
+// the eccentricity of src within its connected component.
+func Eccentricity(g *Graph, src Vertex) int {
+	dist := BFS(g, src)
+	ecc := int32(0)
+	for v := 1; v <= g.NumVertices(); v++ {
+		ecc = max(ecc, dist[v])
+	}
+	return int(ecc)
+}
+
+// DoubleSweepLowerBound is DoubleSweepLowerBoundInto on fresh buffers.
+func DoubleSweepLowerBound(g *Graph, src Vertex) int {
+	n := g.NumVertices()
+	return DoubleSweepLowerBoundInto(g, src, make([]int32, n+1), make([]Vertex, 0, n))
+}
+
+// AverageDistanceSampled is AverageDistanceSampledInto on fresh
+// buffers.
+func AverageDistanceSampled(g *Graph, sources []Vertex) float64 {
+	n := g.NumVertices()
+	return AverageDistanceSampledInto(g, sources, make([]int32, n+1), make([]Vertex, 0, n))
+}
+
+// ExactDiameter computes the exact diameter of a connected graph by
+// all-pairs BFS in O(n·(n+m)): the largest finite pairwise distance.
+func ExactDiameter(g *Graph) int {
+	diam := 0
+	for src := Vertex(1); src <= Vertex(g.NumVertices()); src++ {
+		diam = max(diam, Eccentricity(g, src))
+	}
+	return diam
+}
+
 func TestBFSPath(t *testing.T) {
 	g := buildPath(6)
 	dist := BFS(g, 1)

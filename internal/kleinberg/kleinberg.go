@@ -30,8 +30,8 @@ func (c Config) Validate() error {
 	if c.L < 2 {
 		return fmt.Errorf("kleinberg: L = %d < 2", c.L)
 	}
-	if c.R < 0 {
-		return fmt.Errorf("kleinberg: R = %v < 0", c.R)
+	if math.IsNaN(c.R) || c.R < 0 {
+		return fmt.Errorf("kleinberg: R = %v is not >= 0", c.R)
 	}
 	if c.Q < 0 {
 		return fmt.Errorf("kleinberg: Q = %d < 0", c.Q)

@@ -1,6 +1,7 @@
 package kleinberg
 
 import (
+	"math"
 	"testing"
 
 	"scalefree/internal/graph"
@@ -13,6 +14,7 @@ func TestValidate(t *testing.T) {
 		{L: 1, R: 2},
 		{L: 10, R: -1},
 		{L: 10, R: 2, Q: -1},
+		{L: 10, R: math.NaN()}, // NaN fails every comparison, so R < 0 alone accepts it
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

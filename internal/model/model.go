@@ -22,13 +22,19 @@
 // reusable buffers: models with scratch-backed generators (Móri,
 // Cooper–Frieze, BA, fitness, geopa) reuse them for zero
 // steady-state-allocation generation on the weights.EndpointArray hot
-// path; the others ignore the scratch. A nil scratch always falls back
-// to fresh allocation, and scratch reuse never affects the generated
-// graph (the registry conformance test pins both properties).
+// path; the others ignore the scratch. A generator always runs on a
+// scratch: Model.Generate resolves a nil one, in one place, to a fresh
+// Scratch whose working buffers the returned graph does not pin.
+// Scratch reuse never affects the generated graph (the registry
+// conformance test pins both properties). New rejects a NaN value for
+// any Float parameter, since no generator can honour one, and every
+// value the family's Validate rejects, so those fail at instantiation
+// rather than mid-sweep (FuzzModelNew holds New to this).
 package model
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -65,15 +71,17 @@ type Model interface {
 	// "n=4096,m=1,p=0.5". New(Name(), Params()) reconstructs an
 	// identical model.
 	Params() string
-	// Generate draws one graph. The scratch may be nil (fresh
-	// allocation); when non-nil the generator may reuse its buffers,
-	// in which case the returned graph is only valid until the
-	// scratch's next use. Scratch reuse never affects the result:
-	// equal seeds yield identical graphs either way.
+	// Generate draws one graph. With a non-nil scratch the generator
+	// reuses its buffers, and the returned graph is only valid until
+	// the scratch's next use. A nil scratch runs the generator on a
+	// fresh one, and the returned graph pins none of its working
+	// buffers. Scratch reuse never affects the result: equal seeds
+	// yield identical graphs either way.
 	Generate(r *rng.RNG, s *Scratch) (*graph.Graph, error)
 }
 
-// GenerateFunc is the generation closure a Family's Build returns.
+// GenerateFunc is the generation closure a Family's Build returns. Its
+// scratch is never nil; the graph it returns may alias the scratch.
 type GenerateFunc func(r *rng.RNG, s *Scratch) (*graph.Graph, error)
 
 // Kind is the type of one model parameter.
@@ -247,7 +255,7 @@ func (f Family) parse(params string) (Values, error) {
 			v[name] = float64(x)
 		case Float:
 			x, err := strconv.ParseFloat(raw, 64)
-			if err != nil {
+			if err != nil || math.IsNaN(x) {
 				return nil, fmt.Errorf("model: %s: parameter %s = %q is not a number", f.Name, name, raw)
 			}
 			v[name] = x
@@ -284,8 +292,20 @@ type instance struct {
 
 func (m *instance) Name() string   { return m.name }
 func (m *instance) Params() string { return m.params }
+
+// Generate runs the family's closure on s. A nil s gets a fresh
+// Scratch, and the graph comes back as a copied header, so it pins
+// none of that scratch's working buffers.
 func (m *instance) Generate(r *rng.RNG, s *Scratch) (*graph.Graph, error) {
-	return m.gen(r, s)
+	if s != nil {
+		return m.gen(r, s)
+	}
+	g, err := m.gen(r, new(Scratch))
+	if err != nil {
+		return nil, err
+	}
+	out := *g
+	return &out, nil
 }
 
 // String renders the full model identity, e.g. "mori(n=4096,m=1,p=0.5)".

@@ -32,7 +32,7 @@ func init() {
 				return nil, err
 			}
 			return func(r *rng.RNG, s *Scratch) (*graph.Graph, error) {
-				return cfg.GenerateScratch(r, moriScratch(s))
+				return cfg.GenerateScratch(r, &s.Mori)
 			}, nil
 		},
 	})
@@ -57,7 +57,7 @@ func init() {
 				return nil, err
 			}
 			return func(r *rng.RNG, s *Scratch) (*graph.Graph, error) {
-				res, err := cfg.GenerateScratch(r, cfScratch(s))
+				res, err := cfg.GenerateScratch(r, &s.CF)
 				if err != nil {
 					return nil, err
 				}
@@ -79,7 +79,7 @@ func init() {
 				return nil, err
 			}
 			return func(r *rng.RNG, s *Scratch) (*graph.Graph, error) {
-				return cfg.GenerateScratch(r, baScratch(s))
+				return cfg.GenerateScratch(r, &s.BA)
 			}, nil
 		},
 	})
@@ -151,7 +151,7 @@ func init() {
 				return nil, err
 			}
 			return func(r *rng.RNG, s *Scratch) (*graph.Graph, error) {
-				return cfg.GenerateScratch(r, fitnessScratch(s))
+				return cfg.GenerateScratch(r, &s.Fitness)
 			}, nil
 		},
 	})
@@ -170,45 +170,8 @@ func init() {
 				return nil, err
 			}
 			return func(r *rng.RNG, s *Scratch) (*graph.Graph, error) {
-				return cfg.GenerateScratch(r, geoScratch(s))
+				return cfg.GenerateScratch(r, &s.Geo)
 			}, nil
 		},
 	})
-}
-
-// The scratch projections: nil stays nil (fresh allocation).
-
-func moriScratch(s *Scratch) *mori.Scratch {
-	if s == nil {
-		return nil
-	}
-	return &s.Mori
-}
-
-func cfScratch(s *Scratch) *cooperfrieze.Scratch {
-	if s == nil {
-		return nil
-	}
-	return &s.CF
-}
-
-func baScratch(s *Scratch) *ba.Scratch {
-	if s == nil {
-		return nil
-	}
-	return &s.BA
-}
-
-func fitnessScratch(s *Scratch) *fitness.Scratch {
-	if s == nil {
-		return nil
-	}
-	return &s.Fitness
-}
-
-func geoScratch(s *Scratch) *geopa.Scratch {
-	if s == nil {
-		return nil
-	}
-	return &s.Geo
 }

@@ -60,14 +60,15 @@ type Tree struct {
 
 // GenerateTree draws a Móri tree with size >= 2 vertices and mixing
 // parameter 0 < p <= 1, in O(n) time via endpoint-array preferential
-// sampling.
+// sampling. It is GenerateTreeScratch on a fresh scratch, and the tree
+// it returns pins none of that scratch's other buffers.
 func GenerateTree(r *rng.RNG, size int, p float64) (*Tree, error) {
-	if err := validateTree(size, p); err != nil {
+	t, err := GenerateTreeScratch(r, size, p, new(Scratch))
+	if err != nil {
 		return nil, err
 	}
-	t := &Tree{P: p, Fathers: make([]graph.Vertex, size+1)}
-	generateTree(r, size, p, t.Fathers, weights.NewEndpointArray(size-1))
-	return t, nil
+	tree := *t
+	return &tree, nil
 }
 
 // attachDraw makes every RNG call the model spends on vertex k >= 3:
@@ -233,24 +234,12 @@ func (t *Tree) InDegrees() []int {
 	return ds
 }
 
-// Merge produces the m-out Móri graph from a tree whose size is
+// mergeInto produces the m-out Móri graph from a tree whose size is
 // divisible by m: tree vertices m(i-1)+1..mi become graph vertex i and
 // every tree edge is carried over, so the result has Size/m vertices
-// and Size-1 edges, possibly with loops and multi-edges.
-func Merge(t *Tree, m int) (*graph.Graph, error) {
-	if m < 1 {
-		return nil, fmt.Errorf("mori: merge factor %d < 1", m)
-	}
-	size := t.Size()
-	if size%m != 0 {
-		return nil, fmt.Errorf("mori: tree size %d not divisible by merge factor %d", size, m)
-	}
-	return mergeInto(t, m, graph.NewBuilder(size/m, size-1), new(graph.Graph)), nil
-}
-
-// mergeInto performs the merge through a caller-owned builder and
-// snapshot (both reused when their capacity suffices). The builder must
-// be freshly Reset.
+// and Size-1 edges, possibly with loops and multi-edges. It writes
+// through a caller-owned builder and snapshot (both reused when their
+// capacity suffices); the builder must be freshly Reset.
 func mergeInto(t *Tree, m int, b *graph.Builder, g *graph.Graph) *graph.Graph {
 	size := t.Size()
 	b.AddVertices(size / m)
@@ -289,16 +278,15 @@ func (c Config) String() string {
 }
 
 // Generate draws the merged Móri graph: a tree of size N·M merged with
-// factor M.
+// factor M. It is GenerateScratch on a fresh scratch, and the graph it
+// returns pins none of that scratch's working buffers.
 func (c Config) Generate(r *rng.RNG) (*graph.Graph, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	t, err := GenerateTree(r, c.N*c.M, c.P)
+	g, err := c.GenerateScratch(r, new(Scratch))
 	if err != nil {
 		return nil, err
 	}
-	return Merge(t, c.M)
+	out := *g
+	return &out, nil
 }
 
 // Scratch holds the reusable buffers of one generation worker: the
@@ -316,12 +304,8 @@ type Scratch struct {
 // GenerateTreeScratch is GenerateTree through s's reusable buffers:
 // after a warm-up call, repeated same-size draws allocate nothing. The
 // returned tree aliases s and is valid until the next use of the same
-// scratch. A nil scratch falls back to GenerateTree; equal seeds yield
-// the identical tree either way.
+// scratch.
 func GenerateTreeScratch(r *rng.RNG, size int, p float64, s *Scratch) (*Tree, error) {
-	if s == nil {
-		return GenerateTree(r, size, p)
-	}
 	if err := validateTree(size, p); err != nil {
 		return nil, err
 	}
@@ -338,9 +322,6 @@ func GenerateTreeScratch(r *rng.RNG, size int, p float64, s *Scratch) (*Tree, er
 // The returned graph aliases s and is valid until the next call with
 // the same scratch; callers that outlive the scratch must use Generate.
 func (c Config) GenerateScratch(r *rng.RNG, s *Scratch) (*graph.Graph, error) {
-	if s == nil {
-		return c.Generate(r)
-	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}

@@ -127,6 +127,22 @@ func TestPureUniformNeverUsed(t *testing.T) {
 	}
 }
 
+// Merge produces the m-out Móri graph from a tree whose size is
+// divisible by m, through the same mergeInto that Config.GenerateScratch
+// runs: tree vertices m(i-1)+1..mi become graph vertex i and every tree
+// edge is carried over, so the result has Size/m vertices and Size-1
+// edges, possibly with loops and multi-edges.
+func Merge(t *Tree, m int) (*graph.Graph, error) {
+	if m < 1 {
+		return nil, fmt.Errorf("mori: merge factor %d < 1", m)
+	}
+	size := t.Size()
+	if size%m != 0 {
+		return nil, fmt.Errorf("mori: tree size %d not divisible by merge factor %d", size, m)
+	}
+	return mergeInto(t, m, graph.NewBuilder(size/m, size-1), new(graph.Graph)), nil
+}
+
 func TestMergeValidation(t *testing.T) {
 	tree, err := GenerateTree(rng.New(1), 10, 0.5)
 	if err != nil {

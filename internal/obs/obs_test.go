@@ -302,8 +302,11 @@ func TestHotPathAllocs(t *testing.T) {
 		{"vec child Inc", func() { child.Inc() }},
 	}
 	for _, tc := range cases {
-		if avg := testing.AllocsPerRun(1000, tc.fn); avg != 0 {
-			t.Errorf("%s allocates %.1f per op, want 0", tc.name, avg)
+		for i := 0; i < 1000; i++ {
+			if allocs := testing.AllocsPerRun(1, tc.fn); allocs != 0 {
+				t.Errorf("%s op %d allocates %v times, want 0", tc.name, i, allocs)
+				break
+			}
 		}
 	}
 }

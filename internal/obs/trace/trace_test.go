@@ -88,12 +88,14 @@ func TestWriterZeroAlloc(t *testing.T) {
 	w := r.Writer()
 	// Warm steady state: the recorded path and, after overflow, the
 	// suppressed path must both be allocation-free.
-	allocs := testing.AllocsPerRun(5000, func() {
+	span := func() {
 		w.Begin("trial", "t")
 		w.End()
-	})
-	if allocs != 0 {
-		t.Fatalf("Begin/End allocated %.1f per op, want 0", allocs)
+	}
+	for i := 0; i < 5000; i++ {
+		if allocs := testing.AllocsPerRun(1, span); allocs != 0 {
+			t.Fatalf("Begin/End op %d allocated %v times, want 0", i, allocs)
+		}
 	}
 }
 

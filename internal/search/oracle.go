@@ -23,6 +23,13 @@
 // visible or discovered in the strong model); re-reading already
 // answered requests is free, since the paper grants the searcher
 // unlimited memory of past answers.
+//
+// Every oracle runs on a Scratch, which holds the oracle itself, its
+// vertex tables, slab arenas for the per-vertex slices, and the
+// algorithms' working set. NewOracleShuffledScratch reuses a worker's
+// scratch, so warm searches allocate nothing; NewOracle and
+// NewOracleShuffled give each oracle a fresh one, through the same
+// code.
 package search
 
 import (
@@ -137,8 +144,8 @@ type Oracle struct {
 	perm     [][]int32
 	inv      [][]int32
 
-	// scratch, when non-nil, supplies the slab arenas behind the
-	// per-vertex slices; nil falls back to fresh allocation.
+	// scratch owns this oracle and supplies the slab arenas behind
+	// the per-vertex slices and the algorithms' working set.
 	scratch *Scratch
 
 	tracing bool
@@ -148,6 +155,7 @@ type Oracle struct {
 // NewOracle builds an oracle over g for a search starting at start and
 // looking for target. Both vertices must exist; they may coincide, in
 // which case the search is immediately successful with zero requests.
+// The oracle runs on a fresh Scratch of its own.
 //
 // NewOracle exposes each vertex's incident edges in physical (insertion)
 // order. In evolving graphs that order correlates with edge age, which
@@ -156,16 +164,16 @@ type Oracle struct {
 // therefore use NewOracleShuffled; plain NewOracle is kept for tests
 // and debugging, where predictable slots are convenient.
 func NewOracle(g *graph.Graph, start, target graph.Vertex, k Knowledge) (*Oracle, error) {
-	return newOracle(g, start, target, k, nil, nil)
+	return newOracle(g, start, target, k, nil, new(Scratch))
 }
 
 // NewOracleShuffled is NewOracle with age-censored slot order: every
 // vertex's incident edge list is presented through an independent
 // random permutation derived from seed, so slot indices carry no
 // information beyond what the paper's model reveals. All measurements
-// in the repository use this constructor.
+// in the repository use this constructor or NewOracleShuffledScratch.
 func NewOracleShuffled(g *graph.Graph, start, target graph.Vertex, k Knowledge, seed uint64) (*Oracle, error) {
-	return newOracle(g, start, target, k, rng.New(rng.DeriveSeed(seed, 0x51075107)), nil)
+	return NewOracleShuffledScratch(g, start, target, k, seed, new(Scratch))
 }
 
 // NewOracleShuffledScratch is NewOracleShuffled through a reusable
@@ -173,15 +181,13 @@ func NewOracleShuffled(g *graph.Graph, start, target graph.Vertex, k Knowledge, 
 // per-vertex slices come from s, so repeated same-size searches
 // allocate nothing once warm. The returned oracle is s's single live
 // oracle — the next construction with the same scratch invalidates it.
-// A nil scratch falls back to NewOracleShuffled.
 func NewOracleShuffledScratch(g *graph.Graph, start, target graph.Vertex, k Knowledge, seed uint64, s *Scratch) (*Oracle, error) {
-	if s == nil {
-		return NewOracleShuffled(g, start, target, k, seed)
-	}
 	s.shuffler.Reseed(rng.DeriveSeed(seed, 0x51075107))
 	return newOracle(g, start, target, k, &s.shuffler, s)
 }
 
+// newOracle validates the request and resets s's oracle for it. Every
+// field is reassigned, so stale state cannot leak between searches.
 func newOracle(g *graph.Graph, start, target graph.Vertex, k Knowledge, shuffler *rng.RNG, s *Scratch) (*Oracle, error) {
 	if k != Weak && k != Strong {
 		return nil, fmt.Errorf("search: unknown knowledge model %d", int(k))
@@ -193,17 +199,10 @@ func newOracle(g *graph.Graph, start, target graph.Vertex, k Knowledge, shuffler
 	if target < 1 || target > n {
 		return nil, fmt.Errorf("search: target vertex %d out of [1, %d]", target, n)
 	}
-	var o *Oracle
-	if s != nil {
-		// Reuse the scratch oracle's tables; every field is reassigned
-		// below, so stale state cannot leak between searches.
-		o = &s.oracle
-		s.viewSlab.reset()
-		s.slotSlab.reset()
-		s.vertexSlab.reset()
-	} else {
-		o = &Oracle{}
-	}
+	s.viewSlab.reset()
+	s.slotSlab.reset()
+	s.vertexSlab.reset()
+	o := &s.oracle
 	o.g = g
 	o.knowledge = k
 	o.start = start
@@ -241,13 +240,9 @@ func newOracle(g *graph.Graph, start, target graph.Vertex, k Knowledge, shuffler
 	return o, nil
 }
 
-// newView hands out one zeroed View, from the scratch slab when
-// present.
+// newView hands out one zeroed View from the scratch slab.
 func (o *Oracle) newView() *View {
-	if o.scratch != nil {
-		return o.scratch.viewSlab.allocOne()
-	}
-	return &View{}
+	return o.scratch.viewSlab.allocOne()
 }
 
 // Zero-length per-vertex slices must still be non-nil: nil means
@@ -259,37 +254,27 @@ var (
 )
 
 // allocSlots hands out a zeroed int32 slice of length n for slot
-// permutations, from the scratch slab when present.
+// permutations from the scratch slab.
 func (o *Oracle) allocSlots(n int) []int32 {
 	if n == 0 {
 		return emptySlots
 	}
-	if o.scratch != nil {
-		return o.scratch.slotSlab.alloc(n)
-	}
-	return make([]int32, n)
+	return o.scratch.slotSlab.alloc(n)
 }
 
 // allocVertices hands out a zeroed vertex slice of length n for
-// resolved-endpoint tables, from the scratch slab when present.
+// resolved-endpoint tables from the scratch slab.
 func (o *Oracle) allocVertices(n int) []graph.Vertex {
 	if n == 0 {
 		return emptyVertices
 	}
-	if o.scratch != nil {
-		return o.scratch.vertexSlab.alloc(n)
-	}
-	return make([]graph.Vertex, n)
+	return o.scratch.vertexSlab.alloc(n)
 }
 
 // work returns the algorithm working set for a search through o: the
-// scratch's when o was built with one, so warm searches allocate
-// nothing, and a fresh one otherwise.
+// scratch's, so warm searches allocate nothing.
 func (o *Oracle) work() *workspace {
-	if o.scratch != nil {
-		return &o.scratch.ws
-	}
-	return new(workspace)
+	return &o.scratch.ws
 }
 
 // ensurePerm lazily builds the visible→physical slot permutation (and

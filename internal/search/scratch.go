@@ -15,8 +15,9 @@ import (
 // previous one. After a warm-up search, repeated searches over
 // same-size graphs allocate nothing, whichever algorithm runs them.
 //
-// Scratch is memory reuse only: a search through a scratch-backed
-// oracle behaves bit-identically to one through a fresh oracle.
+// Every oracle runs on a Scratch; NewOracle and NewOracleShuffled
+// allocate a fresh one. Scratch is memory reuse only: a search through
+// a reused scratch behaves bit-identically to one through a fresh one.
 type Scratch struct {
 	oracle   Oracle
 	shuffler rng.RNG

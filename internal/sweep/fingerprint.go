@@ -11,25 +11,35 @@ import (
 
 // hashWriter length-prefixes everything it feeds into the digest, so
 // adjacent fields can never alias (["ab","c"] vs ["a","bc"]) and both
-// hash domains below share one prefixing convention.
+// hash domains below share one prefixing convention. Fields append to
+// one reused buffer that flush writes to the hash, so hashing costs no
+// allocation per field; Fingerprint flushes once per trial to keep the
+// buffer at one trial's size.
 type hashWriter struct {
-	h hash.Hash
+	h   hash.Hash
+	buf []byte
 }
 
-func newHashWriter() hashWriter { return hashWriter{h: sha256.New()} }
-
-func (w hashWriter) uvarint(v uint64) {
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], v)
-	w.h.Write(scratch[:n])
+func newHashWriter() hashWriter {
+	return hashWriter{h: sha256.New(), buf: make([]byte, 0, 256)}
 }
 
-func (w hashWriter) string(s string) {
+func (w *hashWriter) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+
+func (w *hashWriter) string(s string) {
 	w.uvarint(uint64(len(s)))
-	w.h.Write([]byte(s))
+	w.buf = append(w.buf, s...)
 }
 
-func (w hashWriter) sum() string { return hex.EncodeToString(w.h.Sum(nil)) }
+func (w *hashWriter) flush() {
+	w.h.Write(w.buf)
+	w.buf = w.buf[:0]
+}
+
+func (w *hashWriter) sum() string {
+	w.flush()
+	return hex.EncodeToString(w.h.Sum(nil))
+}
 
 // Fingerprint canonically hashes a plan's identity: the experiment ID,
 // a caller-supplied canonical parameter string, the codec version, and
@@ -59,6 +69,7 @@ func Fingerprint(expID, params string, trials []engine.Trial) string {
 		w.uvarint(uint64(t.Index))
 		w.string(t.Key)
 		w.uvarint(t.Seed)
+		w.flush()
 	}
 	return w.sum()
 }

@@ -20,13 +20,6 @@ type EndpointArray struct {
 	hits []int32
 }
 
-// NewEndpointArray returns an empty sampler with a capacity hint.
-func NewEndpointArray(capHint int) *EndpointArray {
-	e := &EndpointArray{}
-	e.Reset(capHint)
-	return e
-}
-
 // Reset empties the sampler for reuse, keeping the backing array (and
 // growing it when the hint asks for more), so repeated same-size
 // generation allocates nothing.

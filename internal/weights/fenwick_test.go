@@ -8,6 +8,14 @@ import (
 	"scalefree/internal/rng"
 )
 
+// NewEndpointArray returns an empty sampler with a capacity hint. The
+// generators keep theirs in scratches; only these tests construct one.
+func NewEndpointArray(capHint int) *EndpointArray {
+	e := &EndpointArray{}
+	e.Reset(capHint)
+	return e
+}
+
 func TestFenwickPrefixSums(t *testing.T) {
 	f := NewFenwick(10)
 	for i := 1; i <= 10; i++ {
