@@ -12,10 +12,11 @@
 //	            [-cache-gc fingerprint]
 //	            [-status-addr addr [-pprof]] [-dump-metrics]
 //	            [-events file [-events-max-bytes n]]
-//	            [-trace file [-trace-bfs k]]
+//	            [-trace file]
 //
 // -scale shrinks workload sizes and replication counts proportionally
-// (0.1 gives a quick smoke run); -workers bounds the trial worker pool
+// (0.1 gives a quick smoke run; it must be finite, positive and below
+// experiment.MaxScale); -workers bounds the trial worker pool
 // (0 uses every core; output is bit-identical for every worker count
 // under the same seed); -progress streams per-trial completions plus
 // an aggregate rate/ETA to stderr; -csv additionally writes every
@@ -79,12 +80,10 @@
 // worker's merged trial spans, propagated back over the wire, in one
 // file. -trace belongs on the process that owns the timeline (a plain
 // run or the coordinator; workers are enabled remotely via the lease
-// protocol). -trace-bfs k additionally records every k-th BFS frontier
-// level inside search phases — on a worker process set it directly,
-// since the wire carries no sampling config. Analyze the file with
-// `sweeptrace` (critical path, per-worker utilization, slowest trials).
-// All of it is strictly observational: rendered tables stay
-// byte-identical with every observability flag enabled.
+// protocol). Analyze the file with `sweeptrace` (critical path,
+// per-worker utilization, slowest trials). All of it is strictly
+// observational: rendered tables stay byte-identical with every
+// observability flag enabled.
 //
 // Tables go to stdout; all status goes to stderr, so single-process,
 // merged, and coordinated outputs diff cleanly.
@@ -161,7 +160,6 @@ type options struct {
 	eventsMaxBytes int64
 	dumpMetrics    bool
 	tracePath      string
-	traceBFS       int
 
 	// set records which flags were explicitly given, for rejecting
 	// explicit-but-meaningless combinations whose zero values are
@@ -193,6 +191,13 @@ func (o *options) mode() string {
 // validate rejects meaningless flag combinations up front — a
 // silently ignored flag reads as accepted and misleads the operator.
 func (o *options) validate() error {
+	// Plans multiply their sizes by -scale: a value that is not finite
+	// and positive would quietly run the minimum sizes or the full
+	// workload under a misleading banner, and one from
+	// experiment.MaxScale on would overflow the vertex ids.
+	if !(o.scale > 0 && o.scale < experiment.MaxScale) {
+		return fmt.Errorf("-scale must be finite, positive and below %d, got %v", experiment.MaxScale, o.scale)
+	}
 	// The five non-default modes are pairwise exclusive.
 	modes := []struct{ flag, value string }{
 		{"-merge", o.merge}, {"-shard", o.shard}, {"-coordinate", o.coord},
@@ -300,18 +305,9 @@ func (o *options) validate() error {
 	// timeline — a plain run, or the coordinator (which merges every
 	// worker's spans off the wire). Workers are traced remotely: the
 	// lease protocol enables their recorders, and their spans ship back
-	// on COMPLETE — except BFS level sampling, which the wire does not
-	// carry, so -trace-bfs is also a direct worker knob.
+	// on COMPLETE.
 	if o.tracePath != "" && o.mode() != "run" && o.mode() != "coordinate" {
 		return fmt.Errorf("-trace writes the sweep timeline from a plain run or a coordinator; workers are traced through the lease protocol")
-	}
-	if o.isSet("trace-bfs") {
-		switch {
-		case o.traceBFS < 0:
-			return fmt.Errorf("-trace-bfs must be >= 0 (0 disables BFS level spans)")
-		case o.tracePath == "" && o.mode() != "worker":
-			return fmt.Errorf("-trace-bfs samples BFS levels into a trace; it requires -trace (or -worker, whose trace ships to the coordinator)")
-		}
 	}
 	if o.isSet("cache-max-bytes") {
 		switch {
@@ -354,7 +350,6 @@ func parseOptions(args []string) (*options, error) {
 	fs.Int64Var(&o.eventsMaxBytes, "events-max-bytes", 0, "with -events: rotate the event log when it would exceed this many bytes (events.jsonl -> events.1.jsonl, ...)")
 	fs.BoolVar(&o.dumpMetrics, "dump-metrics", false, "print the Prometheus text exposition of all metrics to stderr at exit")
 	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON timeline of the sweep to this file (open in Perfetto; analyze with sweeptrace)")
-	fs.IntVar(&o.traceBFS, "trace-bfs", 0, "with -trace (or -worker): record every k-th BFS frontier level as a span inside search phases (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -482,7 +477,6 @@ func newRecorder(o *options, procName string) *trace.Recorder {
 	}
 	rec := trace.New()
 	rec.ProcName = procName
-	rec.BFSSample = o.traceBFS
 	rec.Emit(trace.Record{Ph: 'B', Name: "sweep", Cat: "sweep"})
 	return rec
 }
@@ -729,11 +723,9 @@ func runWorker(ctx context.Context, selected []experiment.Experiment, cfg experi
 	// The worker always carries a recorder, but disabled: the lease
 	// protocol switches it on when the coordinator is tracing, and the
 	// worker's spans ship back on COMPLETE lines — no local trace file,
-	// no worker-side tracing flag. -trace-bfs is the one local knob,
-	// since the wire carries no sampling config.
+	// no worker-side tracing flag.
 	rec := trace.New()
 	rec.SetEnabled(false)
-	rec.BFSSample = o.traceBFS
 	eopts := engine.Options{Workers: o.workers, Trace: rec}
 	if o.progress {
 		eopts.Progress = progressHook(engine.NewRateTracker())

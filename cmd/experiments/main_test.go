@@ -97,9 +97,25 @@ func TestFlagValidation(t *testing.T) {
 		{"trace on merge", []string{"-merge", "d", "-trace", "t.json"}, "-trace"},
 		{"trace on shard", []string{"-shard", "1/2", "-out", "d", "-trace", "t.json"}, "-trace"},
 		{"trace on cache-gc", []string{"-cache-gc", "abc", "-cache", "c", "-trace", "t.json"}, "-trace"},
-		{"trace-bfs without trace", []string{"-trace-bfs", "4"}, "-trace"},
-		{"trace-bfs on coordinator without trace", []string{"-coordinate", ":0", "-trace-bfs", "4"}, "-trace"},
-		{"negative trace-bfs", []string{"-trace", "t.json", "-trace-bfs", "-1"}, ">= 0"},
+
+		// -trace-bfs is unknown in every mode: no trial runs the
+		// parallel BFS whose levels it sampled.
+		{"trace-bfs without trace", []string{"-trace-bfs", "4"}, "not defined: -trace-bfs"},
+		{"trace-bfs on coordinator without trace", []string{"-coordinate", ":0", "-trace-bfs", "4"}, "not defined: -trace-bfs"},
+		{"negative trace-bfs", []string{"-trace", "t.json", "-trace-bfs", "-1"}, "not defined: -trace-bfs"},
+		{"trace-bfs with trace", []string{"-run", "E4", "-trace", "t.json", "-trace-bfs", "4"}, "not defined: -trace-bfs"},
+		{"worker+trace-bfs", []string{"-worker", "host:9131", "-trace-bfs", "8"}, "not defined: -trace-bfs"},
+
+		// -scale must name a workload the plans can build: no NaN or
+		// infinity, nothing at or below zero, and no size past the
+		// int32 vertex ids.
+		{"NaN scale", []string{"-scale", "NaN"}, "-scale"},
+		{"infinite scale", []string{"-scale", "Inf"}, "-scale"},
+		{"negative scale", []string{"-scale", "-1"}, "-scale"},
+		{"zero scale", []string{"-scale", "0"}, "-scale"},
+		{"huge scale", []string{"-scale", "1e300"}, "-scale"},
+		{"scale past the vertex ids", []string{"-scale", "65536"}, "-scale"},
+		{"scale on worker", []string{"-worker", ":0", "-scale", "-0.5"}, "-scale"},
 	}
 	for _, tc := range reject {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,9 +147,9 @@ func TestFlagValidation(t *testing.T) {
 		{"-worker", "host:9131", "-status-addr", ":9201", "-events", "f", "-dump-metrics"},
 		{"-cache-gc", "abc123", "-cache", "c", "-events", "f", "-dump-metrics"},
 		{"-run", "E4", "-dump-metrics"},
-		{"-run", "E4", "-trace", "t.json", "-trace-bfs", "4"},
+		{"-run", "E4", "-trace", "t.json"},
 		{"-coordinate", ":9131", "-trace", "t.json"},
-		{"-worker", "host:9131", "-trace-bfs", "8"},
+		{"-run", "E5", "-scale", "65535.5"},
 		{"-coordinate", ":9131", "-events", "f", "-events-max-bytes", "1048576"},
 	}
 	for _, args := range accept {

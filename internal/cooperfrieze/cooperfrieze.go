@@ -93,8 +93,20 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cooperfrieze: %s = %v out of [0, 1]", p.name, p.v)
 		}
 	}
+	// edgeHint reserves the edge and endpoint arrays before the first
+	// step. From 2^30 edges on no graph could index them (its 2m
+	// half-edges must stay below 2^31, DESIGN §8.4), so such a
+	// configuration fails here, not in a giant allocation; the sum is
+	// taken in float64 so that a tiny Alpha cannot overflow int.
+	if hint := float64(c.N)/c.Alpha + float64(c.N/2); hint >= maxEdges {
+		return fmt.Errorf("cooperfrieze: N = %d with Alpha = %v reserves %.4g edges, at or past the 2^30 a graph can index", c.N, c.Alpha, hint)
+	}
 	return nil
 }
+
+// maxEdges is the most edges a graph.Graph can index: its 2m
+// half-edges are int32 indices.
+const maxEdges = 1 << 30
 
 // Result carries the generated graph together with process metadata.
 type Result struct {
@@ -304,7 +316,8 @@ func (c Config) tables() (q, p outDegrees, err error) {
 }
 
 // edgeHint is the endpoint capacity both passes reserve: the expected
-// step count N/alpha plus slack for out-degrees above one.
+// step count N/alpha plus slack for out-degrees above one. Validate
+// keeps it below maxEdges.
 func (c Config) edgeHint() int { return int(float64(c.N)/c.Alpha) + c.N/2 }
 
 // newStep makes the RNG calls that choose the next step: procedure New

@@ -3,6 +3,7 @@ package cooperfrieze
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"scalefree/internal/graph"
@@ -37,6 +38,33 @@ func TestValidate(t *testing.T) {
 	}
 	if err := defaultConfig(10).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
+	}
+}
+
+// TestValidateBoundsEdgeHint: a configuration whose reserved edge
+// count N/Alpha + N/2 reaches 2^30, past what a graph can index, fails
+// Validate and names N and Alpha, however small Alpha is; just below
+// the bound it passes. Nothing is generated.
+func TestValidateBoundsEdgeHint(t *testing.T) {
+	for _, c := range []Config{
+		{N: 3, Alpha: 1e-9},
+		{N: 2, Alpha: 5e-324},
+		{N: 1 << 29, Alpha: 0.5},
+		{N: 1 << 30, Alpha: 1},
+	} {
+		err := c.Validate()
+		if err == nil {
+			t.Errorf("N = %d, Alpha = %v validated", c.N, c.Alpha)
+			continue
+		}
+		for _, want := range []string{fmt.Sprintf("N = %d", c.N), fmt.Sprintf("Alpha = %v", c.Alpha), "2^30"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("diagnostic %q does not mention %q", err, want)
+			}
+		}
+	}
+	if err := (Config{N: 1 << 29, Alpha: 1}).Validate(); err != nil {
+		t.Errorf("N = 2^29, Alpha = 1 reserves 1.5·2^29 edges and was rejected: %v", err)
 	}
 }
 

@@ -7,7 +7,9 @@
 //
 //   - MeasureOne / MeasureSearch — one replication, or a replicated
 //     expected-request measurement, of any search algorithm over
-//     random graphs; experiment plans run each replication of a size
+//     random graphs, from vertex 1 to the youngest vertex n or, with
+//     SearchSpec.RandomEndpoints, from a uniform start to a distinct
+//     uniform target; experiment plans run each replication of a size
 //     sweep as its own engine trial and assemble the replications with
 //     NewMeasurement into a ScalingResult;
 //   - Theorem1Bound / StrongModelExponent — the paper's lower bounds,
@@ -18,6 +20,7 @@ package core
 import (
 	"fmt"
 
+	"scalefree/internal/ba"
 	"scalefree/internal/buf"
 	"scalefree/internal/cooperfrieze"
 	"scalefree/internal/equivalence"
@@ -35,7 +38,7 @@ import (
 // scratch, the per-replication RNGs, and BFS buffers for distance
 // measurements. The zero value is ready to use. One scratch belongs to
 // one worker goroutine; the engine's RunScratch hands each worker its
-// own.
+// own. A trial draws only from its RNG and this scratch.
 //
 // Scratch is memory reuse only — every measurement is still a pure
 // function of (spec, rep), so a fresh scratch and one reused across
@@ -52,15 +55,8 @@ type Scratch struct {
 	Dist  []int32
 	Queue []graph.Vertex
 
-	// Par is the frontier-parallel traversal scratch
-	// (graph.BFSParallelInto / graph.ComponentsParallelInto) for
-	// giant-graph passes. Engine trials should keep their traversals
-	// serial — the engine already saturates the cores across trials —
-	// but process-wide callers (the CLIs, a future serving tier) run
-	// one huge graph at a time and want every core inside the pass.
-	Par graph.BFSScratch
-
-	// Degs is the reused degree-sample buffer behind DegreesOf.
+	// Degs is the reused degree-sample buffer behind DegreesOf, and
+	// any trial's that counts degrees itself.
 	Degs []int
 
 	genRNG, searchRNG rng.RNG
@@ -72,13 +68,9 @@ type Scratch struct {
 
 // AttachTrace implements trace.Attacher: the engine hands each worker
 // goroutine's trace writer to its scratch, so trial phases
-// (generate/freeze/search) and sampled BFS levels record into the
-// worker's lane. A nil writer detaches.
-func (s *Scratch) AttachTrace(w *trace.Writer) {
-	s.tw = w
-	s.Par.Trace = w
-	s.Par.TraceSample = w.SampleEvery()
-}
+// (generate/freeze/search) record into the worker's lane. A nil writer
+// detaches.
+func (s *Scratch) AttachTrace(w *trace.Writer) { s.tw = w }
 
 // NewScratch returns an empty scratch; buffers grow on first use and
 // are reused afterwards. It is the engine-facing scratch factory.
@@ -113,6 +105,13 @@ func MoriGen(cfg mori.Config) GraphGen {
 	}
 }
 
+// BAGen adapts a Barabási–Albert configuration to a GraphGen.
+func BAGen(cfg ba.Config) GraphGen {
+	return func(r *rng.RNG, s *Scratch) (*graph.Graph, error) {
+		return cfg.GenerateScratch(r, &s.Model.BA)
+	}
+}
+
 // CooperFriezeGen adapts a Cooper–Frieze configuration to a GraphGen.
 func CooperFriezeGen(cfg cooperfrieze.Config) GraphGen {
 	return func(r *rng.RNG, s *Scratch) (*graph.Graph, error) {
@@ -133,21 +132,16 @@ func ModelGen(m model.Model) GraphGen {
 	}
 }
 
-// SearchSpec describes one search measurement.
+// SearchSpec describes one search measurement. Each replication
+// searches from vertex 1, the oldest, for vertex n, the youngest: the
+// paper's hard target.
 type SearchSpec struct {
 	Algorithm search.Algorithm
-	// Start is the initial vertex; 0 selects vertex 1 (the oldest).
-	Start graph.Vertex
-	// Target is the sought vertex; 0 selects the youngest vertex n,
-	// the paper's hard target.
-	Target graph.Vertex
-	// RandomStart draws a fresh uniform start vertex per replication
-	// (overrides Start). Used by workloads without an age structure,
-	// e.g. configuration-model graphs.
-	RandomStart bool
-	// RandomTarget draws a fresh uniform target per replication,
-	// distinct from the start (overrides Target).
-	RandomTarget bool
+	// RandomEndpoints instead draws a uniform start vertex and then a
+	// uniform target distinct from it, per replication. Used by
+	// workloads without an age structure, e.g. configuration-model
+	// graphs.
+	RandomEndpoints bool
 	// Budget caps requests per run (0 = unlimited). Runs that exhaust
 	// the budget contribute Budget requests to the mean (censoring
 	// makes the measured mean a *lower* bound on the true expectation,
@@ -209,22 +203,14 @@ func MeasureOne(gen GraphGen, spec SearchSpec, rep int, s *Scratch) (SearchOutco
 	if err != nil {
 		return SearchOutcome{}, fmt.Errorf("core: generating graph for rep %d: %w", rep, err)
 	}
-	start := spec.Start
-	if start == 0 {
-		start = 1
-	}
-	if spec.RandomStart {
-		start = graph.Vertex(sr.IntRange(1, g.NumVertices()))
-	}
-	target := spec.Target
-	if target == 0 {
-		target = graph.Vertex(g.NumVertices())
-	}
-	if spec.RandomTarget {
-		if g.NumVertices() < 2 {
-			return SearchOutcome{}, fmt.Errorf("core: rep %d: graph too small for a distinct random target", rep)
+	start, target := graph.Vertex(1), graph.Vertex(g.NumVertices())
+	if spec.RandomEndpoints {
+		n := g.NumVertices()
+		if n < 2 {
+			return SearchOutcome{}, fmt.Errorf("core: rep %d: graph too small for distinct random endpoints", rep)
 		}
-		target = graph.Vertex(sr.IntRange(1, g.NumVertices()-1))
+		start = graph.Vertex(sr.IntRange(1, n))
+		target = graph.Vertex(sr.IntRange(1, n-1))
 		if target >= start {
 			target++
 		}

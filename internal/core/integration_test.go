@@ -114,12 +114,11 @@ func TestRandomTargetDistinctFromStart(t *testing.T) {
 		return g, err
 	}
 	meas, err := MeasureSearch(gen, SearchSpec{
-		Algorithm:    search.NewDegreeGreedyStrong(),
-		Reps:         20,
-		Seed:         17,
-		RandomStart:  true,
-		RandomTarget: true,
-		Budget:       100000,
+		Algorithm:       search.NewDegreeGreedyStrong(),
+		Reps:            20,
+		Seed:            17,
+		RandomEndpoints: true,
+		Budget:          100000,
 	}, NewScratch())
 	if err != nil {
 		t.Fatal(err)

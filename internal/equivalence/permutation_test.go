@@ -167,7 +167,7 @@ func TestConditionalExchangeabilityEmpirical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		degs := tree.InDegrees()
+		degs := tree.InDegreesInto(nil)
 		uncondFirst += float64(degs[a+1])
 		uncondLast += float64(degs[b])
 		ok, err := CheckEvent(tree, a, b)

@@ -103,13 +103,13 @@ func addScalingCell(b *planBuilder, key string, sizes []int,
 		gen := genFor(n)
 		sizeKey := key + "/n=" + strconv.Itoa(n)
 		for rep := 0; rep < spec.Reps; rep++ {
-			b.addScratch(sizeKey+"/rep="+strconv.Itoa(rep), rng.DeriveSeed(point.Seed, uint64(rep)),
+			b.add(sizeKey+"/rep="+strconv.Itoa(rep), rng.DeriveSeed(point.Seed, uint64(rep)),
 				func(_ context.Context, _ *rng.RNG, s *core.Scratch) (any, error) {
 					return core.MeasureOne(gen, point, rep, s)
 				})
 		}
 		if boundFor != nil {
-			b.addScratch(sizeKey+"/bound", rng.DeriveSeed(spec.Seed, uint64(5000+i)),
+			b.add(sizeKey+"/bound", rng.DeriveSeed(spec.Seed, uint64(5000+i)),
 				func(_ context.Context, r *rng.RNG, _ *core.Scratch) (any, error) { return boundFor(n, r) })
 		}
 	}

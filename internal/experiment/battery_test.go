@@ -37,7 +37,7 @@ func moriGen(p float64) func(n int) core.GraphGen {
 // it, and the fitted exponent is positive.
 func TestScalingCell(t *testing.T) {
 	b := newPlanBuilder()
-	b.add("other", 1, func(context.Context, *rng.RNG) (any, error) { return "not a search outcome", nil })
+	b.add("other", 1, func(context.Context, *rng.RNG, *core.Scratch) (any, error) { return "not a search outcome", nil })
 	sizes := []int{64, 128, 256}
 	const seed, reps = 5, 12
 	c := addScalingCell(b, "cell", sizes, moriGen(0.5),
@@ -132,7 +132,7 @@ func TestAddBattery(t *testing.T) {
 	for _, budget := range []int{0, 17} {
 		b := newPlanBuilder()
 		cells := addBattery(b, cfg, 40, "bat", algs, sizes, moriGen(0.5), nil,
-			core.SearchSpec{Reps: 3, RandomStart: true, Budget: budget})
+			core.SearchSpec{Reps: 3, RandomEndpoints: true, Budget: budget})
 		if len(cells) != len(algs) || len(b.trials) != len(algs)*len(sizes)*3 {
 			t.Fatalf("%d cells and %d trials for %d algorithms", len(cells), len(b.trials), len(algs))
 		}
@@ -140,7 +140,7 @@ func TestAddBattery(t *testing.T) {
 		for i, c := range cells {
 			spec := c.spec
 			if c.key != "bat/"+algs[i].Name() || spec.Algorithm != algs[i] || spec.Seed != cfg.seed(40+uint64(i)) ||
-				spec.Reps != 3 || !spec.RandomStart {
+				spec.Reps != 3 || !spec.RandomEndpoints {
 				t.Errorf("cell %d: key %s, spec %+v", i, c.key, spec)
 			}
 			want := budget

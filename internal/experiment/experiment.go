@@ -23,7 +23,10 @@
 // builder.add (deriving each trial's seed from cfg.seed so experiments
 // stay independent), capture the returned indices, and finish with
 // builder.build(reduce) where reduce formats the tables from
-// results-by-index. A search battery, every algorithm of a list swept
+// results-by-index. A trial draws only from the RNG and the worker's
+// core.Scratch it is handed: graphs come from the scratch's generator
+// buffers, and a generator's no-scratch form is for callers that keep
+// the graph. A search battery, every algorithm of a list swept
 // over (sizes × replications), goes through addBattery: it registers
 // one addScalingCell per algorithm, and each cell registers its trials
 // on the builder under the seed scheme addScalingCell owns and collects
@@ -50,9 +53,15 @@ type Config struct {
 	Seed uint64
 	// Scale multiplies workload sizes and replication counts. 1.0 runs
 	// the full EXPERIMENTS.md workload; tests and benches use smaller
-	// values. Values <= 0 default to 1.
+	// values. Values <= 0 default to 1. NaN, infinities and values
+	// from MaxScale on name no workload; cmd/experiments rejects them.
 	Scale float64
 }
+
+// MaxScale bounds Config.Scale from above: E5 and E6 plan
+// 32,768·Scale vertices, and vertex ids are int32, so from 2^16 on the
+// largest graph no longer fits.
+const MaxScale = 1 << 16
 
 // scaleInt scales n, keeping at least min.
 func (c Config) scaleInt(n, min int) int {
@@ -125,18 +134,10 @@ type planBuilder struct {
 
 func newPlanBuilder() *planBuilder { return &planBuilder{} }
 
-// add registers one scratch-oblivious trial and returns its index into
-// the result slice.
-func (b *planBuilder) add(key string, seed uint64, run func(ctx context.Context, r *rng.RNG) (any, error)) int {
-	return b.addScratch(key, seed,
-		func(ctx context.Context, r *rng.RNG, _ *core.Scratch) (any, error) {
-			return run(ctx, r)
-		})
-}
-
-// addScratch registers one trial that reuses the worker's scratch
-// buffers and returns its index into the result slice.
-func (b *planBuilder) addScratch(key string, seed uint64, run func(ctx context.Context, r *rng.RNG, s *core.Scratch) (any, error)) int {
+// add registers one trial and returns its index into the result
+// slice. run draws only from its RNG, seeded from seed, and its
+// worker's scratch, whose buffers it may reuse.
+func (b *planBuilder) add(key string, seed uint64, run func(ctx context.Context, r *rng.RNG, s *core.Scratch) (any, error)) int {
 	idx := len(b.trials)
 	b.trials = append(b.trials, engine.Trial{Index: idx, Key: key, Seed: seed})
 	b.runs = append(b.runs, run)

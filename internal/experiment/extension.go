@@ -27,7 +27,7 @@ func PlanE11(cfg Config) (*Plan, error) {
 	probIdx := make([]int, len(probNs))
 	for i, n := range probNs {
 		probIdx[i] = b.add(fmt.Sprintf("E11a/n=%d", n), cfg.seed(1090+uint64(i)),
-			func(_ context.Context, _ *rng.RNG) (any, error) {
+			func(context.Context, *rng.RNG, *core.Scratch) (any, error) {
 				a, bw, err := equivalence.Window(n)
 				if err != nil {
 					return nil, err

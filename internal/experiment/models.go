@@ -79,7 +79,7 @@ func planRegistryBattery(cfg Config, id, family, tag string, base uint64) (*Plan
 	for i := range sizes {
 		m := models[i]
 		n := sizes[i]
-		structIdx[i] = b.addScratch(
+		structIdx[i] = b.add(
 			fmt.Sprintf("%s/struct/%s", id, m.Params()),
 			cfg.seed(base+90+uint64(i)),
 			func(_ context.Context, r *rng.RNG, s *core.Scratch) (any, error) {

@@ -42,10 +42,9 @@ func PlanE8(cfg Config) (*Plan, error) {
 				}
 			},
 			nil, core.SearchSpec{
-				Reps:         reps,
-				RandomStart:  true,
-				RandomTarget: true,
-				Budget:       walkBudgetFactor * sizes[len(sizes)-1],
+				Reps:            reps,
+				RandomEndpoints: true,
+				Budget:          walkBudgetFactor * sizes[len(sizes)-1],
 			})})
 	}
 	return b.build(func(results []any) ([]Table, error) {
@@ -101,9 +100,9 @@ func PlanE9(cfg Config) (*Plan, error) {
 	ls := []int{32, 64, 128}
 	rExps := []float64{0, 1, 2, 3}
 
-	// Grid cells keep the historical seeding: the graph stream depends
-	// only on L, the source stream on L — so numbers match the serial
-	// harness exactly.
+	// Grid cells keep the historical seeding: the graph stream (the
+	// trial's RNG) depends only on L, and so does the source stream —
+	// so numbers match the serial harness exactly.
 	gridIdx := make([][]int, len(rExps)) // [rExp][li] -> trial index
 	for ri, rExp := range rExps {
 		gridIdx[ri] = make([]int, len(ls))
@@ -111,8 +110,8 @@ func PlanE9(cfg Config) (*Plan, error) {
 			gridIdx[ri][li] = b.add(
 				fmt.Sprintf("E9a/r=%v/L=%d", rExp, L),
 				cfg.seed(800+uint64(li)),
-				func(_ context.Context, _ *rng.RNG) (any, error) {
-					g, err := kleinberg.Config{L: L, R: rExp}.Generate(rng.New(cfg.seed(800 + uint64(li))))
+				func(_ context.Context, r *rng.RNG, _ *core.Scratch) (any, error) {
+					g, err := kleinberg.Config{L: L, R: rExp}.Generate(r)
 					if err != nil {
 						return nil, fmt.Errorf("E9 L=%d r=%v: %w", L, rExp, err)
 					}
@@ -138,7 +137,7 @@ func PlanE9(cfg Config) (*Plan, error) {
 	contrastIdx := make([]int, len(contrastSizes))
 	for i, n := range contrastSizes {
 		seed := cfg.seed(850 + uint64(i))
-		contrastIdx[i] = b.addScratch(
+		contrastIdx[i] = b.add(
 			fmt.Sprintf("E9b/n=%d", n), seed,
 			func(_ context.Context, _ *rng.RNG, s *core.Scratch) (any, error) {
 				return core.MeasureSearch(
@@ -221,7 +220,7 @@ func PlanE10(cfg Config) (*Plan, error) {
 			idx := b.add(
 				fmt.Sprintf("E10/walk=%d/q=%v", walk, q),
 				rng.DeriveSeed(queryBase, stream),
-				func(_ context.Context, r *rng.RNG) (any, error) {
+				func(_ context.Context, r *rng.RNG, _ *core.Scratch) (any, error) {
 					hits, msgs, reached := 0, 0, 0
 					for i := 0; i < queries; i++ {
 						origin := graph.Vertex(r.IntRange(1, nv))

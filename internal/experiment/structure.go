@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"scalefree/internal/ba"
 	"scalefree/internal/configmodel"
@@ -38,7 +39,7 @@ func PlanE5(cfg Config) (*Plan, error) {
 			for rep := 0; rep < reps; rep++ {
 				// Seed derivation matches the historical serial harness:
 				// one stream per (size, replication) pair.
-				c.idx[i][rep] = b.addScratch(
+				c.idx[i][rep] = b.add(
 					fmt.Sprintf("E5/%s/n=%d/rep=%d", name, n, rep),
 					rng.DeriveSeed(cellSeed, uint64(i*1000+rep)),
 					func(_ context.Context, r *rng.RNG, s *core.Scratch) (any, error) {
@@ -56,17 +57,12 @@ func PlanE5(cfg Config) (*Plan, error) {
 			if err != nil {
 				return 0, err
 			}
-			best := 0
-			for _, d := range t.InDegrees() {
-				if d > best {
-					best = d
-				}
-			}
-			return best, nil
+			s.Degs = t.InDegreesInto(s.Degs)
+			return slices.Max(s.Degs), nil
 		}, uint64(i))
 	}
-	addCell("barabasi-albert m=1", 0.5, func(n int, r *rng.RNG, _ *core.Scratch) (int, error) {
-		g, err := ba.Config{N: n, M: 1}.Generate(r)
+	addCell("barabasi-albert m=1", 0.5, func(n int, r *rng.RNG, s *core.Scratch) (int, error) {
+		g, err := ba.Config{N: n, M: 1}.GenerateScratch(r, &s.Model.BA)
 		if err != nil {
 			return 0, err
 		}
@@ -138,9 +134,9 @@ func PlanE6(cfg Config) (*Plan, error) {
 		idx      int
 	}
 	var cells []cell
-	addCell := func(name string, expected float64, seed uint64, gen func(r *rng.RNG) (*graph.Graph, error)) {
-		idx := b.addScratch("E6/"+name, seed, func(_ context.Context, r *rng.RNG, s *core.Scratch) (any, error) {
-			g, err := gen(r)
+	addCell := func(name string, expected float64, seed uint64, gen core.GraphGen) {
+		idx := b.add("E6/"+name, seed, func(_ context.Context, r *rng.RNG, s *core.Scratch) (any, error) {
+			g, err := gen(r, s)
 			if err != nil {
 				return nil, err
 			}
@@ -149,38 +145,22 @@ func PlanE6(cfg Config) (*Plan, error) {
 		cells = append(cells, cell{name: name, expected: expected, idx: idx})
 	}
 
+	// A Móri tree is the m = 1 merged graph: the merge adds the same
+	// edges Tree.Graph does, in the same order.
 	for i, p := range []float64{0.5, 0.75, 1.0} {
 		addCell(fmt.Sprintf("mori tree p=%.2f", p), 1+1/p, cfg.seed(500+uint64(i)),
-			func(r *rng.RNG) (*graph.Graph, error) {
-				t, err := mori.GenerateTree(r, n, p)
-				if err != nil {
-					return nil, err
-				}
-				return t.Graph(), nil
-			})
+			core.MoriGen(mori.Config{N: n, M: 1, P: p}))
 	}
 	addCell("mori merged m=4 p=0.75", 1+1/0.75, cfg.seed(510),
-		func(r *rng.RNG) (*graph.Graph, error) {
-			return mori.Config{N: n / 4, M: 4, P: 0.75}.Generate(r)
-		})
-	addCell("barabasi-albert m=2", 3, cfg.seed(511),
-		func(r *rng.RNG) (*graph.Graph, error) {
-			return ba.Config{N: n, M: 2}.Generate(r)
-		})
+		core.MoriGen(mori.Config{N: n / 4, M: 4, P: 0.75}))
+	addCell("barabasi-albert m=2", 3, cfg.seed(511), core.BAGen(ba.Config{N: n, M: 2}))
 	for i, k := range []float64{2.1, 2.5} {
 		addCell(fmt.Sprintf("config-model k=%.1f", k), k, cfg.seed(512+uint64(i)),
-			func(r *rng.RNG) (*graph.Graph, error) {
+			func(r *rng.RNG, _ *core.Scratch) (*graph.Graph, error) {
 				return configmodel.Config{N: n, Exponent: k}.Generate(r)
 			})
 	}
-	addCell("cooper-frieze α=0.7", 0, cfg.seed(514),
-		func(r *rng.RNG) (*graph.Graph, error) {
-			res, err := cfConfig(n, 0.7).Generate(r)
-			if err != nil {
-				return nil, err
-			}
-			return res.Graph, nil
-		})
+	addCell("cooper-frieze α=0.7", 0, cfg.seed(514), core.CooperFriezeGen(cfConfig(n, 0.7)))
 
 	return b.build(func(results []any) ([]Table, error) {
 		table := &Table{
@@ -216,22 +196,12 @@ func PlanE7(cfg Config) (*Plan, error) {
 	b := newPlanBuilder()
 
 	gens := []struct {
-		name string
-		gen  func(n int, r *rng.RNG, s *core.Scratch) (*graph.Graph, error)
+		name   string
+		genFor func(n int) core.GraphGen
 	}{
-		{"mori p=0.5 m=2", func(n int, r *rng.RNG, s *core.Scratch) (*graph.Graph, error) {
-			return mori.Config{N: n, M: 2, P: 0.5}.GenerateScratch(r, &s.Model.Mori)
-		}},
-		{"cooper-frieze α=0.8", func(n int, r *rng.RNG, s *core.Scratch) (*graph.Graph, error) {
-			res, err := cfConfig(n, 0.8).GenerateScratch(r, &s.Model.CF)
-			if err != nil {
-				return nil, err
-			}
-			return res.Graph, nil
-		}},
-		{"barabasi-albert m=2", func(n int, r *rng.RNG, _ *core.Scratch) (*graph.Graph, error) {
-			return ba.Config{N: n, M: 2}.Generate(r)
-		}},
+		{"mori p=0.5 m=2", func(n int) core.GraphGen { return core.MoriGen(mori.Config{N: n, M: 2, P: 0.5}) }},
+		{"cooper-frieze α=0.8", func(n int) core.GraphGen { return core.CooperFriezeGen(cfConfig(n, 0.8)) }},
+		{"barabasi-albert m=2", func(n int) core.GraphGen { return core.BAGen(ba.Config{N: n, M: 2}) }},
 	}
 	type cell struct {
 		name string
@@ -241,10 +211,11 @@ func PlanE7(cfg Config) (*Plan, error) {
 	var cells []cell
 	for gi, gspec := range gens {
 		for si, n := range sizes {
-			idx := b.addScratch(fmt.Sprintf("E7/%s/n=%d", gspec.name, n),
+			gen := gspec.genFor(n)
+			idx := b.add(fmt.Sprintf("E7/%s/n=%d", gspec.name, n),
 				cfg.seed(600+uint64(gi*100+si)),
 				func(_ context.Context, r *rng.RNG, s *core.Scratch) (any, error) {
-					g, err := gspec.gen(n, r, s)
+					g, err := gen(r, s)
 					if err != nil {
 						return nil, err
 					}

@@ -187,7 +187,7 @@ func PlanE4(cfg Config) (*Plan, error) {
 		for _, n := range []int{1 << 8, 1 << 10, 1 << 12} {
 			stream++
 			idx := b.add(fmt.Sprintf("E4a/p=%v/n=%d", p, n), rng.DeriveSeed(base, stream),
-				func(_ context.Context, r *rng.RNG) (any, error) {
+				func(_ context.Context, r *rng.RNG, _ *core.Scratch) (any, error) {
 					a, bw, err := equivalence.Window(n)
 					if err != nil {
 						return nil, err
@@ -224,7 +224,7 @@ func PlanE4(cfg Config) (*Plan, error) {
 	} {
 		stream++
 		idx := b.add(fmt.Sprintf("E4b/size=%d/p=%v", tc.size, tc.p), rng.DeriveSeed(base, stream),
-			func(_ context.Context, _ *rng.RNG) (any, error) {
+			func(context.Context, *rng.RNG, *core.Scratch) (any, error) {
 				checked, err := equivalence.VerifyLemma2(tc.size, tc.a, tc.b, tc.p, 1e-12)
 				result := "ok"
 				if err != nil {

@@ -3,8 +3,6 @@ package graph
 import (
 	"sync"
 	"sync/atomic"
-
-	"scalefree/internal/obs/trace"
 )
 
 // Unreachable is the distance the BFS passes report for vertices not
@@ -74,15 +72,6 @@ const bfsBlock = 1024
 // A scratch belongs to one traversal at a time (one goroutine calls
 // in; the workers it fans out to are internal).
 type BFSScratch struct {
-	// Trace, when non-nil, records sampled frontier-level spans
-	// ("bfs_level") on the traversing goroutine's trace writer;
-	// TraceSample k records every k-th level (0 disables). Level spans
-	// are emitted only from the barrier goroutine, never from the
-	// fanned-out workers, so the writer's single-goroutine contract
-	// holds.
-	Trace       *trace.Writer
-	TraceSample int
-
 	// queue holds a flood's vertices in the order they are settled,
 	// level after level, as in a serial BFS queue: a flood settles each
 	// vertex once, so n entries hold every level. frontier is the
@@ -276,10 +265,6 @@ func (s *BFSScratch) flood(g *Graph, target []int32, workers int, levelValues bo
 		case bottomUp && len(s.frontier) < n/bfsTopDownBeta:
 			bottomUp, mayTurn = false, false
 		}
-		sampled := s.TraceSample > 0 && int(level)%s.TraceSample == 0
-		if sampled {
-			s.Trace.Begin("bfs_level", "bfs")
-		}
 		work := len(s.frontier)
 		if bottomUp {
 			work = n
@@ -325,9 +310,6 @@ func (s *BFSScratch) flood(g *Graph, target []int32, workers int, levelValues bo
 					}
 				}
 			}
-		}
-		if sampled {
-			s.Trace.End()
 		}
 		if mayTurn && !bottomUp {
 			frontHalves = halvesOf(g, next)

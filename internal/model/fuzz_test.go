@@ -11,7 +11,9 @@ import (
 // Params() to the same Params(); and no accepted Params() may hold NaN,
 // which no generator can honour. The seeds are every family's
 // defaults, spelled out and implied, the documented -params examples,
-// and NaN for a parameter whose range check alone let it through.
+// NaN for a parameter whose range check alone let it through, and a
+// Cooper–Frieze alpha so small that its edge reservation no graph can
+// index.
 func FuzzModelNew(f *testing.F) {
 	for _, fam := range Families() {
 		f.Add(fam.Name, "")
@@ -30,6 +32,7 @@ func FuzzModelNew(f *testing.F) {
 		{"mori", "n=1048576,m=2,p=0.5"},
 		{"mori", "n=16384,p=0.5,m=1"},
 		{"kleinberg", "l=8,r=NaN"},
+		{"cf", "n=3,alpha=1e-9"},
 		{"nosuch", "n=1"},
 	} {
 		f.Add(ex[0], ex[1])

@@ -157,6 +157,7 @@ func TestNewRejectsBadInput(t *testing.T) {
 		{"kleinberg", "l=8,r=NaN", "not a number"},
 		{"geopa", "r=nan", "not a number"},
 		{"cf", "alpha=1e999", "not a number"},
+		{"cf", "n=3,alpha=1e-9", "2^30"},
 	}
 	for _, tc := range cases {
 		_, err := New(tc.name, tc.params)

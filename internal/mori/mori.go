@@ -224,10 +224,11 @@ func (t *Tree) Graph() *graph.Graph {
 	return b.Freeze()
 }
 
-// InDegrees replays the tree and returns the indegree of every vertex
-// (indexed 1..Size).
-func (t *Tree) InDegrees() []int {
-	ds := make([]int, t.Size()+1)
+// InDegreesInto replays the tree into ds, reusing its backing array
+// when the capacity suffices, and returns the indegree of every vertex
+// (indexed 1..Size; entry 0 is zero).
+func (t *Tree) InDegreesInto(ds []int) []int {
+	ds = buf.GrowClear(ds, t.Size()+1)
 	for k := 2; k <= t.Size(); k++ {
 		ds[t.Fathers[k]]++
 	}

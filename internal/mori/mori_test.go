@@ -99,7 +99,7 @@ func TestInDegreesMatchGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := tree.Graph()
-	ds := tree.InDegrees()
+	ds := tree.InDegreesInto(nil)
 	for v := graph.Vertex(1); v <= 200; v++ {
 		if ds[v] != g.InDegree(v) {
 			t.Fatalf("InDegrees[%d] = %d, graph says %d", v, ds[v], g.InDegree(v))
@@ -177,6 +177,34 @@ func TestMergeBlockMapping(t *testing.T) {
 	}
 	if g.NumSelfLoops() != 2 {
 		t.Errorf("self-loops = %d, want 2", g.NumSelfLoops())
+	}
+}
+
+// TestConfigM1IsTreeGraph: for equal seeds the m = 1 merged graph is
+// the tree's own graph, edge for edge, which is what lets a trial that
+// wants the tree's graph draw it on the merge's scratch (E6).
+func TestConfigM1IsTreeGraph(t *testing.T) {
+	for _, p := range []float64{0.25, 1} {
+		tree, err := GenerateTree(rng.New(9), 300, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tree.Graph()
+		got, err := Config{N: 300, M: 1, P: p}.Generate(rng.New(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
+			t.Fatalf("p=%v: %d vertices, %d edges; the tree's graph has %d, %d",
+				p, got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
+		}
+		for e := graph.EdgeID(0); int(e) < want.NumEdges(); e++ {
+			gu, gv := got.Endpoints(e)
+			wu, wv := want.Endpoints(e)
+			if gu != wu || gv != wv {
+				t.Fatalf("p=%v: edge %d = (%d, %d), the tree's graph has (%d, %d)", p, e, gu, gv, wu, wv)
+			}
+		}
 	}
 }
 
@@ -377,7 +405,7 @@ func TestMaxInDegreeGrowsWithP(t *testing.T) {
 			t.Fatal(err)
 		}
 		best := 0
-		for _, d := range tree.InDegrees() {
+		for _, d := range tree.InDegreesInto(nil) {
 			if d > best {
 				best = d
 			}

@@ -142,10 +142,10 @@ func TestEndpointMatchesFenwickDistribution(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, d := range te.InDegrees()[1:] {
+			for _, d := range te.InDegreesInto(nil)[1:] {
 				histEndpoint[min(d, bins-1)]++
 			}
-			for _, d := range tf.InDegrees()[1:] {
+			for _, d := range tf.InDegreesInto(nil)[1:] {
 				histFenwick[min(d, bins-1)]++
 			}
 		}

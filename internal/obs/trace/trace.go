@@ -70,21 +70,11 @@ func stamp(t time.Time) int64 { return epoch.UnixNano() + int64(t.Sub(epoch)) }
 // hand it back with Recorder.Release. A nil *Writer is a valid no-op
 // recorder, so call sites need no tracing-enabled branches.
 type Writer struct {
-	recs      []Record
-	tid       int32
-	reserved  int   // open recorded spans: each holds one End slot
-	suppress  int   // nesting depth of dropped Begins
-	dropped   int64 // records lost to overflow
-	bfsSample int   // copy of Recorder.BFSSample
-}
-
-// SampleEvery returns the BFS level-span sampling stride: 0 disables
-// level spans, k records every k-th level.
-func (w *Writer) SampleEvery() int {
-	if w == nil {
-		return 0
-	}
-	return w.bfsSample
+	recs     []Record
+	tid      int32
+	reserved int   // open recorded spans: each holds one End slot
+	suppress int   // nesting depth of dropped Begins
+	dropped  int64 // records lost to overflow
 }
 
 // Begin opens a span now.
@@ -178,9 +168,6 @@ type Recorder struct {
 	// WriterCap overrides the per-writer buffer capacity (records).
 	// Zero means defaultWriterCap. Set before the first Writer call.
 	WriterCap int
-	// BFSSample is copied to each new Writer: 0 disables BFS level
-	// spans, k records every k-th frontier level.
-	BFSSample int
 
 	enabled atomic.Bool
 
@@ -230,7 +217,6 @@ func (r *Recorder) Writer() *Writer {
 	if n := len(r.free); n > 0 {
 		w := r.free[n-1]
 		r.free = r.free[:n-1]
-		w.bfsSample = r.BFSSample
 		return w
 	}
 	capacity := r.WriterCap
@@ -238,7 +224,7 @@ func (r *Recorder) Writer() *Writer {
 		capacity = defaultWriterCap
 	}
 	r.nextTID++
-	return &Writer{recs: make([]Record, 0, capacity), tid: r.nextTID, bfsSample: r.BFSSample}
+	return &Writer{recs: make([]Record, 0, capacity), tid: r.nextTID}
 }
 
 // Release drains a writer's records into the recorder and recycles the

@@ -14,26 +14,18 @@ import (
 	"scalefree/internal/rng"
 )
 
-// Config tunes the protocol.
+// Config tunes a query. The replication walk's length is Replicate's
+// own argument.
 type Config struct {
-	// ReplicationWalk is the length of the random walk along which a
-	// content is cached (every visited vertex keeps a replica).
-	ReplicationWalk int
 	// QueryWalk is the length of the query's random walk.
 	QueryWalk int
 	// BroadcastProb is the bond-percolation probability: each edge
 	// independently forwards the query with this probability.
 	BroadcastProb float64
-	// MaxMessages caps the total message count of one query
-	// (0 = unlimited).
-	MaxMessages int
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.ReplicationWalk < 0 {
-		return fmt.Errorf("percolation: ReplicationWalk = %d < 0", c.ReplicationWalk)
-	}
 	if c.QueryWalk < 0 {
 		return fmt.Errorf("percolation: QueryWalk = %d < 0", c.QueryWalk)
 	}
@@ -85,9 +77,6 @@ func Query(g *graph.Graph, r *rng.RNG, replicas map[graph.Vertex]bool, start gra
 	bond := map[graph.EdgeID]bool{} // lazily sampled open/closed state
 	queue := make([]graph.Vertex, 0, 64)
 
-	capped := func() bool {
-		return cfg.MaxMessages > 0 && res.Messages >= cfg.MaxMessages
-	}
 	visit := func(v graph.Vertex) {
 		if !seen[v] {
 			seen[v] = true
@@ -103,7 +92,7 @@ func Query(g *graph.Graph, r *rng.RNG, replicas map[graph.Vertex]bool, start gra
 	cur := start
 	visit(cur)
 	queue = append(queue, cur)
-	for i := 0; i < cfg.QueryWalk && !capped(); i++ {
+	for i := 0; i < cfg.QueryWalk; i++ {
 		deg := g.Degree(cur)
 		if deg == 0 {
 			break
@@ -117,12 +106,9 @@ func Query(g *graph.Graph, r *rng.RNG, replicas map[graph.Vertex]bool, start gra
 	// Percolated broadcast from every seed: traverse each open edge
 	// once.
 	traversed := map[graph.EdgeID]bool{}
-	for head := 0; head < len(queue) && !capped(); head++ {
+	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		for _, h := range g.Incident(u) {
-			if capped() {
-				break
-			}
 			if traversed[h.Edge] {
 				continue
 			}

@@ -20,7 +20,6 @@ func ringGraph(n int) *graph.Graph {
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
-		{ReplicationWalk: -1},
 		{QueryWalk: -1},
 		{BroadcastProb: -0.1},
 		{BroadcastProb: 1.1},
@@ -101,20 +100,6 @@ func TestQueryHitOnStartReplica(t *testing.T) {
 	}
 	if !res.Hit || res.Messages != 0 {
 		t.Errorf("free hit on own replica: %+v", res)
-	}
-}
-
-func TestQueryMessageCap(t *testing.T) {
-	g := ringGraph(1000)
-	res, err := Query(g, rng.New(5), nil, 1, Config{BroadcastProb: 1, MaxMessages: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Messages > 20 {
-		t.Errorf("messages = %d exceeds cap 20", res.Messages)
-	}
-	if res.Hit {
-		t.Error("hit reported with empty replica set")
 	}
 }
 

@@ -486,6 +486,12 @@ func (st *coordState) handle(conn net.Conn) {
 		}
 		switch verb {
 		case "HELLO":
+			if helloed {
+				// A second HELLO would count the worker as joined twice
+				// and let it rename itself mid-session.
+				wc.send("ERR " + quoteMsg("HELLO repeated: the session is already open"))
+				return
+			}
 			if len(fields) < 1 || fields[0] != protoVersion {
 				wc.send("ERR " + quoteMsg(fmt.Sprintf("protocol version mismatch: want %s", protoVersion)))
 				return
