@@ -24,7 +24,7 @@ fmt-check:
 
 # lint runs the full static suite: gofmt over every tracked Go file,
 # go vet, the repo's own invariant analyzers (cmd/sflint: determinism,
-# lockorder, hotpath, codecreg — see DESIGN.md §10), and, when
+# hotpath, codecreg — see DESIGN.md §10), and, when
 # installed, staticcheck and govulncheck. The external tools are gated
 # on availability so offline checkouts still get gofmt + vet + sflint;
 # CI installs them and runs the same target.

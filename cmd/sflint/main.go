@@ -1,10 +1,10 @@
 // Command sflint runs the repository's static invariant suite
-// (internal/lint, DESIGN.md §10): the determinism, lockorder,
-// hotpath, and codecreg analyzers that prove at compile time what the
-// golden runtime tests can only spot-check per schedule — no
-// wall-clock or global randomness on the deterministic side of the
-// boundary, the documented coordinator lock order, allocation-free
-// //sf:hotpath bodies, and complete codec/parameter registration.
+// (internal/lint, DESIGN.md §10): the determinism, hotpath, and
+// codecreg analyzers that prove at compile time what the golden
+// runtime tests can only spot-check per schedule — no wall-clock or
+// global randomness on the deterministic side of the boundary,
+// allocation-free //sf:hotpath bodies, and complete codec/parameter
+// registration.
 //
 // Usage:
 //

@@ -34,7 +34,7 @@ func TestListMode(t *testing.T) {
 	if err != nil || code != 0 {
 		t.Fatalf("run -list: code=%d err=%v", code, err)
 	}
-	for _, name := range []string{"determinism", "lockorder", "hotpath", "codecreg"} {
+	for _, name := range []string{"determinism", "hotpath", "codecreg"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
 		}

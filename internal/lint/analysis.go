@@ -24,7 +24,6 @@ type Analyzer struct {
 // Analyzers is the sflint suite in reporting order.
 var Analyzers = []*Analyzer{
 	Determinism,
-	LockOrder,
 	HotPath,
 	CodecReg,
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strings"
 )
 
@@ -13,14 +12,10 @@ import (
 //	//sf:wallclock        package- or function-level: this code is on
 //	                      the nondeterministic side of the boundary.
 //	//sf:hotpath          function-level: allocation-free hot loop.
-//	//sf:mutex NAME       struct-field-level: names a sync.Mutex (or
-//	                      RWMutex) field for the lockorder analyzer.
-//	//sf:lockorder A B    package-level: A may be held when acquiring
-//	                      B; the reverse nesting is an inversion.
-//	//sf:locksequential   function-level: never holds two annotated
-//	                      locks at once, in any order.
 //	//sflint:ignore A R   suppresses analyzer A's diagnostics on this
 //	                      or the next line, for reason R (mandatory).
+//
+// Any other //sf: keyword is a load error.
 
 // Notes is the parsed //sf: annotation set of one package.
 type Notes struct {
@@ -30,14 +25,6 @@ type Notes struct {
 	WallclockFuncs map[*ast.FuncDecl]bool
 	// HotpathFuncs holds //sf:hotpath-annotated declarations.
 	HotpathFuncs map[*ast.FuncDecl]bool
-	// SequentialFuncs holds //sf:locksequential declarations.
-	SequentialFuncs map[*ast.FuncDecl]bool
-	// Mutexes maps an annotated mutex field's object to its declared
-	// lock name.
-	Mutexes map[types.Object]string
-	// LockOrder lists declared acquisition orders as [before, after]
-	// pairs: holding pair[0] while acquiring pair[1] is sanctioned.
-	LockOrder [][2]string
 	// Ignores holds the package's //sflint:ignore directives.
 	Ignores []*Ignore
 }
@@ -56,24 +43,20 @@ type Ignore struct {
 // annotation prefixes. A directive must occupy its own // comment
 // line; anything after the keyword (and its arguments) is free text.
 const (
-	annWallclock  = "//sf:wallclock"
-	annHotpath    = "//sf:hotpath"
-	annMutex      = "//sf:mutex"
-	annLockOrder  = "//sf:lockorder"
-	annSequential = "//sf:locksequential"
-	annIgnore     = "//sflint:ignore"
+	annPrefix    = "//sf:"
+	annWallclock = annPrefix + "wallclock"
+	annHotpath   = annPrefix + "hotpath"
+	annIgnore    = "//sflint:ignore"
 )
 
 // parseNotes extracts the package's annotations. Malformed directives
-// (a mutex without a name, a lock order without two names, an ignore
-// without analyzer and reason) are errors — a directive that silently
-// parses as a plain comment would disable the very check it names.
+// (an //sf: keyword sflint does not define, an ignore without analyzer
+// and reason) are errors — a directive that silently parses as a plain
+// comment would disable the very check it names.
 func parseNotes(pkg *Package) (*Notes, error) {
 	n := &Notes{
-		WallclockFuncs:  map[*ast.FuncDecl]bool{},
-		HotpathFuncs:    map[*ast.FuncDecl]bool{},
-		SequentialFuncs: map[*ast.FuncDecl]bool{},
-		Mutexes:         map[types.Object]string{},
+		WallclockFuncs: map[*ast.FuncDecl]bool{},
+		HotpathFuncs:   map[*ast.FuncDecl]bool{},
 	}
 	for _, f := range pkg.Files {
 		// Package-level //sf:wallclock: any comment group that ends
@@ -87,17 +70,19 @@ func parseNotes(pkg *Package) (*Notes, error) {
 				n.PkgWallclock = true
 			}
 		}
-		// Free-standing directives anywhere in the file.
+		// Every comment in the file, doc and trailing alike: a misspelled
+		// keyword is rejected wherever it sits, and ignores are
+		// free-standing.
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(c.Text)
 				switch {
-				case strings.HasPrefix(text, annLockOrder):
-					fields := strings.Fields(strings.TrimPrefix(text, annLockOrder))
-					if len(fields) != 2 {
-						return nil, annErr(pkg, c.Pos(), "//sf:lockorder wants exactly two lock names (before after)")
+				case strings.HasPrefix(text, annPrefix):
+					keyword, _, _ := strings.Cut(text, " ")
+					if keyword != annWallclock && keyword != annHotpath {
+						return nil, annErr(pkg, c.Pos(), fmt.Sprintf("unknown directive %s: sflint defines only %s and %s",
+							keyword, annWallclock, annHotpath))
 					}
-					n.LockOrder = append(n.LockOrder, [2]string{fields[0], fields[1]})
 				case strings.HasPrefix(text, annIgnore):
 					rest := strings.TrimPrefix(text, annIgnore)
 					fields := strings.Fields(rest)
@@ -115,22 +100,14 @@ func parseNotes(pkg *Package) (*Notes, error) {
 				}
 			}
 		}
-		// Function- and field-level directives.
+		// Function-level directives.
 		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
+			if d, ok := decl.(*ast.FuncDecl); ok {
 				if hasDirective(d.Doc, annWallclock) {
 					n.WallclockFuncs[d] = true
 				}
 				if hasDirective(d.Doc, annHotpath) {
 					n.HotpathFuncs[d] = true
-				}
-				if hasDirective(d.Doc, annSequential) {
-					n.SequentialFuncs[d] = true
-				}
-			case *ast.GenDecl:
-				if err := parseFieldMutexes(pkg, n, d); err != nil {
-					return nil, err
 				}
 			}
 		}
@@ -138,67 +115,9 @@ func parseNotes(pkg *Package) (*Notes, error) {
 	return n, nil
 }
 
-// parseFieldMutexes records //sf:mutex NAME annotations on struct
-// fields of a type declaration.
-func parseFieldMutexes(pkg *Package, n *Notes, d *ast.GenDecl) error {
-	if d.Tok != token.TYPE {
-		return nil
-	}
-	for _, spec := range d.Specs {
-		ts, ok := spec.(*ast.TypeSpec)
-		if !ok {
-			continue
-		}
-		st, ok := ts.Type.(*ast.StructType)
-		if !ok {
-			continue
-		}
-		for _, field := range st.Fields.List {
-			name, found, err := mutexDirective(pkg, field)
-			if err != nil {
-				return err
-			}
-			if !found {
-				continue
-			}
-			if len(field.Names) != 1 {
-				return annErr(pkg, field.Pos(), "//sf:mutex wants a single named field")
-			}
-			obj := pkg.Info.Defs[field.Names[0]]
-			if obj == nil {
-				return annErr(pkg, field.Pos(), "//sf:mutex field has no type object")
-			}
-			n.Mutexes[obj] = name
-		}
-	}
-	return nil
-}
-
-// mutexDirective looks for //sf:mutex NAME in a field's doc or line
-// comment.
-func mutexDirective(pkg *Package, field *ast.Field) (string, bool, error) {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			text := strings.TrimSpace(c.Text)
-			if !strings.HasPrefix(text, annMutex+" ") && text != annMutex {
-				continue
-			}
-			fields := strings.Fields(strings.TrimPrefix(text, annMutex))
-			if len(fields) != 1 {
-				return "", false, annErr(pkg, c.Pos(), "//sf:mutex wants exactly one lock name")
-			}
-			return fields[0], true, nil
-		}
-	}
-	return "", false, nil
-}
-
 // hasDirective reports whether the comment group contains the bare
 // directive as its own line (with optional trailing free text after a
-// separating space for wallclock/hotpath, which take no arguments).
+// separating space; the directives take no arguments).
 func hasDirective(cg *ast.CommentGroup, directive string) bool {
 	if cg == nil {
 		return false

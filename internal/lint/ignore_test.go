@@ -48,6 +48,21 @@ func TestUnknownAnalyzerIgnoreFails(t *testing.T) {
 	}
 }
 
+// TestUnknownDirectiveFails: an //sf: keyword sflint does not define,
+// in a doc comment or a trailing one, is a load-time error naming the
+// keyword and its position — a misspelled //sf:hotpath would otherwise
+// silently turn the check off.
+func TestUnknownDirectiveFails(t *testing.T) {
+	for fixture, want := range map[string]string{
+		"misspelled": "misspelled.go:7:1: unknown directive //sf:hotpth",
+		"trailing":   "trailing.go:8:23: unknown directive //sf:wallclok",
+	} {
+		if err := fixtureError(t, fixture); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: expected %q, got %v", fixture, want, err)
+		}
+	}
+}
+
 // TestMissingReasonIgnoreFails: the reason is mandatory.
 func TestMissingReasonIgnoreFails(t *testing.T) {
 	err := fixtureError(t, "noreason")

@@ -123,7 +123,7 @@ func DecodeResult(data []byte) (any, error) {
 		return nil, fmt.Errorf("sweep: decoding result header: %w", d.err)
 	}
 	if !ok {
-		return nil, fmt.Errorf("sweep: unknown result wire name %q (registered by a newer binary?)", name)
+		return nil, fmt.Errorf("sweep: unknown result wire name %q (registered by a newer binary?)", clip(name))
 	}
 	v := reflect.New(t).Elem()
 	d.value(v)

@@ -153,7 +153,9 @@ func Coordinate(ctx context.Context, lis net.Listener, jobs []CoordJob, opts Coo
 
 	select {
 	case <-ctx.Done():
-		st.fail(ctx.Err())
+		st.mu.Lock()
+		st.failLocked(ctx.Err())
+		st.mu.Unlock()
 	case <-st.done:
 	}
 	lis.Close()
@@ -173,7 +175,10 @@ func Coordinate(ctx context.Context, lis net.Listener, jobs []CoordJob, opts Coo
 	// whose chunks completed through another lease) get their spans
 	// closed, and retry flows whose chunk was never re-granted get
 	// their terminating 'f', so the export holds no dangling B or 's'.
-	// Handlers have all exited, so nothing else is emitting.
+	// Handlers have all exited, so nothing else is emitting; the lock
+	// is for a /status Snapshot that may still read the lease table.
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if tr := opts.Trace; tr.Enabled() {
 		for _, l := range st.leases.Outstanding() {
 			tid := int32(l.ConnID)
@@ -182,9 +187,6 @@ func Coordinate(ctx context.Context, lis net.Listener, jobs []CoordJob, opts Coo
 		}
 		tr.AbandonPending()
 	}
-
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if st.failure != nil {
 		return nil, st.failure
 	}
@@ -197,17 +199,15 @@ func (st *coordState) logf(format string, args ...any) {
 	}
 }
 
-// coordState is the shared state of one Coordinate call.
-//
-// Lock discipline: st.mu may be held while acquiring leases.mu
-// (failChunk holds st.mu and calls leases.RequeueAvoiding), so the
-// lease table must never call back into coordState under its own lock
-// — onDrop fires under leases.mu and touches only metrics and the
-// event log. The lockorder analyzer enforces the declared order below.
-//
-//sf:lockorder st.mu leases.mu
+// coordState is the shared state of one Coordinate call. mu is the
+// coordinator's only lock: it guards the results, the lease table, the
+// connection census and the finish state together. Each wire message
+// is applied to them in one critical section, and its reply, and a new
+// result's cache write, go out after it; so a /status Snapshot, which
+// reads under the same lock, sees every message wholly applied or not
+// at all.
 type coordState struct {
-	mu        sync.Mutex //sf:mutex st.mu
+	mu        sync.Mutex
 	jobs      []CoordJob
 	byExp     map[string]int   // ExpID -> job index
 	results   []map[int]any    // per job: trial index -> decoded value
@@ -266,11 +266,8 @@ func newCoordState(jobs []CoordJob, opts CoordOptions) (*coordState, error) {
 		return nil, err
 	}
 	st.leases = newLeaseTable(chunked(jobs, opts.ChunkSize, st.results), opts.LeaseTTL)
-	// Observe steals and revocations where the table decides them. The
-	// callback runs with the table lock held: it reads only immutable
-	// job identity and touches metrics/events (their own locks), never
-	// st.mu — coordinator paths nest st.mu over the table lock, so
-	// taking st.mu here would invert the order.
+	// Observe steals and revocations where the table decides them, under
+	// st.mu like every table call.
 	st.leases.onDrop = func(l lease, how string) {
 		switch how {
 		case "steal":
@@ -290,8 +287,7 @@ func newCoordState(jobs []CoordJob, opts CoordOptions) (*coordState, error) {
 		// Trace the loss: close the lease span on the connection's
 		// lane, mark the moment, and open a retry flow that the
 		// chunk's re-grant (serveNext) will terminate — the arrow from
-		// the lost lease to the chunk's next home. The recorder's
-		// mutex is a leaf lock, so this is safe under leases.mu.
+		// the lost lease to the chunk's next home.
 		if tr := st.opts.Trace; tr.Enabled() {
 			tid := int32(l.ConnID)
 			tr.Emit(trace.Record{Ph: 'E', TID: tid})
@@ -302,11 +298,11 @@ func newCoordState(jobs []CoordJob, opts CoordOptions) (*coordState, error) {
 			}
 		}
 	}
-	if opts.Observer != nil {
-		opts.Observer.attach(st)
-	}
 	if st.remaining == 0 {
 		st.finishLocked()
+	}
+	if opts.Observer != nil {
+		opts.Observer.attach(st)
 	}
 	return st, nil
 }
@@ -346,31 +342,22 @@ func (st *coordState) resumeFromCache() error {
 	return nil
 }
 
-// fail records the first failure and releases Coordinate. A failure
-// reported after the sweep already finished successfully is ignored:
-// every trial holds a content-verified result by then, so a
+// failLocked records the first failure and releases Coordinate. A
+// failure reported after the sweep already finished successfully is
+// ignored: every trial holds a content-verified result by then, so a
 // straggler's FAIL/REFUSE (e.g. the live holder of a stolen chunk
 // erroring during the linger window) cannot invalidate the outcome.
-func (st *coordState) fail(err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.finished {
-		return
-	}
-	st.failLocked(err)
-}
-
-// failNow is fail without the finished-success exemption — for result
-// integrity errors (a determinism violation, a malformed delivery),
-// which cast doubt on results already accepted and must surface even
-// when the last trial has reported.
-func (st *coordState) failNow(err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.failLocked(err)
-}
-
 func (st *coordState) failLocked(err error) {
+	if !st.finished {
+		st.failNowLocked(err)
+	}
+}
+
+// failNowLocked is failLocked without the finished-success exemption —
+// for result integrity errors (a determinism violation, a malformed
+// delivery, a failed cache store), which cast doubt on results already
+// accepted and must surface even when the last trial has reported.
+func (st *coordState) failNowLocked(err error) {
 	if st.failure == nil {
 		st.failure = err
 	}
@@ -389,31 +376,8 @@ func (st *coordState) finishLocked() {
 	}
 }
 
-func (st *coordState) isOver() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.finished
-}
-
-// finishLine renders the sweep's terminal reply: DONE on success,
-// ABORT with the cause on failure.
-func (st *coordState) finishLine() string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.failure != nil {
-		return "ABORT " + quoteMsg(st.failure.Error())
-	}
-	return "DONE"
-}
-
-// chunkCovered reports whether every trial of c has a delivered
+// chunkCoveredLocked reports whether every trial of c has a delivered
 // result.
-func (st *coordState) chunkCovered(c chunk) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.chunkCoveredLocked(c)
-}
-
 func (st *coordState) chunkCoveredLocked(c chunk) bool {
 	m := st.results[c.JobIdx]
 	for i := c.Lo; i < c.Hi; i++ {
@@ -440,9 +404,8 @@ func (st *coordState) closeConns() {
 // handle serves one worker connection until it disconnects or the
 // protocol is violated. Any lease the connection still holds when it
 // goes away is revoked immediately — a visible disconnect reassigns
-// faster than waiting out the TTL.
-//
-//sf:wallclock — lease grant/deadline bookkeeping uses real time.
+// faster than waiting out the TTL. Each message is parsed first, then
+// applied to the sweep in one critical section, and answered after it.
 func (st *coordState) handle(conn net.Conn) {
 	// Per-message deadline: a worker that stops making protocol
 	// progress for this long (default two lease TTLs) is
@@ -457,8 +420,8 @@ func (st *coordState) handle(conn net.Conn) {
 	st.mu.Unlock()
 	defer func() {
 		wc.close()
-		revoked := st.leases.RevokeConn(connID)
 		st.mu.Lock()
+		revoked := st.leases.RevokeConn(connID)
 		delete(st.conns, connID)
 		name, wasHelloed := st.helloed[connID]
 		delete(st.helloed, connID)
@@ -484,6 +447,7 @@ func (st *coordState) handle(conn net.Conn) {
 			wc.send("ERR " + quoteMsg("HELLO required before any other verb"))
 			return
 		}
+		var reply string
 		switch verb {
 		case "HELLO":
 			if helloed {
@@ -512,38 +476,32 @@ func (st *coordState) handle(conn net.Conn) {
 			if hb < time.Millisecond {
 				hb = time.Millisecond
 			}
-			if err := wc.send(fmt.Sprintf("OK %d", hb.Milliseconds())); err != nil {
-				return
-			}
+			reply = fmt.Sprintf("OK %d", hb.Milliseconds())
 		case "NEXT":
-			if err := st.serveNext(wc, worker, connID); err != nil {
-				return
-			}
+			reply = st.serveNext(worker, connID)
 		case "PING":
 			id, err := parseID(fields)
 			if err != nil {
 				wc.send("ERR " + quoteMsg(err.Error()))
 				return
 			}
-			reply := "GONE"
-			if st.leases.Heartbeat(id) {
+			st.mu.Lock()
+			alive := st.leases.Heartbeat(id)
+			st.mu.Unlock()
+			reply = "GONE"
+			if alive {
 				reply = "OK"
-			}
-			if err := wc.send(reply); err != nil {
-				return
 			}
 		case "RESULT":
 			m, err := parseResult(fields)
+			if err == nil {
+				err = st.acceptResult(worker, m)
+			}
 			if err != nil {
 				wc.send("ERR " + quoteMsg(err.Error()))
 				return
 			}
-			if err := st.acceptResult(worker, m); err != nil {
-				st.failNow(err)
-				wc.send("ERR " + quoteMsg(err.Error()))
-				return
-			}
-			st.leases.Heartbeat(m.LeaseID) // streaming counts as liveness
+			continue // RESULT lines stream without a reply
 		case "COMPLETE":
 			id, err := parseID(fields)
 			if err != nil {
@@ -561,73 +519,28 @@ func (st *coordState) handle(conn net.Conn) {
 					}
 				}
 			}
-			reply := "GONE"
-			if l, ok := st.leases.Complete(id); ok {
-				reply = "OK"
-				mLeasesCompleted.Inc()
-				mLeaseSeconds.Observe(time.Since(l.Granted).Seconds())
-				st.opts.Events.Emit(obs.Event{
-					Event:  "lease_complete",
-					Worker: worker,
-					Exp:    st.jobs[l.Chunk.JobIdx].Job.ExpID,
-					Lease:  l.ID,
-					Chunk:  obs.ChunkRange(l.Chunk.Lo, l.Chunk.Hi),
-					Conn:   connID,
-				})
-				if st.opts.Trace.Enabled() {
-					st.opts.Trace.Emit(trace.Record{Ph: 'E', TID: int32(l.ConnID)})
-				}
-				// Coverage backstop: a COMPLETE whose results did not
-				// all arrive (a worker that violated the Execute
-				// contract) must not strand its chunk in limbo — the
-				// missing trials go back on the queue.
-				if !st.chunkCovered(l.Chunk) {
-					st.leases.Requeue(l.Chunk)
-				}
-			}
-			if err := wc.send(reply); err != nil {
-				return
-			}
+			reply = st.completeLease(worker, connID, id)
 		case "FAIL":
 			id, err := parseID(fields)
 			if err != nil {
 				wc.send("ERR " + quoteMsg(err.Error()))
 				return
 			}
-			msg := unquoteMsg(fields[1:])
-			if l, ok := st.leases.Complete(id); ok {
-				if st.opts.Trace.Enabled() {
-					st.opts.Trace.Emit(trace.Record{Ph: 'E', TID: int32(l.ConnID)})
-				}
-				st.failChunk(worker, l.Chunk, msg)
-			}
-			// A FAIL on an already-revoked lease is ignored: the chunk
-			// was stolen and its fate belongs to its current owner —
-			// if the error is deterministic, that owner's FAIL (on a
-			// live lease) drives the retry accounting.
-			if err := wc.send("OK"); err != nil {
-				return
-			}
+			st.failLease(worker, id, unquoteMsg(fields[1:]))
+			reply = "OK"
 		case "REFUSE":
-			// This worker cannot run the sweep at all (plan mismatch,
-			// codec failure) — systematic, never chunk-local, so abort
-			// immediately rather than burning chunk retries.
 			id, err := parseID(fields)
 			if err != nil {
 				wc.send("ERR " + quoteMsg(err.Error()))
 				return
 			}
-			if l, ok := st.leases.Complete(id); ok && st.opts.Trace.Enabled() {
-				st.opts.Trace.Emit(trace.Record{Ph: 'E', TID: int32(l.ConnID)})
-			}
-			mRefusals.Inc()
-			st.opts.Events.Emit(obs.Event{Event: "worker_refuse", Worker: worker, Conn: connID, Msg: unquoteMsg(fields[1:])})
-			st.fail(fmt.Errorf("sweep: worker %s: %s", worker, unquoteMsg(fields[1:])))
-			if err := wc.send("OK"); err != nil {
-				return
-			}
+			st.refuse(worker, connID, id, unquoteMsg(fields[1:]))
+			reply = "OK"
 		default:
-			wc.send("ERR " + quoteMsg(fmt.Sprintf("unknown verb %q", verb)))
+			wc.send("ERR " + quoteMsg(fmt.Sprintf("unknown verb %q", clip(verb))))
+			return
+		}
+		if err := wc.send(reply); err != nil {
 			return
 		}
 	}
@@ -682,9 +595,14 @@ func (st *coordState) authenticate(wc *wireConn, worker string, fields []string)
 // and alive), DONE (sweep complete), or ABORT (sweep failed) — the
 // DONE/ABORT distinction lets an idle worker on a failed sweep exit
 // nonzero instead of reporting success.
-func (st *coordState) serveNext(wc *wireConn, worker string, connID uint64) error {
-	if st.isOver() {
-		return wc.send(st.finishLine())
+func (st *coordState) serveNext(worker string, connID uint64) string {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.finished {
+		if st.failure != nil {
+			return "ABORT " + quoteMsg(st.failure.Error())
+		}
+		return "DONE"
 	}
 	if l, ok := st.leases.Acquire(worker, connID); ok {
 		job := st.jobs[l.Chunk.JobIdx]
@@ -718,10 +636,7 @@ func (st *coordState) serveNext(wc *wireConn, worker string, connID uint64) erro
 			tr.Emit(trace.Record{Ph: 's', ID: ctx, TID: tid, Name: "lease", Cat: "flow"})
 			m.Trace = strconv.FormatUint(ctx, 16)
 		}
-		return wc.send(formatLease(m))
-	}
-	if st.isOver() {
-		return wc.send(st.finishLine())
+		return formatLease(m)
 	}
 	// All chunks are leased to live workers; poll again well inside
 	// the TTL so a freshly expired lease is stolen promptly.
@@ -732,23 +647,72 @@ func (st *coordState) serveNext(wc *wireConn, worker string, connID uint64) erro
 	if wait < 5*time.Millisecond {
 		wait = 5 * time.Millisecond
 	}
-	return wc.send(fmt.Sprintf("WAIT %d", wait.Milliseconds()))
+	return fmt.Sprintf("WAIT %d", wait.Milliseconds())
 }
 
-// failChunk handles a worker's FAIL for a live lease's chunk. The
-// first failure re-leases the chunk once, preferring a different
-// worker — one retry distinguishes a host-local fault (OOM kill, disk
-// error, bad deploy on one machine) from a deterministic trial error
-// without masking the latter. A second failure of the same chunk, by
-// any worker, aborts the sweep, mirroring the engine's
-// first-error-cancels semantics one retry later.
-func (st *coordState) failChunk(worker string, c chunk, msg string) {
-	// One critical section for coverage, the retry flip, and the
-	// requeue: results land under the same lock (acceptResult), so a
-	// chunk whose last result races the FAIL can neither be requeued
-	// for pointless re-execution nor burn its retry budget.
+// completeLease answers one COMPLETE: it retires the lease and puts
+// back on the queue any of its chunk's trials that still lack a
+// result, in one critical section, so the chunk is never out of both
+// the lease table and the queue while it has trials to run. The reply
+// is OK, or GONE when the lease was already revoked (its results were
+// still accepted by content).
+//
+//sf:wallclock — the lease-lifetime histogram observes real time.
+func (st *coordState) completeLease(worker string, connID, id uint64) string {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	l, ok := st.leases.Complete(id)
+	if !ok {
+		return "GONE"
+	}
+	mLeasesCompleted.Inc()
+	mLeaseSeconds.Observe(time.Since(l.Granted).Seconds())
+	st.opts.Events.Emit(obs.Event{
+		Event:  "lease_complete",
+		Worker: worker,
+		Exp:    st.jobs[l.Chunk.JobIdx].Job.ExpID,
+		Lease:  l.ID,
+		Chunk:  obs.ChunkRange(l.Chunk.Lo, l.Chunk.Hi),
+		Conn:   connID,
+	})
+	if st.opts.Trace.Enabled() {
+		st.opts.Trace.Emit(trace.Record{Ph: 'E', TID: int32(l.ConnID)})
+	}
+	// Coverage backstop: a COMPLETE whose results did not all arrive
+	// (a worker that violated the Execute contract) must not strand
+	// its chunk in limbo — the missing trials go back on the queue.
+	if !st.chunkCoveredLocked(l.Chunk) {
+		st.leases.Requeue(l.Chunk)
+	}
+	return "OK"
+}
+
+// failLease handles a worker's FAIL: it retires the lease and settles
+// its chunk in one critical section. A FAIL on an already-revoked
+// lease is ignored: the chunk was stolen and its fate belongs to its
+// current owner — if the error is deterministic, that owner's FAIL (on
+// a live lease) drives the retry accounting.
+//
+// The first failure of a chunk re-leases it once, preferring a
+// different worker — one retry distinguishes a host-local fault (OOM
+// kill, disk error, bad deploy on one machine) from a deterministic
+// trial error without masking the latter. A second failure of the same
+// chunk, by any worker, aborts the sweep, mirroring the engine's
+// first-error-cancels semantics one retry later. Results land under
+// the same lock (acceptResult), so a chunk whose last result races the
+// FAIL can neither be requeued for pointless re-execution nor burn its
+// retry budget.
+func (st *coordState) failLease(worker string, id uint64, msg string) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	l, ok := st.leases.Complete(id)
+	if !ok {
+		return
+	}
+	if st.opts.Trace.Enabled() {
+		st.opts.Trace.Emit(trace.Record{Ph: 'E', TID: int32(l.ConnID)})
+	}
+	c := l.Chunk
 	if st.chunkCoveredLocked(c) {
 		// Every trial of the chunk already holds a content-verified
 		// result (a presumed-dead worker delivered late, the thief
@@ -770,7 +734,7 @@ func (st *coordState) failChunk(worker string, c chunk, msg string) {
 		})
 		// Open the retry flow: the arrow from this failure to the
 		// chunk's re-grant (serveNext consumes it). The lease span was
-		// already closed by the FAIL handler.
+		// closed above.
 		if tr := st.opts.Trace; tr.Enabled() {
 			tr.Emit(trace.Record{Ph: 'i', Name: "chunk_retry", Cat: "lease", Arg: worker})
 			base := trace.LeaseContext(expID, st.jobs[c.JobIdx].Job.Fingerprint, c.Lo, c.Hi)
@@ -788,40 +752,63 @@ func (st *coordState) failChunk(worker string, c chunk, msg string) {
 		Chunk:  obs.ChunkRange(c.Lo, c.Hi),
 		Msg:    msg,
 	})
-	if st.finished {
-		return
-	}
 	st.failLocked(fmt.Errorf("sweep: worker %s: %s (%s trials [%d,%d) already failed once and were re-leased)",
-		worker, msg, st.jobs[c.JobIdx].Job.ExpID, c.Lo, c.Hi))
+		worker, msg, expID, c.Lo, c.Hi))
 }
 
-// acceptResult records one delivered trial result and, when it is
-// new, stores it in opts.Cache. The store runs outside st.mu but before
-// the handler reads its connection's next line, so a lease's results
-// are all on disk before its COMPLETE is answered.
+// refuse handles a worker's REFUSE: this worker cannot run the sweep at
+// all (plan mismatch, codec failure) — systematic, never chunk-local,
+// so the lease is retired and the sweep aborts in one critical section
+// rather than burning chunk retries.
+func (st *coordState) refuse(worker string, connID, id uint64, msg string) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if l, ok := st.leases.Complete(id); ok && st.opts.Trace.Enabled() {
+		st.opts.Trace.Emit(trace.Record{Ph: 'E', TID: int32(l.ConnID)})
+	}
+	mRefusals.Inc()
+	st.opts.Events.Emit(obs.Event{Event: "worker_refuse", Worker: worker, Conn: connID, Msg: msg})
+	st.failLocked(fmt.Errorf("sweep: worker %s: %s", worker, msg))
+}
+
+// acceptResult records one delivered trial result, counts the delivery
+// as its lease's heartbeat, and stores a new value in opts.Cache. The
+// record and the heartbeat are one critical section; the store runs
+// after it, but before the handler reads its connection's next line,
+// so a lease's results are all on disk before its COMPLETE is
+// answered. An error fails the sweep even when it has finished, since
+// it casts doubt on results already accepted.
 func (st *coordState) acceptResult(worker string, m resultMsg) error {
-	job, v, err := st.recordResult(worker, m)
+	st.mu.Lock()
+	job, v, err := st.recordResultLocked(worker, m)
+	if err != nil {
+		st.failNowLocked(err)
+	} else {
+		st.leases.Heartbeat(m.LeaseID) // streaming counts as liveness
+	}
+	st.mu.Unlock()
 	if err != nil || v == nil {
 		return err
 	}
 	if err := storeTrial(st.opts.Cache, job.Job.ExpID, job.Job.Fingerprint, job.Trials[m.Index], v); err != nil {
-		return fmt.Errorf("sweep: persisting %s trial %d: %w", m.ExpID, m.Index, err)
+		err = fmt.Errorf("sweep: persisting %s trial %d: %w", m.ExpID, m.Index, err)
+		st.mu.Lock()
+		st.failNowLocked(err)
+		st.mu.Unlock()
+		return err
 	}
 	return nil
 }
 
-// recordResult lands one delivered result at its plan index and
+// recordResultLocked lands one delivered result at its plan index and
 // returns the decoded value, or nil for a duplicate. Results are valid
 // regardless of lease state — trials are pure, so a revoked lease's
 // late delivery is identical to the stolen re-execution — but two
-// deliveries that disagree expose a broken determinism contract and
-// abort the sweep.
-func (st *coordState) recordResult(worker string, m resultMsg) (CoordJob, any, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// deliveries that disagree expose a broken determinism contract.
+func (st *coordState) recordResultLocked(worker string, m resultMsg) (CoordJob, any, error) {
 	j, ok := st.byExp[m.ExpID]
 	if !ok {
-		return CoordJob{}, nil, fmt.Errorf("sweep: result for unknown experiment %s", m.ExpID)
+		return CoordJob{}, nil, fmt.Errorf("sweep: result for unknown experiment %q", clip(m.ExpID))
 	}
 	job := st.jobs[j]
 	if m.Index < 0 || m.Index >= len(job.Trials) {

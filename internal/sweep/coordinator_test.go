@@ -96,12 +96,12 @@ func TestLeaseTableLifecycle(t *testing.T) {
 	if !ok || l4.Chunk != l2.Chunk {
 		t.Fatalf("revoked chunk not reassigned: %+v, %v", l4, ok)
 	}
-	if lt.Idle() {
-		t.Error("table idle with an active lease")
+	if pending, active := lt.Counts(); pending != 0 || active != 1 {
+		t.Errorf("counts with one lease out = %d pending, %d active; want 0, 1", pending, active)
 	}
 	lt.Complete(l4.ID)
-	if !lt.Idle() {
-		t.Error("table not idle after all chunks completed")
+	if pending, active := lt.Counts(); pending != 0 || active != 0 {
+		t.Errorf("counts after every chunk completed = %d pending, %d active; want 0, 0", pending, active)
 	}
 	// Requeue resurrects a chunk whose COMPLETE lacked coverage.
 	lt.Requeue(l4.Chunk)
@@ -1138,7 +1138,7 @@ func TestCoordinateCacheResume(t *testing.T) {
 		t.Errorf("restart's worker executed %d trials, want %d", stats.Executed, want)
 	}
 	snap := observer.Snapshot()
-	if err := checkSnapshot(snap); err != nil {
+	if err := checkSnapshot(snap, 4); err != nil {
 		t.Error(err)
 	}
 	if want := []WorkerCount{{cacheSource, int(k.Load())}, {"fresh", stats.Executed}}; !slices.Equal(snap.ByWorker, want) {

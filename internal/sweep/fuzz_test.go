@@ -122,21 +122,23 @@ const proveLine = "AUTH *"
 //     closed connection, and a handler that stops reading before the
 //     script ends has sent it;
 //   - the handler leaves the connected-workers gauge where it found it;
-//   - the run allocates at most 128 bytes per script byte and 512 per
+//   - the run allocates at most 32 bytes per script byte and 512 per
 //     line, plus 1 MiB of slack for the connection's buffers. Measured
 //     with the transcript, a NEXT flood costs about 350 bytes a line,
-//     and an ERR that quotes a 900 KB field back, quoted twice, about
-//     90 bytes a byte. The count comes from ReadMemStats, which
-//     flushes every P's allocation cache first. The heap metric the
-//     decoder targets read credits a cache's allocations when it
+//     and a 900 KB line that an ERR answers 4–6 bytes a byte: its read
+//     and its copies in the transcript, since the ERR quotes at most
+//     maxEcho bytes of the field. The count comes from ReadMemStats,
+//     which flushes every P's allocation cache first. The heap metric
+//     the decoder targets read credits a cache's allocations when it
 //     refills a span, and with the handler and the drain on other Ps
 //     it charged 1.07 MB to the 23-byte script kept as
 //     testdata/fuzz/FuzzHandshake/span-refill.
 //
 // The seeds are a valid keyed and a valid keyless handshake, a wrong
 // proof, a missing nonce, a keyed worker against a keyless
-// coordinator, AUTH and NEXT before HELLO, a version mismatch and a
-// repeated HELLO; every input that once broke a property is kept in
+// coordinator, AUTH and NEXT before HELLO, a version mismatch, a
+// repeated HELLO and the four longFieldLines after a keyless HELLO;
+// every input that once broke a property is kept in
 // testdata/fuzz/FuzzHandshake.
 func FuzzHandshake(f *testing.F) {
 	hello := "HELLO " + protoVersion + " w1"
@@ -156,6 +158,9 @@ func FuzzHandshake(f *testing.F) {
 		{false, hello + "\n" + hello + "\nNEXT"},
 	} {
 		f.Add(seed.keyed, seed.script)
+	}
+	for _, line := range longFieldLines(900_000) {
+		f.Add(false, hello+"\n"+line)
 	}
 	f.Fuzz(func(t *testing.T, keyed bool, script string) {
 		lines := strings.Split(script, "\n")
@@ -216,7 +221,7 @@ func FuzzHandshake(f *testing.F) {
 			t.Fatalf("handler panicked: %v", panicked)
 		}
 		runtime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 128*uint64(len(script))+512*uint64(len(lines))+1<<20 {
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32*uint64(len(script))+512*uint64(len(lines))+1<<20 {
 			t.Fatalf("a %d-byte, %d-line script allocated %d bytes", len(script), len(lines), grew)
 		}
 		if got := mWorkersConnected.Value(); got != gauge {
@@ -263,6 +268,67 @@ func FuzzHandshake(f *testing.F) {
 			t.Fatalf("the handler stopped after %d of %d lines without an ERR", sent, len(lines))
 		}
 	})
+}
+
+// longFieldLines are four lines a worker may send after HELLO, each
+// with one run of n 0xff bytes in the field an ERR answers: the verb, a
+// PING lease id, a RESULT trial index and a COMPLETE lease id.
+func longFieldLines(n int) []string {
+	junk := strings.Repeat("\xff", n)
+	return []string{
+		junk,
+		"PING " + junk,
+		"RESULT 1 E1 " + junk + " 00",
+		"COMPLETE " + junk,
+	}
+}
+
+// TestErrEchoBounded: an ERR quotes at most maxEcho bytes of the field
+// at fault, so answering one 900 KB line costs the handler about what
+// reading it does: at most 8 bytes of allocation per line byte, the
+// peer's read of the reply included. An ERR that quoted the whole
+// field twice cost 75–84.
+func TestErrEchoBounded(t *testing.T) {
+	const n = 900_000
+	for _, line := range longFieldLines(n) {
+		trials := makeTrials(4)
+		st, err := newCoordState([]CoordJob{{Job: testJob(trials), Trials: trials}}, CoordOptions{}.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := []byte("HELLO " + protoVersion + " w1\n" + line + "\n")
+		srv, cli := net.Pipe()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		handled := make(chan struct{})
+		go func() {
+			defer close(handled)
+			st.handle(srv)
+		}()
+		replies := make(chan []byte, 1)
+		go func() {
+			out, _ := io.ReadAll(cli)
+			replies <- out
+		}()
+		cli.Write(in) // fails only if the handler hangs up early
+		<-handled
+		cli.Close()
+		out := <-replies
+		runtime.ReadMemStats(&after)
+
+		verb := line[:min(len(line), 8)]
+		lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+		last := lines[len(lines)-1]
+		if !strings.HasPrefix(last, "ERR ") || len(last) > 8*maxEcho {
+			t.Errorf("%q…: last reply is %d bytes, want a short ERR: %.120q", verb, len(last), last)
+		}
+		grew := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%q…: %.1f bytes allocated per line byte", verb, float64(grew)/float64(len(line)))
+		if grew > 8*uint64(len(line)) {
+			t.Errorf("%q…: a %d-byte line allocated %d bytes (%.1f per byte), want at most 8 per byte",
+				verb, len(line), grew, float64(grew)/float64(len(line)))
+		}
+	}
 }
 
 // scriptConn is the coordinator's end of a FuzzHandshake pipe. It logs

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"slices"
-	"sync"
 	"time"
 )
 
@@ -29,11 +28,13 @@ type lease struct {
 }
 
 // leaseTable is the coordinator's scheduling state: a FIFO queue of
-// unassigned chunks plus the active leases. All methods are safe for
-// concurrent use by connection handlers; time is injectable so expiry
-// logic is unit-testable without sleeping.
+// unassigned chunks plus the active leases. It is plain data with no
+// lock of its own: the coordinator calls it only under coordState.mu,
+// in the same critical section that reads and writes the results, so
+// a chunk that leaves the lease table and goes back on the queue does
+// so in one step as any other reader sees it. Time is injectable so
+// expiry logic is unit-testable without sleeping.
 type leaseTable struct {
-	mu      sync.Mutex //sf:mutex leases.mu
 	pending []chunk
 	active  map[uint64]*lease
 	nextID  uint64
@@ -62,8 +63,9 @@ type avoidEntry struct {
 
 // dropFunc observes the lease losses the table decides internally: how
 // is "steal" (heartbeat deadline missed, chunk reclaimed) or "revoke"
-// (connection death). Called with the table lock held — the observer
-// must not re-enter the table.
+// (connection death). It runs inside the table method that decided the
+// loss, so under coordState.mu, and only records it (metrics, events,
+// trace): it must not call back into the table mid-update.
 type dropFunc func(l lease, how string)
 
 func newLeaseTable(chunks []chunk, ttl time.Duration) *leaseTable {
@@ -81,9 +83,7 @@ func newLeaseTable(chunks []chunk, ttl time.Duration) *leaseTable {
 // leased out and alive (poll again) or truly done (the caller knows
 // which from its result bookkeeping).
 func (lt *leaseTable) Acquire(worker string, connID uint64) (lease, bool) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	lt.reclaimExpiredLocked()
+	lt.reclaimExpired()
 	if len(lt.pending) == 0 {
 		return lease{}, false
 	}
@@ -115,9 +115,9 @@ func (lt *leaseTable) Acquire(worker string, connID uint64) (lease, bool) {
 	return *l, true
 }
 
-// reclaimExpiredLocked moves every overdue lease's chunk back onto the
-// pending queue. Called with mu held.
-func (lt *leaseTable) reclaimExpiredLocked() {
+// reclaimExpired moves every overdue lease's chunk back onto the
+// pending queue.
+func (lt *leaseTable) reclaimExpired() {
 	now := lt.now()
 	// Reclaim in lease-ID order so the requeued chunk order (and the
 	// onDrop event stream) is a function of grant order, not of map
@@ -143,8 +143,6 @@ func (lt *leaseTable) reclaimExpiredLocked() {
 // revoked (expired and reassigned) or already completed, telling the
 // worker its chunk now belongs to someone else.
 func (lt *leaseTable) Heartbeat(id uint64) bool {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
 	l, ok := lt.active[id]
 	if !ok {
 		return false
@@ -168,8 +166,6 @@ func (lt *leaseTable) Heartbeat(id uint64) bool {
 // when the lease had already been revoked (harmless — the results were
 // still accepted by content address).
 func (lt *leaseTable) Complete(id uint64) (lease, bool) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
 	l, ok := lt.active[id]
 	if !ok {
 		return lease{}, false
@@ -181,8 +177,6 @@ func (lt *leaseTable) Complete(id uint64) (lease, bool) {
 // Requeue returns a chunk to the pending queue — the coverage
 // backstop for a COMPLETE whose results did not all arrive.
 func (lt *leaseTable) Requeue(c chunk) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
 	lt.pending = append(lt.pending, c)
 }
 
@@ -190,8 +184,6 @@ func (lt *leaseTable) Requeue(c chunk) {
 // withholding it from the failing worker for one TTL so the retry
 // lands on a different host whenever one frees up in time.
 func (lt *leaseTable) RequeueAvoiding(c chunk, worker string) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
 	if lt.avoid == nil {
 		lt.avoid = map[chunk]avoidEntry{}
 	}
@@ -203,8 +195,6 @@ func (lt *leaseTable) RequeueAvoiding(c chunk, worker string) {
 // connection to the pending queue — immediate reassignment instead of
 // waiting out the TTL when the death is observable as an EOF.
 func (lt *leaseTable) RevokeConn(connID uint64) int {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
 	var revoked []uint64
 	for id, l := range lt.active {
 		if l.ConnID == connID {
@@ -227,8 +217,6 @@ func (lt *leaseTable) RevokeConn(connID uint64) int {
 // order — the coordinator's teardown uses it to close the trace spans
 // of stragglers whose chunks completed through another lease.
 func (lt *leaseTable) Outstanding() []lease {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
 	ids := make([]uint64, 0, len(lt.active))
 	for id := range lt.active {
 		ids = append(ids, id)
@@ -246,17 +234,7 @@ func (lt *leaseTable) Outstanding() []lease {
 // scheduling summary /status renders. Expired leases are not reclaimed
 // here: a status read must never perturb scheduling.
 func (lt *leaseTable) Counts() (pending, active int) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
 	return len(lt.pending), len(lt.active)
-}
-
-// Idle reports whether nothing is pending or leased — combined with
-// the coordinator's result count, the sweep-completion condition.
-func (lt *leaseTable) Idle() bool {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	return len(lt.pending) == 0 && len(lt.active) == 0
 }
 
 // chunked splits each job's trial list into ≤ size chunks, in job

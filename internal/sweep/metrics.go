@@ -2,7 +2,7 @@ package sweep
 
 import (
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"scalefree/internal/obs"
 )
@@ -78,17 +78,14 @@ var (
 // CoordObserver publishes a live view of one Coordinate call for the
 // /status endpoint. Attach it via CoordOptions.Observer; Snapshot is
 // safe to call from any goroutine at any time, including before the
-// sweep starts (it reports zeros) and after it ends.
+// sweep starts (it reports zeros) and after it ends. It holds no lock
+// of its own: the attached sweep is published through an atomic
+// pointer, and Snapshot reads it under the sweep's one lock.
 type CoordObserver struct {
-	mu sync.Mutex //sf:mutex observer.mu
-	st *coordState
+	st atomic.Pointer[coordState]
 }
 
-func (o *CoordObserver) attach(st *coordState) {
-	o.mu.Lock()
-	o.st = st
-	o.mu.Unlock()
-}
+func (o *CoordObserver) attach(st *coordState) { o.st.Store(st) }
 
 // JobStatus is one experiment's completion state in a CoordSnapshot.
 type JobStatus struct {
@@ -125,21 +122,19 @@ type CoordSnapshot struct {
 }
 
 // Snapshot reads the coordinator's current state. Before Coordinate
-// attaches the observer it returns the zero snapshot. It takes
-// observer.mu, st.mu, and leases.mu strictly one at a time — never
-// nested — so it can run from any ops goroutine without joining the
-// coordinator's lock order.
-//
-//sf:locksequential
+// attaches the observer it returns the zero snapshot. Every field,
+// the lease counts included, is read in one hold of the coordinator's
+// lock, so a snapshot is one consistent cut: each trial without a
+// result sits in a pending chunk or an active lease, and the
+// per-worker counts sum to DoneTrials.
 func (o *CoordObserver) Snapshot() CoordSnapshot {
-	o.mu.Lock()
-	st := o.st
-	o.mu.Unlock()
+	st := o.st.Load()
 	if st == nil {
 		return CoordSnapshot{}
 	}
 	var s CoordSnapshot
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	s.Jobs = make([]JobStatus, len(st.jobs))
 	for j, job := range st.jobs {
 		s.Jobs[j] = JobStatus{
@@ -165,10 +160,6 @@ func (o *CoordObserver) Snapshot() CoordSnapshot {
 	if st.failure != nil {
 		s.Failure = st.failure.Error()
 	}
-	st.mu.Unlock()
-	// The lease table has its own lock; reading it outside st.mu keeps
-	// the two locks unnested (coordinator code paths nest st.mu over
-	// leases.mu, never the reverse).
 	s.PendingChunks, s.ActiveLeases = st.leases.Counts()
 	return s
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"scalefree/internal/engine"
 	"scalefree/internal/obs"
 )
 
@@ -36,7 +37,7 @@ func TestCoordObserverSnapshot(t *testing.T) {
 			Observer: observer, Events: events})
 	defer cancel()
 
-	stopScraping := scrapeObserver(t, observer)
+	stopScraping := scrapeObserver(t, observer, 4)
 	var executed atomic.Int64
 	if _, err := RunWorker(context.Background(), addr,
 		countingResolver(job, trials, &executed), WorkerOptions{Name: "obs-w"}); err != nil {
@@ -87,12 +88,18 @@ func TestCoordObserverSnapshot(t *testing.T) {
 	verifySweepEventLog(t, buf.Bytes(), "obs-w")
 }
 
-// checkSnapshot reports a snapshot that is internally inconsistent:
-// more trials done than planned, or per-worker counts that are out of
-// name order or do not sum to DoneTrials.
-func checkSnapshot(s CoordSnapshot) error {
+// checkSnapshot reports a snapshot that is not one consistent cut of a
+// sweep leased in chunks of at most chunkSize trials: more trials done
+// than planned, per-worker counts that are out of name order or do not
+// sum to DoneTrials, or, before the sweep finished, a trial without a
+// result that sits in no pending chunk and no active lease.
+func checkSnapshot(s CoordSnapshot, chunkSize int) error {
 	if s.DoneTrials > s.TotalTrials {
 		return fmt.Errorf("snapshot overcounts: %d done of %d", s.DoneTrials, s.TotalTrials)
+	}
+	if !s.Finished && s.DoneTrials+chunkSize*(s.PendingChunks+s.ActiveLeases) < s.TotalTrials {
+		return fmt.Errorf("snapshot strands trials: %d of %d done, but %d pending chunks and %d leases of at most %d trials hold the rest",
+			s.DoneTrials, s.TotalTrials, s.PendingChunks, s.ActiveLeases, chunkSize)
 	}
 	sum := 0
 	for i, w := range s.ByWorker {
@@ -109,11 +116,13 @@ func checkSnapshot(s CoordSnapshot) error {
 
 // scrapeObserver checks every snapshot it can take while the sweep
 // runs, as a /status scrape racing the coordinator would see it. The
-// returned stop function waits for the scraper to exit.
-func scrapeObserver(t *testing.T, observer *CoordObserver) (stop func()) {
+// returned stop function waits for the scraper to exit and reports how
+// many of the snapshots it checked were taken mid-sweep.
+func scrapeObserver(t *testing.T, observer *CoordObserver, chunkSize int) (stop func() (midSweep int)) {
 	t.Helper()
 	quit := make(chan struct{})
 	done := make(chan struct{})
+	var taken int
 	go func() {
 		defer close(done)
 		for {
@@ -122,15 +131,114 @@ func scrapeObserver(t *testing.T, observer *CoordObserver) (stop func()) {
 				return
 			default:
 			}
-			if err := checkSnapshot(observer.Snapshot()); err != nil {
+			s := observer.Snapshot()
+			if err := checkSnapshot(s, chunkSize); err != nil {
 				t.Error(err)
 				return
 			}
+			if s.TotalTrials > 0 && !s.Finished {
+				taken++
+			}
 		}
 	}()
-	return func() {
+	return func() int {
 		close(quit)
 		<-done
+		return taken
+	}
+}
+
+// TestSnapshotIsOneCut: a /status scrape racing a busy fleet reads one
+// consistent cut every time (checkSnapshot). Four workers run chunks
+// of 10 ms each under a 100 ms TTL, while a fifth takes leases and
+// delivers one result of each: it answers two of them with an early
+// COMPLETE, whose missing trials go back on the queue, and then
+// stalls past the TTL, so its last lease is stolen.
+func TestSnapshotIsOneCut(t *testing.T) {
+	const chunkSize = 4
+	const ttl = 100 * time.Millisecond
+	trials := makeTrials(240)
+	job := testJob(trials)
+	var buf bytes.Buffer
+	events := obs.NewEventLog(&buf)
+	observer := &CoordObserver{}
+	addr, outcome, cancel := startCoordinator(t,
+		[]CoordJob{{Job: job, Trials: trials}},
+		// IOTimeout far past the TTL, so the stalled lease is stolen,
+		// never revoked with its connection.
+		CoordOptions{ChunkSize: chunkSize, LeaseTTL: ttl, Linger: 100 * time.Millisecond,
+			IOTimeout: time.Minute, Observer: observer, Events: events})
+	defer cancel()
+	stopScraping := scrapeObserver(t, observer, chunkSize)
+
+	// The staller leases before the fleet starts, so its stalled chunk
+	// is one the sweep cannot finish without stealing.
+	staller := dialDeadWorker(t, addr, "staller")
+	defer staller.wc.close()
+	for i := 0; i < 3; i++ {
+		m := staller.takeLease()
+		payload, err := EncodeResult(float64(trials[m.Lo].Seed) * 1.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := staller.wc.send(formatResult(m.ID, job.ExpID, m.Lo, payload)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 {
+			break // stall: never pinged, never completed
+		}
+		if err := staller.wc.send(fmt.Sprintf("COMPLETE %d", m.ID)); err != nil {
+			t.Fatal(err)
+		}
+		if line, err := staller.wc.recv(); err != nil || line != "OK" {
+			t.Fatalf("early COMPLETE answered %q, %v; want OK", line, err)
+		}
+	}
+
+	errs := make(chan error, 4)
+	var executed atomic.Int64
+	for w := 0; w < 4; w++ {
+		go func(w int) {
+			counting := countingResolver(job, trials, &executed)
+			slow := func(expID, fingerprint string) (*WorkerJob, error) {
+				wj, err := counting(expID, fingerprint)
+				if err != nil {
+					return nil, err
+				}
+				execute := wj.Execute
+				wj.Execute = func(ctx context.Context, sub []engine.Trial) (map[int]any, Stats, error) {
+					select {
+					case <-time.After(10 * time.Millisecond):
+					case <-ctx.Done():
+						return nil, Stats{}, ctx.Err()
+					}
+					return execute(ctx, sub)
+				}
+				return wj, nil
+			}
+			_, err := RunWorker(context.Background(), addr, slow, WorkerOptions{Name: fmt.Sprintf("w%d", w)})
+			errs <- err
+		}(w)
+	}
+	for w := 0; w < 4; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := <-outcome
+	midSweep := stopScraping()
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	checkResults(t, trials, out.results)
+	if midSweep == 0 {
+		t.Error("the scraper took no snapshot while the sweep ran")
+	}
+	if err := events.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"event":"lease_steal"`)) {
+		t.Error("the stalled lease was never stolen")
 	}
 }
 
@@ -200,7 +308,7 @@ func TestCoordObserverSeesSteal(t *testing.T) {
 			IOTimeout: time.Minute, Observer: observer, Events: events})
 	defer cancel()
 
-	stopScraping := scrapeObserver(t, observer)
+	stopScraping := scrapeObserver(t, observer, 4)
 	dead := dialDeadWorker(t, addr, "dead")
 	defer dead.wc.close()
 	// One result, then silence: never pinged, never completed, so the

@@ -206,15 +206,15 @@ func parseLease(fields []string) (leaseMsg, error) {
 	}
 	id, err := strconv.ParseUint(fields[0], 10, 64)
 	if err != nil {
-		return leaseMsg{}, fmt.Errorf("sweep: LEASE id: %v", err)
+		return leaseMsg{}, badField("LEASE id", fields[0])
 	}
 	lo, err := strconv.Atoi(fields[3])
 	if err != nil {
-		return leaseMsg{}, fmt.Errorf("sweep: LEASE lo: %v", err)
+		return leaseMsg{}, badField("LEASE lo", fields[3])
 	}
 	hi, err := strconv.Atoi(fields[4])
 	if err != nil {
-		return leaseMsg{}, fmt.Errorf("sweep: LEASE hi: %v", err)
+		return leaseMsg{}, badField("LEASE hi", fields[4])
 	}
 	if lo < 0 || hi < lo {
 		return leaseMsg{}, fmt.Errorf("sweep: LEASE range [%d,%d) invalid", lo, hi)
@@ -232,11 +232,11 @@ func parseResult(fields []string) (resultMsg, error) {
 	}
 	id, err := strconv.ParseUint(fields[0], 10, 64)
 	if err != nil {
-		return resultMsg{}, fmt.Errorf("sweep: RESULT lease id: %v", err)
+		return resultMsg{}, badField("RESULT lease id", fields[0])
 	}
 	idx, err := strconv.Atoi(fields[2])
 	if err != nil {
-		return resultMsg{}, fmt.Errorf("sweep: RESULT trial index: %v", err)
+		return resultMsg{}, badField("RESULT trial index", fields[2])
 	}
 	payload, err := hex.DecodeString(fields[3])
 	if err != nil {
@@ -252,7 +252,7 @@ func parseResult(fields []string) (resultMsg, error) {
 func parseMillis(field string) (time.Duration, error) {
 	ms, err := strconv.ParseInt(field, 10, 64)
 	if err != nil || ms < 0 || ms > math.MaxInt64/int64(time.Millisecond) {
-		return 0, fmt.Errorf("sweep: bad millisecond count %q", field)
+		return 0, badField("millisecond count", field)
 	}
 	return time.Duration(ms) * time.Millisecond, nil
 }
@@ -274,5 +274,30 @@ func parseID(fields []string) (uint64, error) {
 	if len(fields) < 1 {
 		return 0, fmt.Errorf("sweep: missing lease id")
 	}
-	return strconv.ParseUint(fields[0], 10, 64)
+	id, err := strconv.ParseUint(fields[0], 10, 64)
+	if err != nil {
+		return 0, badField("lease id", fields[0])
+	}
+	return id, nil
+}
+
+// maxEcho bounds how much of a field a peer sent an error may quote,
+// so an ERR answering a malformed line costs no more than the line's
+// own read, whatever its length.
+const maxEcho = 64
+
+// clip returns a peer's field for an error to quote: the field itself,
+// or its first maxEcho bytes marked with "..." when it is longer.
+func clip(field string) string {
+	if len(field) <= maxEcho {
+		return field
+	}
+	return field[:maxEcho] + "..."
+}
+
+// badField is the error for a field that does not parse. It is built
+// from the clipped field rather than from strconv's error, which would
+// quote the whole input.
+func badField(what, field string) error {
+	return fmt.Errorf("sweep: bad %s %q", what, clip(field))
 }
