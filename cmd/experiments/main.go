@@ -4,15 +4,14 @@
 // Usage:
 //
 //	experiments [-run E1,E4] [-scale 1.0] [-seed 2024] [-workers 0]
-//	            [-progress] [-csv dir] [-cache dir [-cache-max-bytes n]]
+//	            [-progress] [-csv dir] [-cache dir]
 //	            [-shard i/k -out dir] [-merge dir]
 //	            [-coordinate addr [-chunk n] [-lease-ttl d] [-auth-key k]
 //	                             [-chaos seed]]
 //	            [-worker addr [-auth-key k] [-dial-retries n]]
 //	            [-cache-gc fingerprint]
 //	            [-status-addr addr [-pprof]] [-dump-metrics]
-//	            [-events file [-events-max-bytes n]]
-//	            [-trace file]
+//	            [-events file] [-trace file]
 //
 // -scale shrinks workload sizes and replication counts proportionally
 // (0.1 gives a quick smoke run; it must be finite, positive and below
@@ -54,24 +53,19 @@
 // any trial is leased. -dial-retries bounds a worker's consecutive
 // failed connection attempts; within the bound the worker rides out
 // coordinator restarts and partitions with jittered exponential
-// backoff. -cache-max-bytes evicts least-recently-used -cache entries
-// down to the given size after a successful run, never touching
-// entries the run itself wrote or read. -chaos n wraps every accepted
-// coordinator connection in deterministic seed-scripted fault
-// injection (internal/faultnet) for recovery drills; the rendered
-// tables must still be byte-identical to a fault-free run.
+// backoff. -chaos n wraps every accepted coordinator connection in
+// deterministic seed-scripted fault injection (internal/faultnet) for
+// recovery drills; the rendered tables must still be byte-identical to
+// a fault-free run.
 //
 // Observability (DESIGN.md §9): -status-addr serves an HTTP ops plane
 // on a coordinator or worker — /metrics (Prometheus text exposition),
 // /status (JSON sweep snapshot: chunk/lease table summary, per-worker
-// completion counts, rate and ETA; append ?format=html for a live
-// view), /healthz, and with -pprof the net/http/pprof profiles.
-// -events file appends one JSON line per sweep lifecycle event (worker
-// join/leave, lease grant/steal/revoke/complete, chunk fail/retry,
-// injected faults, cache GC/eviction); -events-max-bytes rotates
-// the file (events.jsonl -> events.1.jsonl, ...) when it would exceed
-// the limit, with sequence numbers monotonic across rotations.
-// -dump-metrics prints the full metrics exposition to stderr at exit.
+// completion counts, rate and ETA), /healthz, and with -pprof the
+// net/http/pprof profiles. -events file appends one JSON line per sweep
+// lifecycle event (worker join/leave, lease grant/steal/revoke/complete,
+// chunk fail/retry, injected faults, cache GC). -dump-metrics prints
+// the full metrics exposition to stderr at exit.
 //
 // Tracing (DESIGN.md §11): -trace file writes a Chrome trace-event JSON
 // timeline (open in Perfetto or chrome://tracing) of the whole sweep —
@@ -149,17 +143,15 @@ type options struct {
 	chunk    int
 	leaseTTL time.Duration
 
-	authKey       string
-	dialRetries   int
-	cacheMaxBytes int64
-	chaos         uint64
+	authKey     string
+	dialRetries int
+	chaos       uint64
 
-	statusAddr     string
-	pprofOn        bool
-	eventsPath     string
-	eventsMaxBytes int64
-	dumpMetrics    bool
-	tracePath      string
+	statusAddr  string
+	pprofOn     bool
+	eventsPath  string
+	dumpMetrics bool
+	tracePath   string
 
 	// set records which flags were explicitly given, for rejecting
 	// explicit-but-meaningless combinations whose zero values are
@@ -290,14 +282,6 @@ func (o *options) validate() error {
 			return fmt.Errorf("-events records sweep lifecycle events; it requires -coordinate, -worker, or -cache-gc")
 		}
 	}
-	if o.isSet("events-max-bytes") {
-		switch {
-		case o.eventsPath == "":
-			return fmt.Errorf("-events-max-bytes rotates the -events file; it requires -events")
-		case o.eventsMaxBytes <= 0:
-			return fmt.Errorf("-events-max-bytes must be positive")
-		}
-	}
 	if o.dumpMetrics && o.mode() == "merge" {
 		return fmt.Errorf("-dump-metrics snapshots execution metrics; -merge only reads shard files")
 	}
@@ -308,16 +292,6 @@ func (o *options) validate() error {
 	// on COMPLETE.
 	if o.tracePath != "" && o.mode() != "run" && o.mode() != "coordinate" {
 		return fmt.Errorf("-trace writes the sweep timeline from a plain run or a coordinator; workers are traced through the lease protocol")
-	}
-	if o.isSet("cache-max-bytes") {
-		switch {
-		case o.cacheDir == "":
-			return fmt.Errorf("-cache-max-bytes bounds the -cache directory; it requires -cache")
-		case o.cacheMaxBytes < 0:
-			return fmt.Errorf("-cache-max-bytes must be >= 0")
-		case o.mode() == "cache-gc":
-			return fmt.Errorf("-cache-max-bytes evicts after a run completes; use -cache-gc's fingerprint deletion instead")
-		}
 	}
 	return nil
 }
@@ -342,12 +316,10 @@ func parseOptions(args []string) (*options, error) {
 	fs.DurationVar(&o.leaseTTL, "lease-ttl", 10*time.Second, "with -coordinate: heartbeat deadline before a lease's chunk is reassigned")
 	fs.StringVar(&o.authKey, "auth-key", "", "shared key for the coordinator/worker HMAC handshake (both ends must agree)")
 	fs.IntVar(&o.dialRetries, "dial-retries", 0, "with -worker: consecutive failed connection attempts before giving up (0 = default 10, negative = single attempt)")
-	fs.Int64Var(&o.cacheMaxBytes, "cache-max-bytes", 0, "after a successful run: evict least-recently-used -cache entries down to this many bytes (current run's entries are never evicted)")
 	fs.Uint64Var(&o.chaos, "chaos", 0, "with -coordinate: inject deterministic seed-scripted connection faults (delays, resets, truncations, partitions) for recovery testing")
 	fs.StringVar(&o.statusAddr, "status-addr", "", "with -coordinate or -worker: serve the HTTP ops plane (/metrics, /status, /healthz) on this address")
 	fs.BoolVar(&o.pprofOn, "pprof", false, "with -status-addr: also mount net/http/pprof under /debug/pprof/")
 	fs.StringVar(&o.eventsPath, "events", "", "write one JSON line per sweep lifecycle event to this file")
-	fs.Int64Var(&o.eventsMaxBytes, "events-max-bytes", 0, "with -events: rotate the event log when it would exceed this many bytes (events.jsonl -> events.1.jsonl, ...)")
 	fs.BoolVar(&o.dumpMetrics, "dump-metrics", false, "print the Prometheus text exposition of all metrics to stderr at exit")
 	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON timeline of the sweep to this file (open in Perfetto; analyze with sweeptrace)")
 	if err := fs.Parse(args); err != nil {
@@ -402,7 +374,7 @@ func run() error {
 	// both are nil-safe no-ops when their flags are absent.
 	var events *obs.EventLog
 	if o.eventsPath != "" {
-		if events, err = obs.OpenEventLogRotating(o.eventsPath, o.eventsMaxBytes); err != nil {
+		if events, err = obs.OpenEventLog(o.eventsPath); err != nil {
 			return err
 		}
 	}
@@ -427,18 +399,6 @@ func run() error {
 			return runAll(ctx, selected, cfg, o, cache)
 		}
 	}()
-
-	// Eviction runs only after a fully successful run: an interrupted
-	// sweep's entries are exactly what the next -cache run resumes from.
-	if err == nil && o.isSet("cache-max-bytes") && cache != nil {
-		stats, eerr := cache.EvictTo(o.cacheMaxBytes)
-		if eerr != nil {
-			err = fmt.Errorf("evicting cache to %d bytes: %w", o.cacheMaxBytes, eerr)
-		} else {
-			events.Emit(obs.Event{Event: "cache_evict", N: stats.Bytes, Msg: stats.String()})
-			fmt.Fprintf(os.Stderr, "cache %s: evicted to <= %d bytes (%s)\n", cache.Dir(), o.cacheMaxBytes, stats)
-		}
-	}
 
 	// Metrics go to stderr: stdout carries only the byte-identical
 	// tables the golden comparisons diff.

@@ -1,6 +1,6 @@
 // Structured sweep event log: one JSON object per line, fixed schema,
-// append-only, with optional size-based rotation — the post-mortem
-// artifact a chaos or fleet run leaves behind. Because the schema is a
+// append-only, in one file — the post-mortem artifact a chaos or fleet
+// run leaves behind. Because the schema is a
 // fixed struct (field order is the struct order, absent fields are
 // omitted), two runs' logs diff cleanly once the wall-clock ts column
 // is stripped:
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 )
@@ -44,8 +43,8 @@ type Event struct {
 	// Op tags fault events with the injected operation ("reset",
 	// "truncation", "partition").
 	Op string `json:"op,omitempty"`
-	// N is the event's count payload: bytes evicted, entries removed,
-	// leases revoked, the faultnet op sequence number.
+	// N is the event's count payload: bytes removed by cache GC, leases
+	// revoked, the faultnet op sequence number.
 	N int64 `json:"n,omitempty"`
 	// Msg carries free-text detail (error strings, abort causes).
 	Msg string `json:"msg,omitempty"`
@@ -67,14 +66,6 @@ type EventLog struct {
 	seq   uint64
 	err   error
 	now   func() time.Time // injectable for tests
-
-	// Rotation state, active only for path-opened logs with a byte
-	// limit. Sequence numbers live on the log, not the file, so they
-	// stay monotonic across rotations.
-	path     string
-	maxBytes int64
-	written  int64
-	rotated  int
 }
 
 // NewEventLog writes events to w. If w is also an io.Closer, Close
@@ -89,60 +80,11 @@ func NewEventLog(w io.Writer) *EventLog {
 
 // OpenEventLog creates (truncating) the JSONL file at path.
 func OpenEventLog(path string) (*EventLog, error) {
-	return OpenEventLogRotating(path, 0)
-}
-
-// OpenEventLogRotating is OpenEventLog with size-based rotation: when
-// writing an event would push the current file past maxBytes, the file
-// is closed and renamed to the next rotation name — events.jsonl
-// becomes events.1.jsonl, then events.2.jsonl, and so on, lowest
-// suffix oldest — and a fresh file opens at path. Sequence numbers
-// keep counting across rotations, so concatenating the rotated files
-// in suffix order followed by the live file replays the sweep with
-// monotonic seq. maxBytes <= 0 disables rotation; an event larger than
-// maxBytes by itself still lands (alone) in a fresh file rather than
-// being dropped.
-func OpenEventLogRotating(path string, maxBytes int64) (*EventLog, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("obs: opening event log: %w", err)
 	}
-	l := NewEventLog(f)
-	l.path = path
-	l.maxBytes = maxBytes
-	return l, nil
-}
-
-// rotationName derives the k-th rotated file name by inserting the
-// rotation index before the extension: events.jsonl -> events.3.jsonl.
-func rotationName(path string, k int) string {
-	ext := filepath.Ext(path)
-	return fmt.Sprintf("%s.%d%s", path[:len(path)-len(ext)], k, ext)
-}
-
-// rotateLocked closes and renames the current file and opens a fresh
-// one at path. Called with mu held, only for path-opened logs.
-func (l *EventLog) rotateLocked() error {
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("obs: rotating event log: %w", err)
-	}
-	if l.close != nil {
-		if err := l.close.Close(); err != nil {
-			return fmt.Errorf("obs: rotating event log: %w", err)
-		}
-	}
-	if err := os.Rename(l.path, rotationName(l.path, l.rotated+1)); err != nil {
-		return fmt.Errorf("obs: rotating event log: %w", err)
-	}
-	f, err := os.Create(l.path)
-	if err != nil {
-		return fmt.Errorf("obs: rotating event log: %w", err)
-	}
-	l.rotated++
-	l.w = bufio.NewWriter(f)
-	l.close = f
-	l.written = 0
-	return nil
+	return NewEventLog(f), nil
 }
 
 // Emit stamps e with the next sequence number and the current time,
@@ -166,18 +108,10 @@ func (l *EventLog) Emit(e Event) {
 		l.err = fmt.Errorf("obs: encoding event: %w", err)
 		return
 	}
-	line := append(data, '\n')
-	if l.maxBytes > 0 && l.written > 0 && l.written+int64(len(line)) > l.maxBytes {
-		if err := l.rotateLocked(); err != nil {
-			l.err = err
-			return
-		}
-	}
-	if _, err := l.w.Write(line); err != nil {
+	if _, err := l.w.Write(append(data, '\n')); err != nil {
 		l.err = fmt.Errorf("obs: writing event log: %w", err)
 		return
 	}
-	l.written += int64(len(line))
 	if err := l.w.Flush(); err != nil {
 		l.err = fmt.Errorf("obs: writing event log: %w", err)
 	}

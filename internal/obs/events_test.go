@@ -19,14 +19,14 @@ func TestEventLogSchema(t *testing.T) {
 
 	l.Emit(Event{Event: "worker_join", Worker: "w1", Conn: 3})
 	l.Emit(Event{Event: "lease_grant", Worker: "w1", Exp: "E4", Lease: 9, Chunk: ChunkRange(0, 8)})
-	l.Emit(Event{Event: "cache_evict", N: 4096, Msg: "evicted 2 entries"})
+	l.Emit(Event{Event: "cache_gc", N: 4096, Msg: "2 entries, 0 corrupt, 0 temp files (4096 bytes)"})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	want := `{"seq":1,"ts":"2026-08-08T12:00:00.123456789Z","event":"worker_join","worker":"w1","conn":3}
 {"seq":2,"ts":"2026-08-08T12:00:00.123456789Z","event":"lease_grant","worker":"w1","exp":"E4","lease":9,"chunk":"[0,8)"}
-{"seq":3,"ts":"2026-08-08T12:00:00.123456789Z","event":"cache_evict","n":4096,"msg":"evicted 2 entries"}
+{"seq":3,"ts":"2026-08-08T12:00:00.123456789Z","event":"cache_gc","n":4096,"msg":"2 entries, 0 corrupt, 0 temp files (4096 bytes)"}
 `
 	if sb.String() != want {
 		t.Errorf("event log:\n--- got ---\n%s\n--- want ---\n%s", sb.String(), want)
@@ -102,113 +102,6 @@ func TestEventLogStickyError(t *testing.T) {
 	}
 }
 
-// TestEventLogRotationFailureSticky: a rotation that cannot rename
-// (the live file was moved out from under the log) latches like any
-// write error instead of wedging or silently dropping events.
-func TestEventLogRotationFailureSticky(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "events.jsonl")
-	l, err := OpenEventLogRotating(path, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Emit(Event{Event: "first"})
-	if err := l.Err(); err != nil {
-		t.Fatal(err)
-	}
-	// Sabotage the rotation: the rename source vanishes.
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		l.Emit(Event{Event: "overflow", Msg: strings.Repeat("x", 64)})
-	}
-	if l.Err() == nil {
-		t.Fatal("failed rotation did not latch an error")
-	}
-	if l.Close() == nil {
-		t.Error("Close did not report the rotation error")
-	}
-}
-
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, os.ErrClosed }
-
-// TestEventLogRotation: a size-limited log rolls events.jsonl into
-// events.1.jsonl, events.2.jsonl, ... (lowest suffix oldest), keeps
-// every rotated file within the byte limit, and numbers events
-// monotonically across the whole sequence of files.
-func TestEventLogRotation(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "events.jsonl")
-	const maxBytes = 256
-	l, err := OpenEventLogRotating(path, maxBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	l.now = func() time.Time { return fixed }
-	const total = 40
-	for i := 0; i < total; i++ {
-		l.Emit(Event{Event: "lease_grant", Worker: "w1", Exp: "E4", Lease: uint64(i + 1)})
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Collect rotated files in suffix order, then the live file.
-	var paths []string
-	for k := 1; ; k++ {
-		p := rotationName(path, k)
-		if _, err := os.Stat(p); err != nil {
-			break
-		}
-		paths = append(paths, p)
-	}
-	if len(paths) == 0 {
-		t.Fatalf("no rotated files for %d events at %d max bytes", total, maxBytes)
-	}
-	paths = append(paths, path)
-
-	var seq uint64
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(data) > maxBytes {
-			t.Errorf("%s holds %d bytes, limit %d", filepath.Base(p), len(data), maxBytes)
-		}
-		for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
-			var ev Event
-			if err := json.Unmarshal([]byte(line), &ev); err != nil {
-				t.Fatalf("%s: %v\n%s", filepath.Base(p), err, line)
-			}
-			if ev.Seq != seq+1 {
-				t.Fatalf("%s: seq %d after %d, want monotonic across rotations", filepath.Base(p), ev.Seq, seq)
-			}
-			seq = ev.Seq
-		}
-	}
-	if seq != total {
-		t.Errorf("replayed %d events across %d files, want %d", seq, len(paths), total)
-	}
-}
-
-// TestRotationName pins the suffix-before-extension derivation.
-func TestRotationName(t *testing.T) {
-	for _, tc := range []struct {
-		path, want string
-		k          int
-	}{
-		{"events.jsonl", "events.1.jsonl", 1},
-		{"events.jsonl", "events.12.jsonl", 12},
-		{"/var/log/sweep.jsonl", "/var/log/sweep.3.jsonl", 3},
-		{"events", "events.1", 1},
-	} {
-		if got := rotationName(tc.path, tc.k); got != tc.want {
-			t.Errorf("rotationName(%q, %d) = %q, want %q", tc.path, tc.k, got, tc.want)
-		}
-	}
-}

@@ -1,12 +1,9 @@
 // The HTTP ops plane: the handler a coordinator or worker serves under
 // -status-addr. Endpoints:
 //
-//	/            tiny index linking the others
 //	/healthz     200 "ok" — liveness for load balancers and smoke jobs
 //	/metrics     Prometheus text exposition of a registry
-//	/status      JSON snapshot of the process's sweep state; append
-//	             ?format=html (or send Accept: text/html) for a
-//	             human-readable rendering that auto-refreshes
+//	/status      JSON snapshot of the process's sweep state
 //	/debug/pprof pprof profiles, only when enabled (-pprof)
 //
 // The ops plane is strictly read-only and strictly outside the
@@ -16,12 +13,9 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"html"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
-	"strings"
 	"time"
 )
 
@@ -45,35 +39,14 @@ func NewOpsHandler(reg *Registry, status StatusFunc, enablePprof bool) http.Hand
 		w.Header().Set("Content-Type", TextContentType)
 		reg.WriteText(w)
 	})
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		v := status()
-		if wantsHTML(r) {
-			w.Header().Set("Content-Type", "text/html; charset=utf-8")
-			writeStatusHTML(w, v, enablePprof)
-			return
-		}
+	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		data, err := json.MarshalIndent(v, "", "  ")
+		data, err := json.MarshalIndent(status(), "", "  ")
 		if err != nil {
 			http.Error(w, fmt.Sprintf("marshaling status: %v", err), http.StatusInternalServerError)
 			return
 		}
 		w.Write(append(data, '\n'))
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		fmt.Fprint(w, `<!doctype html><title>scalefree ops</title><h1>scalefree ops</h1><ul>`+
-			`<li><a href="/status?format=html">status</a></li>`+
-			`<li><a href="/metrics">metrics</a></li>`+
-			`<li><a href="/healthz">healthz</a></li>`)
-		if enablePprof {
-			fmt.Fprint(w, `<li><a href="/debug/pprof/">pprof</a></li>`)
-		}
-		fmt.Fprint(w, `</ul>`)
 	})
 	if enablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -83,71 +56,6 @@ func NewOpsHandler(reg *Registry, status StatusFunc, enablePprof bool) http.Hand
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
-}
-
-func wantsHTML(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "html" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "text/html")
-}
-
-// writeStatusHTML renders the status payload for humans: the JSON
-// structure re-marshaled and walked into nested tables with sorted
-// keys, auto-refreshing so a sweep can be watched live.
-func writeStatusHTML(w http.ResponseWriter, v any, pprofOn bool) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("marshaling status: %v", err), http.StatusInternalServerError)
-		return
-	}
-	var generic any
-	if err := json.Unmarshal(data, &generic); err != nil {
-		http.Error(w, fmt.Sprintf("re-reading status: %v", err), http.StatusInternalServerError)
-		return
-	}
-	fmt.Fprint(w, `<!doctype html><meta http-equiv="refresh" content="2">`+
-		`<title>scalefree status</title>`+
-		`<style>body{font-family:monospace}table{border-collapse:collapse;margin:2px 0 2px 1em}`+
-		`td,th{border:1px solid #999;padding:2px 6px;text-align:left;vertical-align:top}</style>`+
-		`<h1>scalefree status</h1>`)
-	writeHTMLValue(w, generic)
-	fmt.Fprint(w, `<p><a href="/metrics">metrics</a> · <a href="/status">json</a>`)
-	if pprofOn {
-		fmt.Fprint(w, ` · <a href="/debug/pprof/">pprof</a>`)
-	}
-	fmt.Fprint(w, `</p>`)
-}
-
-func writeHTMLValue(w http.ResponseWriter, v any) {
-	switch t := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Fprint(w, "<table>")
-		for _, k := range keys {
-			fmt.Fprintf(w, "<tr><th>%s</th><td>", html.EscapeString(k))
-			writeHTMLValue(w, t[k])
-			fmt.Fprint(w, "</td></tr>")
-		}
-		fmt.Fprint(w, "</table>")
-	case []any:
-		for _, e := range t {
-			writeHTMLValue(w, e)
-		}
-		if len(t) == 0 {
-			fmt.Fprint(w, "—")
-		}
-	case nil:
-		fmt.Fprint(w, "—")
-	case json.Number, float64, bool:
-		fmt.Fprintf(w, "%v", t)
-	default:
-		fmt.Fprint(w, html.EscapeString(fmt.Sprintf("%v", t)))
-	}
 }
 
 // OpsServer is one running ops listener.

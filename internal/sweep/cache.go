@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -49,10 +48,6 @@ const tempReapAge = 10 * time.Minute
 // under one would write an unfindable file.
 type Cache struct {
 	dir string
-	// openedAt is the eviction watermark: entries written or touched at
-	// or after it belong to the current run and EvictTo never removes
-	// them (see EvictTo).
-	openedAt time.Time
 }
 
 // OpenCache opens (creating if needed) a result cache rooted at dir,
@@ -67,10 +62,7 @@ func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: opening cache: %w", err)
 	}
-	// Back the watermark off by a second so filesystems with coarse
-	// timestamp granularity cannot round an entry this run just touched
-	// to "before open".
-	c := &Cache{dir: dir, openedAt: time.Now().Add(-time.Second)}
+	c := &Cache{dir: dir}
 	if err := c.reapTemps(time.Now().Add(-tempReapAge)); err != nil {
 		return nil, fmt.Errorf("sweep: opening cache: %w", err)
 	}
@@ -103,9 +95,8 @@ func (c *Cache) path(key string) string {
 
 // Get looks a trial result up by content address. ok reports a hit;
 // malformed keys and missing, truncated, version-skewed, or
-// undecodable entries are misses.
-//
-//sf:wallclock — hit-recency touches use real mtimes for eviction.
+// undecodable entries are misses. A lookup only reads: it writes
+// nothing to the cache directory, not even an mtime.
 func (c *Cache) Get(key string) (v any, ok bool) {
 	if !validKey(key) {
 		mCacheMisses.Inc()
@@ -127,11 +118,6 @@ func (c *Cache) Get(key string) (v any, ok bool) {
 		return nil, false
 	}
 	mCacheHits.Inc()
-	// Touch the entry so eviction order tracks use, not just writes —
-	// atime is unreliable (noatime mounts), so the mtime doubles as the
-	// recency signal. Best-effort: a failed touch only ages the entry.
-	now := time.Now()
-	os.Chtimes(c.path(key), now, now)
 	return v, true
 }
 
@@ -244,83 +230,6 @@ func (c *Cache) GC(fingerprint string) (GCStats, error) {
 		return stats, fmt.Errorf("sweep: cache gc: %w", err)
 	}
 	mCacheGCRemoved.Add(int64(stats.Entries + stats.Corrupt + stats.Temps))
-	c.pruneEmptyDirs()
-	return stats, nil
-}
-
-// EvictStats reports what one EvictTo pass did.
-type EvictStats struct {
-	// Entries and Bytes count what was removed.
-	Entries int
-	Bytes   int64
-	// Kept is the total size of entries left in the cache, including
-	// protected ones — so Kept may exceed the requested bound when the
-	// current run's own entries alone are over it.
-	Kept int64
-}
-
-func (s EvictStats) String() string {
-	return fmt.Sprintf("evicted %d entries (%d bytes), %d bytes kept", s.Entries, s.Bytes, s.Kept)
-}
-
-// EvictTo removes least-recently-used cache entries until the cache's
-// total size is at most maxBytes. Recency is the entry's mtime: Put
-// writes it and Get refreshes it, so the eviction order is true LRU
-// on noatime filesystems too. Entries written or touched since this
-// Cache was opened are never removed regardless of the bound — the
-// current run's working set must survive its own eviction pass, or a
-// bounded cache would silently un-persist a sweep in progress. Temp
-// files are ignored (reapTemps and GC own them).
-func (c *Cache) EvictTo(maxBytes int64) (EvictStats, error) {
-	var stats EvictStats
-	if maxBytes < 0 {
-		return stats, fmt.Errorf("sweep: cache evict: negative size bound %d", maxBytes)
-	}
-	type entry struct {
-		path string
-		size int64
-		mod  time.Time
-	}
-	var entries []entry
-	var total int64
-	err := filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || strings.HasPrefix(d.Name(), tempPrefix) {
-			return err
-		}
-		info, err := d.Info()
-		if err != nil {
-			return nil // raced with a concurrent removal; not ours
-		}
-		total += info.Size()
-		entries = append(entries, entry{path: path, size: info.Size(), mod: info.ModTime()})
-		return nil
-	})
-	if err != nil {
-		return stats, fmt.Errorf("sweep: cache evict: %w", err)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mod.Before(entries[j].mod) })
-	for _, e := range entries {
-		if total <= maxBytes {
-			break
-		}
-		if !e.mod.Before(c.openedAt) {
-			// Current-run entry: protected. Entries are mtime-sorted, so
-			// everything after this one is protected too.
-			break
-		}
-		if err := os.Remove(e.path); err != nil {
-			if os.IsNotExist(err) {
-				continue // lost a race with GC or another evictor
-			}
-			return stats, fmt.Errorf("sweep: cache evict: %w", err)
-		}
-		total -= e.size
-		stats.Entries++
-		stats.Bytes += e.size
-	}
-	stats.Kept = total
-	mCacheEvictedEntries.Add(int64(stats.Entries))
-	mCacheEvictedBytes.Add(stats.Bytes)
 	c.pruneEmptyDirs()
 	return stats, nil
 }

@@ -461,7 +461,9 @@ func (st *coordState) handle(conn net.Conn) {
 				return
 			}
 			if len(fields) > 1 {
-				worker = fields[1]
+				// The name lands in every event, metric label and
+				// failure of this connection.
+				worker = clipMsg(fields[1])
 			}
 			if !st.authenticate(wc, worker, fields) {
 				return
@@ -701,8 +703,10 @@ func (st *coordState) completeLease(worker string, connID, id uint64) string {
 // first-error-cancels semantics one retry later. Results land under
 // the same lock (acceptResult), so a chunk whose last result races the
 // FAIL can neither be requeued for pointless re-execution nor burn its
-// retry budget.
+// retry budget. The events and the failure keep at most maxPeerMsg
+// bytes of the worker's message.
 func (st *coordState) failLease(worker string, id uint64, msg string) {
+	msg = clipMsg(msg)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	l, ok := st.leases.Complete(id)
@@ -759,8 +763,10 @@ func (st *coordState) failLease(worker string, id uint64, msg string) {
 // refuse handles a worker's REFUSE: this worker cannot run the sweep at
 // all (plan mismatch, codec failure) — systematic, never chunk-local,
 // so the lease is retired and the sweep aborts in one critical section
-// rather than burning chunk retries.
+// rather than burning chunk retries. As in failLease, the event and
+// the failure keep at most maxPeerMsg bytes of the message.
 func (st *coordState) refuse(worker string, connID, id uint64, msg string) {
+	msg = clipMsg(msg)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if l, ok := st.leases.Complete(id); ok && st.opts.Trace.Enabled() {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"scalefree/internal/engine"
+	"scalefree/internal/obs"
 	"scalefree/internal/rng"
 )
 
@@ -607,6 +609,63 @@ func TestCoordinateAbortReachesIdleWorkers(t *testing.T) {
 	out := <-outcome
 	if out.err == nil || !strings.Contains(out.err.Error(), "trial exploded") {
 		t.Fatalf("coordinator err = %v", out.err)
+	}
+}
+
+// TestCoordinateHugePeerTextIsClipped: a worker named with 300 KB of
+// 0xff bytes sends a REFUSE with 300 KB more. The sweep aborts, and a
+// live worker idling in the WAIT/NEXT loop reads the ABORT and exits
+// with it. The coordinator keeps at most maxPeerMsg bytes of the name
+// and of the message. Kept whole, they made an ABORT of 2.4 MB, past
+// the line a worker reads, so the worker retried a coordinator that
+// had gone away, and they made 12.6 MB of events.
+func TestCoordinateHugePeerTextIsClipped(t *testing.T) {
+	trials := makeTrials(4)
+	job := testJob(trials)
+	observer := &CoordObserver{}
+	var events bytes.Buffer
+	addr, outcome, cancel := startCoordinator(t,
+		[]CoordJob{{Job: job, Trials: trials}},
+		CoordOptions{ChunkSize: 4, LeaseTTL: time.Minute, Linger: 5 * time.Second,
+			Observer: observer, Events: obs.NewEventLog(&events)})
+	defer cancel()
+
+	// The refuser holds the only chunk, so the live worker waits; it
+	// must be connected before the abort closes the listener.
+	huge := strings.Repeat("\xff", 300_000)
+	w := dialDeadWorker(t, addr, huge)
+	m := w.takeLease()
+	live := make(chan error, 1)
+	go func() {
+		_, err := RunWorker(context.Background(), addr,
+			countingResolver(job, trials, new(atomic.Int64)), WorkerOptions{Name: "live", DialRetries: -1})
+		live <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); observer.Snapshot().Workers < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the live worker never connected")
+		}
+	}
+
+	if err := w.wc.send(fmt.Sprintf("REFUSE %d %s", m.ID, huge)); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := w.wc.recv(); err != nil || line != "OK" {
+		t.Fatalf("REFUSE reply = %q, %v", line, err)
+	}
+	w.wc.close()
+
+	if err := <-live; err == nil || !strings.Contains(err.Error(), "sweep: aborted") {
+		t.Fatalf("live worker err = %.200v, want the sweep's abort", err)
+	}
+	out := <-outcome
+	if out.err == nil || len(out.err.Error()) > 3*maxPeerMsg {
+		t.Fatalf("coordinator err is %d bytes, want at most %d: %.200v", len(fmt.Sprint(out.err)), 3*maxPeerMsg, out.err)
+	}
+	// Each event keeps at most maxPeerMsg bytes of the name and of the
+	// message, and JSON spends at most six bytes on one of them.
+	if n := events.Len(); n > 128<<10 {
+		t.Errorf("the sweep wrote %d bytes of events, want at most %d", n, 128<<10)
 	}
 }
 

@@ -121,6 +121,8 @@ const proveLine = "AUTH *"
 //   - a rejection is one ERR line, the last line sent, followed by a
 //     closed connection, and a handler that stops reading before the
 //     script ends has sent it;
+//   - no line the handler writes reaches wireMaxLine, so a worker can
+//     read every reply, an ABORT that quotes a peer's message included;
 //   - the handler leaves the connected-workers gauge where it found it;
 //   - the run allocates at most 32 bytes per script byte and 512 per
 //     line, plus 1 MiB of slack for the connection's buffers. Measured
@@ -137,9 +139,10 @@ const proveLine = "AUTH *"
 // The seeds are a valid keyed and a valid keyless handshake, a wrong
 // proof, a missing nonce, a keyed worker against a keyless
 // coordinator, AUTH and NEXT before HELLO, a version mismatch, a
-// repeated HELLO and the four longFieldLines after a keyless HELLO;
-// every input that once broke a property is kept in
-// testdata/fuzz/FuzzHandshake.
+// repeated HELLO, the four longFieldLines after a keyless HELLO, and a
+// REFUSE with 300 KB of 0xff bytes, whose ABORT once quoted all of it
+// (1.2 MB) to the next NEXT; every input that once broke a property is
+// kept in testdata/fuzz/FuzzHandshake.
 func FuzzHandshake(f *testing.F) {
 	hello := "HELLO " + protoVersion + " w1"
 	keyedHello := hello + " 00112233445566778899aabbccddeeff"
@@ -162,6 +165,7 @@ func FuzzHandshake(f *testing.F) {
 	for _, line := range longFieldLines(900_000) {
 		f.Add(false, hello+"\n"+line)
 	}
+	f.Add(false, hello+"\nREFUSE 1 "+strings.Repeat("\xff", 300_000)+"\nNEXT")
 	f.Fuzz(func(t *testing.T, keyed bool, script string) {
 		lines := strings.Split(script, "\n")
 		for _, line := range lines {
@@ -246,6 +250,9 @@ func FuzzHandshake(f *testing.F) {
 			}
 			if errs > 0 {
 				t.Fatalf("%q went out after an ERR", e.line)
+			}
+			if len(e.line) >= wireMaxLine {
+				t.Fatalf("a %d-byte %s line went out, past the %d bytes a worker reads", len(e.line), verb, wireMaxLine)
 			}
 			switch verb {
 			case "LEASE", "WAIT", "DONE":

@@ -33,10 +33,6 @@ var (
 		"Cache lookups that missed (absent, corrupt, or version-skewed entries).")
 	mCachePutBytes = obs.Default().Counter("scalefree_cache_put_bytes_total",
 		"Bytes written into the cache by Put.")
-	mCacheEvictedEntries = obs.Default().Counter("scalefree_cache_evicted_entries_total",
-		"Entries removed by LRU eviction (EvictTo).")
-	mCacheEvictedBytes = obs.Default().Counter("scalefree_cache_evicted_bytes_total",
-		"Bytes removed by LRU eviction (EvictTo).")
 	mCacheGCRemoved = obs.Default().Counter("scalefree_cache_gc_removed_total",
 		"Files removed by cache GC (entries, corrupt files, and temps).")
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -222,98 +223,63 @@ func TestOpenCacheReapsStaleTemps(t *testing.T) {
 	_ = c
 }
 
-// TestCacheEvictTo: eviction is LRU by mtime with a hard guarantee —
-// entries written or touched by the current run (at or after
-// OpenCache) are never removed, no matter how small the bound. Old
-// entries are simulated by backdating mtimes, exactly what a cache
-// directory inherited from last week's sweeps looks like.
-func TestCacheEvictTo(t *testing.T) {
+// TestCacheGetWritesNothing: a lookup only reads. A hit on an entry
+// backdated an hour, and a miss, leave that entry's mtime and the
+// cache's directory listing (every path, size and mtime) as they were.
+func TestCacheGetWritesNothing(t *testing.T) {
 	c, err := OpenCache(filepath.Join(t.TempDir(), "cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	trials := makeTrials(6)
+	trials := makeTrials(2)
 	job := testJob(trials)
-	keys := make([]string, len(trials))
-	for i, tr := range trials {
-		keys[i] = CacheKey(job.ExpID, job.Fingerprint, tr)
-		if err := c.Put(keys[i], job.Fingerprint, float64(i)); err != nil {
-			t.Fatal(err)
-		}
+	key := CacheKey(job.ExpID, job.Fingerprint, trials[0])
+	if err := c.Put(key, job.Fingerprint, 42.5); err != nil {
+		t.Fatal(err)
 	}
-	// Entries 0-3 predate this run; 4 and 5 are the current run's own
-	// writes and stay fresh.
-	for i := 0; i <= 3; i++ {
-		old := time.Now().Add(-time.Duration(4-i) * time.Hour)
-		if err := os.Chtimes(c.path(keys[i]), old, old); err != nil {
-			t.Fatal(err)
-		}
+	old := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(c.path(key), old, old); err != nil {
+		t.Fatal(err)
 	}
-	// A Get refreshes the entry's recency: entry 3 becomes part of the
-	// current run's working set and must survive any eviction.
-	if _, ok := c.Get(keys[3]); !ok {
-		t.Fatal("miss on backdated entry")
+	before := cacheListing(t, c.Dir())
+	if v, ok := c.Get(key); !ok || v != 42.5 {
+		t.Fatalf("Get = %v, %v; want 42.5, true", v, ok)
 	}
-
-	stats, err := c.EvictTo(0)
+	if _, ok := c.Get(CacheKey(job.ExpID, job.Fingerprint, trials[1])); ok {
+		t.Fatal("hit on an entry never stored")
+	}
+	info, err := os.Stat(c.path(key))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Entries != 3 {
-		t.Errorf("EvictTo(0) removed %d entries, want the 3 stale ones", stats.Entries)
+	if !info.ModTime().Equal(old) {
+		t.Errorf("Get moved the entry's mtime from %v to %v", old, info.ModTime())
 	}
-	if stats.Kept == 0 {
-		t.Error("EvictTo(0) reports nothing kept despite protected entries")
+	if after := cacheListing(t, c.Dir()); !reflect.DeepEqual(before, after) {
+		t.Errorf("Get changed the cache directory:\nbefore %v\nafter  %v", before, after)
 	}
-	for i, key := range keys {
-		_, ok := c.Get(key)
-		if want := i >= 3; ok != want {
-			t.Errorf("after eviction, entry %d present = %v, want %v", i, ok, want)
-		}
-	}
+}
 
-	// LRU order: with a bound that forces out exactly one entry, the
-	// oldest goes and the rest stay.
-	c2, err := OpenCache(filepath.Join(t.TempDir(), "cache2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	var sizes [3]int64
-	for i := 0; i < 3; i++ {
-		if err := c2.Put(keys[i], job.Fingerprint, float64(i)); err != nil {
-			t.Fatal(err)
-		}
-		info, err := os.Stat(c2.path(keys[i]))
+// cacheListing maps every path under dir, directories included, to its
+// size and mtime.
+func cacheListing(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		sizes[i] = info.Size()
-		total += info.Size()
-		old := time.Now().Add(-time.Duration(3-i) * time.Hour)
-		if err := os.Chtimes(c2.path(keys[i]), old, old); err != nil {
-			t.Fatal(err)
+		info, err := d.Info()
+		if err != nil {
+			return err
 		}
-	}
-	stats, err = c2.EvictTo(total - sizes[0])
+		out[path] = fmt.Sprintf("%d %s", info.Size(), info.ModTime().Format(time.RFC3339Nano))
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Entries != 1 || stats.Bytes != sizes[0] {
-		t.Errorf("EvictTo removed %d entries / %d bytes, want the single oldest (%d bytes)", stats.Entries, stats.Bytes, sizes[0])
-	}
-	if _, ok := c2.Get(keys[0]); ok {
-		t.Error("oldest entry survived eviction")
-	}
-	for i := 1; i < 3; i++ {
-		if _, ok := c2.Get(keys[i]); !ok {
-			t.Errorf("entry %d evicted out of LRU order", i)
-		}
-	}
-
-	if _, err := c2.EvictTo(-1); err == nil {
-		t.Error("negative bound accepted")
-	}
+	return out
 }
 
 // TestCacheGCByFingerprint: GC removes exactly one fingerprint's

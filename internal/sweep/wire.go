@@ -295,6 +295,23 @@ func clip(field string) string {
 	return field[:maxEcho] + "..."
 }
 
+// maxPeerMsg bounds how much of a peer's free text the coordinator
+// keeps: a worker's HELLO name, which goes into every event, metric
+// label and failure of its connection, and a FAIL or REFUSE message.
+// Every NEXT after a failure is answered ABORT with the failure
+// quoted, and quoting at most quadruples a byte, so the ABORT stays
+// far inside wireMaxLine and every worker can read it.
+const maxPeerMsg = 1 << 10
+
+// clipMsg is clip for a peer's free text: the text itself, or its
+// first maxPeerMsg bytes marked with "..." when it is longer.
+func clipMsg(msg string) string {
+	if len(msg) <= maxPeerMsg {
+		return msg
+	}
+	return msg[:maxPeerMsg] + "..."
+}
+
 // badField is the error for a field that does not parse. It is built
 // from the clipped field rather than from strconv's error, which would
 // quote the whole input.
