@@ -319,7 +319,7 @@ func parseOptions(args []string) (*options, error) {
 	fs.Uint64Var(&o.chaos, "chaos", 0, "with -coordinate: inject deterministic seed-scripted connection faults (delays, resets, truncations, partitions) for recovery testing")
 	fs.StringVar(&o.statusAddr, "status-addr", "", "with -coordinate or -worker: serve the HTTP ops plane (/metrics, /status, /healthz) on this address")
 	fs.BoolVar(&o.pprofOn, "pprof", false, "with -status-addr: also mount net/http/pprof under /debug/pprof/")
-	fs.StringVar(&o.eventsPath, "events", "", "write one JSON line per sweep lifecycle event to this file")
+	fs.StringVar(&o.eventsPath, "events", "", "append one JSON line per sweep lifecycle event to this file; each run numbers its events from seq 1")
 	fs.BoolVar(&o.dumpMetrics, "dump-metrics", false, "print the Prometheus text exposition of all metrics to stderr at exit")
 	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON timeline of the sweep to this file (open in Perfetto; analyze with sweeptrace)")
 	if err := fs.Parse(args); err != nil {

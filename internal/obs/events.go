@@ -1,9 +1,11 @@
 // Structured sweep event log: one JSON object per line, fixed schema,
 // append-only, in one file — the post-mortem artifact a chaos or fleet
-// run leaves behind. Because the schema is a
-// fixed struct (field order is the struct order, absent fields are
-// omitted), two runs' logs diff cleanly once the wall-clock ts column
-// is stripped:
+// run leaves behind. A run opened on an existing log appends to it, so
+// a coordinator restarted on the same path keeps the crashed run's
+// record; each run numbers its events from seq 1, and a seq-1 line
+// marks where a run begins. Because the schema is a fixed struct
+// (field order is the struct order, absent fields are omitted), two
+// runs' logs diff cleanly once the wall-clock ts column is stripped:
 //
 //	diff <(cut -d, -f3- a.jsonl) <(cut -d, -f3- b.jsonl)
 package obs
@@ -22,8 +24,9 @@ import (
 // set; the remaining fields are populated per type — the schema table
 // in DESIGN.md §9 says which. Seq and TS are stamped by EventLog.Emit.
 type Event struct {
-	// Seq numbers events 1..N in emission order — the tie-breaker and
-	// diff anchor wall-clock timestamps cannot be.
+	// Seq numbers one run's events 1..N in emission order — the
+	// tie-breaker and diff anchor wall-clock timestamps cannot be. A
+	// log that several runs appended to restarts at 1 with each run.
 	Seq uint64 `json:"seq"`
 	// TS is the emission wall-clock time, RFC3339Nano in UTC.
 	TS string `json:"ts"`
@@ -78,9 +81,10 @@ func NewEventLog(w io.Writer) *EventLog {
 	return l
 }
 
-// OpenEventLog creates (truncating) the JSONL file at path.
+// OpenEventLog opens the JSONL file at path for appending, creating
+// it if it does not exist; the events of earlier runs stay in place.
 func OpenEventLog(path string) (*EventLog, error) {
-	f, err := os.Create(path)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o666)
 	if err != nil {
 		return nil, fmt.Errorf("obs: opening event log: %w", err)
 	}

@@ -80,6 +80,50 @@ func TestEventLogRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEventLogAppends: a second run opened on the same path appends
+// its events after the first run's, numbering them from seq 1 again,
+// so a restarted coordinator keeps the earlier run's record.
+func TestEventLogAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	runs := [][]string{{"sweep_start", "worker_join", "sweep_abort"}, {"sweep_start", "sweep_done"}}
+	for _, run := range runs {
+		l, err := OpenEventLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range run {
+			l.Emit(Event{Event: name})
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	var want []Event
+	for _, run := range runs {
+		for i, name := range run {
+			want = append(want, Event{Seq: uint64(i + 1), Event: name})
+		}
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("log holds %d lines, want %d:\n%s", len(lines), len(want), data)
+	}
+	for i, line := range lines {
+		var got Event
+		if err := json.Unmarshal([]byte(line), &got); err != nil {
+			t.Fatalf("line %d does not parse: %v", i, err)
+		}
+		if got.Seq != want[i].Seq || got.Event != want[i].Event {
+			t.Errorf("line %d = seq %d %q, want seq %d %q", i, got.Seq, got.Event, want[i].Seq, want[i].Event)
+		}
+	}
+}
+
 // TestEventLogStickyError: a failed write latches, later emits no-op,
 // Err and Close both report the first failure, and the error never
 // resets or gets replaced by a later one.

@@ -204,6 +204,9 @@ func TestSelfAvoidingWalkBeatsPureWalkOnAverage(t *testing.T) {
 	}
 }
 
+// TestHeapOrdering pops a heap empty in priority order; before each
+// pop, peek must return the item the pop then removes, and leave the
+// heap as it was.
 func TestHeapOrdering(t *testing.T) {
 	var h prioHeap
 	for round := 0; round < 2; round++ {
@@ -212,11 +215,18 @@ func TestHeapOrdering(t *testing.T) {
 			h.push(x, graph.Vertex(i+1))
 		}
 		want := []int64{1, 1, 2, 3, 4, 5, 9}
-		for _, w := range want {
-			got, ok := h.pop()
-			if !ok || got.prio != w {
-				t.Fatalf("pop = (%+v, %v), want prio %d", got, ok, w)
+		for i, w := range want {
+			top, ok := h.peek()
+			if !ok || top.prio != w || len(h.items) != len(want)-i {
+				t.Fatalf("peek = (%+v, %v) with %d items, want prio %d with %d", top, ok, len(h.items), w, len(want)-i)
 			}
+			got, ok := h.pop()
+			if !ok || got != top {
+				t.Fatalf("pop = (%+v, %v), want the peeked %+v", got, ok, top)
+			}
+		}
+		if _, ok := h.peek(); ok {
+			t.Fatal("peek on empty heap reported ok")
 		}
 		if _, ok := h.pop(); ok {
 			t.Fatal("pop on empty heap reported ok")

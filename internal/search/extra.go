@@ -238,37 +238,20 @@ func (m *MixedGreedy) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, er
 	known := 0
 	for !o.Found() && budgetLeft(o, maxRequests) {
 		for ; known < len(o.Discovered()); known++ {
-			push(o.Discovered()[known])
+			if v := o.Discovered()[known]; o.views[v].Unresolved > 0 {
+				push(v) // as in greedyWeak, exhausted vertices stay out
+			}
 		}
 		h := byLabel
 		if r.Bernoulli(m.eps) {
 			h = byDegree
 		}
-		// Pop until a vertex with an unresolved slot surfaces; push the
-		// skipped, still-fresh entries back after the request.
-		var e heapItem
-		found := false
-		for {
-			var ok bool
-			e, ok = h.pop()
-			if !ok {
-				break
-			}
-			view, _ := o.ViewOf(e.v)
-			if view.Unresolved > 0 {
-				found = true
-				break
-			}
-		}
-		if !found {
+		view, ok := unresolvedTop(o, h)
+		if !ok {
 			break
 		}
-		view, _ := o.ViewOf(e.v)
-		if _, _, err := o.RequestEdge(e.v, view.firstUnresolved()); err != nil {
+		if _, _, err := o.RequestEdge(view.ID, view.firstUnresolved()); err != nil {
 			return Result{}, err
-		}
-		if view.Unresolved > 0 {
-			h.push(e.prio, e.v)
 		}
 	}
 	return Result{Found: o.Found(), Requests: o.Requests()}, nil

@@ -13,7 +13,8 @@ type heapItem struct {
 // the greedy searchers, which need repeated extract-best over the
 // knowledge frontier with lazy invalidation. Every caller's priority
 // encodes the vertex in its low 32 bits, so equal priorities mean
-// identical items and the pop sequence is a function of the pushes.
+// identical items, the minimum is unique, and the sequence of tops is
+// a function of the pushes and pops, not of their interleaving.
 type prioHeap struct {
 	items []heapItem
 }
@@ -35,6 +36,17 @@ func (h *prioHeap) push(prio int64, v graph.Vertex) {
 		items[i], items[parent] = items[parent], items[i]
 		i = parent
 	}
+}
+
+// peek returns the minimum item without removing it; ok is false when
+// empty.
+//
+//sf:hotpath
+func (h *prioHeap) peek() (top heapItem, ok bool) {
+	if len(h.items) == 0 {
+		return heapItem{}, false
+	}
+	return h.items[0], true
 }
 
 // pop removes and returns the minimum item; ok is false when empty.

@@ -35,6 +35,7 @@ package search
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"scalefree/internal/buf"
 	"scalefree/internal/graph"
@@ -81,6 +82,11 @@ type View struct {
 	// scan is a lower bound on the lowest unresolved slot: every slot
 	// below it is resolved (see firstUnresolved).
 	scan int
+	// tree is a Fenwick tree over the slots' unresolved flags, nil until
+	// the self-avoiding walk first selects at this weak-model view (see
+	// Oracle.selectUnresolved): tree[i] counts the unresolved slots
+	// i&(i+1) through i.
+	tree []int32
 }
 
 // firstUnresolved returns the lowest unresolved slot of a weak-model
@@ -96,21 +102,40 @@ func (v *View) firstUnresolved() int {
 	return v.scan
 }
 
-// unresolvedSlot returns the k-th (0-based) unresolved slot of a
-// weak-model view in ascending order, for 0 <= k < Unresolved, or -1
-// when there is none.
+// selectUnresolved returns the k-th (0-based) unresolved slot of a
+// weak-model view in ascending order, for 0 <= k < view.Unresolved —
+// the slot a scan of the view's slots would reach. The first select at
+// a view builds its Fenwick tree from the scratch's slot slab in
+// O(Degree); resolveSlot keeps it current, and each select descends it
+// by binary lifting in O(log Degree).
 //
 //sf:hotpath
-func (v *View) unresolvedSlot(k int) int {
-	for slot := v.firstUnresolved(); slot < v.Degree; slot++ {
-		if v.Resolved[slot] == graph.NoVertex {
-			if k == 0 {
-				return slot
+func (o *Oracle) selectUnresolved(view *View, k int) int {
+	t := view.tree
+	if t == nil {
+		t = o.allocSlots(view.Degree)
+		for i, w := range view.Resolved {
+			if w == graph.NoVertex {
+				t[i]++
 			}
-			k--
+			if up := i | (i + 1); up < len(t) {
+				t[up] += t[i]
+			}
+		}
+		view.tree = t
+	}
+	// Binary lifting: pos sums larger powers of two than step, so
+	// t[pos+step-1] counts the unresolved slots pos..pos+step-1. A block
+	// holding no more than k of them is skipped, k counting the
+	// unresolved slots still to pass; the slot left at pos is the one.
+	pos := 0
+	for step := 1 << (bits.Len(uint(len(t))) - 1); step > 0; step >>= 1 {
+		if next := pos + step; next <= len(t) && int(t[next-1]) <= k {
+			pos = next
+			k -= int(t[next-1])
 		}
 	}
-	return -1
+	return pos
 }
 
 // Oracle mediates all access of a searching process to the hidden
@@ -414,11 +439,18 @@ func (o *Oracle) RequestEdge(u graph.Vertex, slot int) (v graph.Vertex, newInfo 
 	return v, true, nil
 }
 
-// resolveSlot marks one slot of a view resolved.
+// resolveSlot marks one slot of a view resolved and, once the view
+// has a Fenwick tree, takes the slot out of it in O(log Degree).
+//
+//sf:hotpath
 func (o *Oracle) resolveSlot(view *View, slot int, w graph.Vertex) {
-	if view.Resolved[slot] == graph.NoVertex {
-		view.Resolved[slot] = w
-		view.Unresolved--
+	if view.Resolved[slot] != graph.NoVertex {
+		return
+	}
+	view.Resolved[slot] = w
+	view.Unresolved--
+	for i := slot; i < len(view.tree); i |= i + 1 {
+		view.tree[i]--
 	}
 }
 

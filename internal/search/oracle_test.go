@@ -6,6 +6,118 @@ import (
 	"scalefree/internal/graph"
 )
 
+// unresolvedSlot is the linear reference for Oracle.selectUnresolved:
+// the k-th (0-based) unresolved slot of a weak-model view in ascending
+// order, for 0 <= k < Unresolved, or -1 when there is none, found by a
+// scan from the first-unresolved cursor.
+func (v *View) unresolvedSlot(k int) int {
+	for slot := v.firstUnresolved(); slot < v.Degree; slot++ {
+		if v.Resolved[slot] == graph.NoVertex {
+			if k == 0 {
+				return slot
+			}
+			k--
+		}
+	}
+	return -1
+}
+
+// treeTotal sums a Fenwick tree over all its slots.
+func treeTotal(t []int32) int {
+	total := 0
+	for i := len(t) - 1; i >= 0; i = i&(i+1) - 1 {
+		total += int(t[i])
+	}
+	return total
+}
+
+// FuzzSelectUnresolved checks the Fenwick select against its linear
+// reference. Each input gives vertex 1 a degree from 1 to 512, made of
+// up to degree/2 self-loops and one edge to a leaf per remaining slot,
+// with its slots shuffled by seed, then a stream of three-byte
+// operations on vertex 1's weak-model view: select the k-th unresolved
+// slot, resolve one slot (perhaps one already resolved), or resolve an
+// edge's reverse slots through resolveReverse (both halves at once for
+// a self-loop). The first select builds the view's tree. Before the
+// first operation and after each one, every k < Unresolved must select
+// the slot the reference returns, on the view's tree once it exists
+// and on a tree built afresh, and each tree's total must equal
+// Unresolved.
+func FuzzSelectUnresolved(f *testing.F) {
+	f.Add(uint16(0), uint8(0), uint64(1), []byte{0, 0, 0, 1, 0, 0, 0, 0, 0})
+	f.Add(uint16(63), uint8(20), uint64(2), []byte{2, 0, 5, 0, 0, 7, 2, 0, 9, 1, 0, 3, 1, 0, 3, 0, 0, 1})
+	f.Add(uint16(511), uint8(100), uint64(3), []byte{0, 1, 0, 2, 0, 40, 2, 1, 200, 1, 1, 255, 0, 0, 0, 1, 0, 40, 0, 0, 99})
+	f.Add(uint16(100), uint8(50), uint64(4), []byte{0, 0, 50, 2, 0, 1, 2, 0, 1, 2, 0, 77, 0, 0, 10})
+	f.Fuzz(func(t *testing.T, degree uint16, loops uint8, seed uint64, ops []byte) {
+		d := 1 + int(degree)%512
+		nLoops := int(loops) % (d/2 + 1)
+		leaves := d - 2*nLoops
+		b := graph.NewBuilder(leaves+1, nLoops+leaves)
+		b.AddVertices(leaves + 1)
+		for i := 0; i < nLoops; i++ {
+			b.AddEdge(1, 1)
+		}
+		for v := 2; v <= leaves+1; v++ {
+			b.AddEdge(graph.Vertex(v), 1)
+		}
+		g := b.Freeze()
+		o, err := NewOracleShuffled(g, 1, 1, Weak, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := o.views[1]
+		// check runs before the first operation (op -1) and after each.
+		check := func(op int) {
+			t.Helper()
+			unresolved := 0
+			for _, w := range view.Resolved {
+				if w == graph.NoVertex {
+					unresolved++
+				}
+			}
+			if unresolved != view.Unresolved {
+				t.Fatalf("op %d: %d slots unresolved, Unresolved = %d", op, unresolved, view.Unresolved)
+			}
+			fresh := *view
+			fresh.tree = nil // selects on it build a tree from the flags as they stand
+			probes := []*View{&fresh}
+			if view.tree != nil {
+				probes = append(probes, view)
+			}
+			for _, probe := range probes {
+				for k := 0; k < view.Unresolved; k++ {
+					if got, want := o.selectUnresolved(probe, k), view.unresolvedSlot(k); got != want {
+						t.Fatalf("op %d (degree %d, %d loops): select(%d) = %d, reference %d", op, d, nLoops, k, got, want)
+					}
+				}
+				if total := treeTotal(probe.tree); total != view.Unresolved {
+					t.Fatalf("op %d: tree total %d, Unresolved = %d", op, total, view.Unresolved)
+				}
+			}
+		}
+		check(-1)
+		for i := 0; i+2 < len(ops); i += 3 {
+			arg := int(ops[i+1])<<8 | int(ops[i+2])
+			switch ops[i] % 3 {
+			case 0:
+				if view.Unresolved > 0 {
+					k := arg % view.Unresolved
+					if got, want := o.selectUnresolved(view, k), view.unresolvedSlot(k); got != want {
+						t.Fatalf("op %d: select(%d) = %d, reference %d", i/3, k, got, want)
+					}
+				}
+			case 1:
+				slot := arg % d
+				o.resolveSlot(view, slot, g.HalfAt(1, o.physSlot(1, slot)).Other)
+			case 2:
+				h := g.HalfAt(1, arg%d)
+				o.resolveReverse(1, h.Edge, h.Other)
+			}
+			check(i / 3)
+		}
+	})
+}
+
 // pathGraph returns the path 1-2-...-n (edges oriented k+1 -> k).
 func pathGraph(n int) *graph.Graph {
 	b := graph.NewBuilder(n, n-1)

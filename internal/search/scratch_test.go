@@ -104,10 +104,12 @@ func TestOracleScratchMatchesFresh(t *testing.T) {
 // searches over a fixed-size graph, a full weak-model exploration
 // through a scratch-backed oracle allocates nothing, and neither does
 // a budgeted search by any registered algorithm — greedy heaps,
-// RandomEdge's slot pool and BiasedWalk's weight totals included.
+// RandomEdge's slot pool, BiasedWalk's weight totals and the
+// self-avoiding walk's Fenwick trees included. The graphs are a Móri
+// graph with p = ½ and, in "star", a Móri tree with p = 1: a star whose
+// hub has degree n−1, where the walk builds a tree and decrements it
+// on every return.
 func TestOracleScratchAllocFree(t *testing.T) {
-	g := scratchTestGraph(t, 200, 7)
-	target := graph.Vertex(g.NumVertices())
 	var s Scratch
 	steady := func(t *testing.T, what string, run func()) {
 		t.Helper()
@@ -122,26 +124,58 @@ func TestOracleScratchAllocFree(t *testing.T) {
 			}
 		}
 	}
-	steady(t, "weak exploration", func() {
-		o, err := NewOracleShuffledScratch(g, 1, target, Weak, 3, &s)
+	walk := rng.New(0)
+	searches := func(t *testing.T, g *graph.Graph) {
+		target := graph.Vertex(g.NumVertices())
+		steady(t, "weak exploration", func() {
+			o, err := NewOracleShuffledScratch(g, 1, target, Weak, 3, &s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exploreWeak(t, o)
+		})
+		for _, a := range allAlgorithms() {
+			t.Run(a.Name(), func(t *testing.T) {
+				steady(t, a.Name(), func() {
+					o, err := NewOracleShuffledScratch(g, 1, target, a.Knowledge(), 3, &s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					walk.Reseed(11)
+					if _, err := a.Search(o, walk, 400); err != nil {
+						t.Fatal(err)
+					}
+				})
+			})
+		}
+	}
+	searches(t, scratchTestGraph(t, 200, 7))
+	t.Run("star", func(t *testing.T) {
+		const n = 200
+		star, err := mori.Config{N: n, M: 1, P: 1}.Generate(rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		exploreWeak(t, o)
+		hub := graph.Vertex(1)
+		for v := graph.Vertex(2); int(v) <= n; v++ {
+			if star.Degree(v) > star.Degree(hub) {
+				hub = v
+			}
+		}
+		if star.Degree(hub) != n-1 {
+			t.Fatalf("Móri p = 1 graph is no star: maximum degree %d, want %d", star.Degree(hub), n-1)
+		}
+		searches(t, star)
+		o, err := NewOracleShuffledScratch(star, 1, n, Weak, 3, &s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk.Reseed(11)
+		if _, err := NewSelfAvoidingWalk().Search(o, walk, 400); err != nil {
+			t.Fatal(err)
+		}
+		if view, ok := o.ViewOf(hub); !ok || view.tree == nil {
+			t.Fatal("the self-avoiding walk built no tree at the hub")
+		}
 	})
-	walk := rng.New(0)
-	for _, a := range allAlgorithms() {
-		t.Run(a.Name(), func(t *testing.T) {
-			steady(t, a.Name(), func() {
-				o, err := NewOracleShuffledScratch(g, 1, target, a.Knowledge(), 3, &s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				walk.Reseed(11)
-				if _, err := a.Search(o, walk, 400); err != nil {
-					t.Fatal(err)
-				}
-			})
-		})
-	}
 }

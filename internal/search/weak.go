@@ -76,11 +76,12 @@ func (*SelfAvoidingWalk) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result,
 			break
 		}
 		// A uniform unrevealed slot: the k-th in ascending order for a
-		// uniform k < Unresolved. Once every slot is known — the usual
-		// state of a hub the walk keeps returning to — no scan runs.
+		// uniform k < Unresolved, selected in O(log Degree). Once every
+		// slot is known — the usual state of a hub the walk keeps
+		// returning to — the draw is over all slots.
 		var slot int
 		if view.Unresolved > 0 {
-			slot = view.unresolvedSlot(r.Intn(view.Unresolved))
+			slot = o.selectUnresolved(view, r.Intn(view.Unresolved))
 		} else {
 			slot = r.Intn(view.Degree)
 		}
@@ -257,7 +258,8 @@ func (*IDGreedyWeak) Search(o *Oracle, r *rng.RNG, maxRequests int) (Result, err
 
 // greedyWeak is the shared engine of the weak-model greedy searchers:
 // repeatedly pick the discovered vertex minimizing priority among those
-// with unresolved slots, and resolve its first unresolved slot.
+// with unresolved slots, and resolve its first unresolved slot. The
+// heap holds only vertices that had an unresolved slot when pushed.
 func greedyWeak(o *Oracle, maxRequests int, priority func(v graph.Vertex, deg int) int64) (Result, error) {
 	h := &o.work().heaps[0]
 	h.reset()
@@ -265,23 +267,39 @@ func greedyWeak(o *Oracle, maxRequests int, priority func(v graph.Vertex, deg in
 	for !o.Found() && budgetLeft(o, maxRequests) {
 		for ; known < len(o.Discovered()); known++ {
 			v := o.Discovered()[known]
-			view, _ := o.ViewOf(v)
-			h.push(priority(v, view.Degree), v)
+			// A vertex discovered with no unresolved slot (a leaf
+			// reached through its only edge) can never be picked.
+			if view := o.views[v]; view.Unresolved > 0 {
+				h.push(priority(v, view.Degree), v)
+			}
 		}
-		e, ok := h.pop()
+		view, ok := unresolvedTop(o, h)
 		if !ok {
 			break // everything resolved: component exhausted
 		}
-		view, _ := o.ViewOf(e.v)
-		if view.Unresolved == 0 {
-			continue // stale entry
-		}
-		if _, _, err := o.RequestEdge(e.v, view.firstUnresolved()); err != nil {
+		if _, _, err := o.RequestEdge(view.ID, view.firstUnresolved()); err != nil {
 			return Result{}, err
-		}
-		if view.Unresolved > 0 {
-			h.push(e.prio, e.v) // still has slots: stays a candidate
 		}
 	}
 	return Result{Found: o.Found(), Requests: o.Requests()}, nil
+}
+
+// unresolvedTop returns the view of the lowest-priority vertex in h
+// that still has an unresolved slot, or false when none has. Slots only
+// ever resolve, so the entries above it are popped for good; the vertex
+// itself stays on top for as many requests as it serves and leaves the
+// heap once, when it surfaces with no slot left.
+//
+//sf:hotpath
+func unresolvedTop(o *Oracle, h *prioHeap) (*View, bool) {
+	for {
+		e, ok := h.peek()
+		if !ok {
+			return nil, false
+		}
+		if view := o.views[e.v]; view.Unresolved > 0 {
+			return view, true
+		}
+		h.pop()
+	}
 }
