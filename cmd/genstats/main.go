@@ -26,8 +26,9 @@
 // -seed then only drives the distance-sampling sources. -verify runs
 // the full O(n+m) structural validation before measuring (for
 // snapshots from untrusted sources). -threads sets how many goroutines
-// the within-trial passes use: frontier-parallel BFS for distances,
-// partitioned component labelling, and partitioned degree
+// the within-trial passes use: the bit-parallel multi-source BFS for
+// the mean distance and the frontier-parallel BFS for the diameter
+// bound, partitioned component labelling, and partitioned degree
 // histogram/maximum accumulation (0 = all cores). Every statistic is
 // byte-identical across thread counts.
 package main

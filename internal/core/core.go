@@ -35,10 +35,11 @@ import (
 
 // Scratch bundles the reusable buffers of one measurement worker: the
 // registry-wide model-generation scratches, the search oracle's
-// scratch, the per-replication RNGs, and BFS buffers for distance
-// measurements. The zero value is ready to use. One scratch belongs to
-// one worker goroutine; the engine's RunScratch hands each worker its
-// own. A trial draws only from its RNG and this scratch.
+// scratch, the per-replication RNGs, and the BFS scratch and dist
+// buffer of distance measurements. The zero value is ready to use. One
+// scratch belongs to one worker goroutine; the engine's RunScratch
+// hands each worker its own. A trial draws only from its RNG and this
+// scratch.
 //
 // Scratch is memory reuse only — every measurement is still a pure
 // function of (spec, rep), so a fresh scratch and one reused across
@@ -50,10 +51,11 @@ type Scratch struct {
 	Model  model.Scratch
 	Search search.Scratch
 
-	// Dist and Queue are BFS buffers for distance-based workloads
-	// (graph.BFSInto conventions: Dist needs length n+1).
-	Dist  []int32
-	Queue []graph.Vertex
+	// BFS and Dist are the traversal scratch and distance buffer of
+	// distance-based workloads (graph.BFSParallelInto conventions:
+	// Dist needs length n+1).
+	BFS  graph.BFSScratch
+	Dist []int32
 
 	// Degs is the reused degree-sample buffer behind DegreesOf, and
 	// any trial's that counts degrees itself.
@@ -76,13 +78,12 @@ func (s *Scratch) AttachTrace(w *trace.Writer) { s.tw = w }
 // are reused afterwards. It is the engine-facing scratch factory.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// BFSBuffers returns the scratch's BFS buffers sized for an n-vertex
-// graph (dist length n+1, queue capacity n), growing them on demand.
-// BFSInto overwrites dist fully, so plain Grow suffices.
-func (s *Scratch) BFSBuffers(n int) ([]int32, []graph.Vertex) {
+// BFSBuffers returns the scratch's dist buffer sized for an n-vertex
+// graph (length n+1), growing it on demand. The BFS passes overwrite
+// dist fully, so plain Grow suffices.
+func (s *Scratch) BFSBuffers(n int) []int32 {
 	s.Dist = buf.Grow(s.Dist, n+1)
-	s.Queue = buf.Grow(s.Queue, n)[:0]
-	return s.Dist, s.Queue
+	return s.Dist
 }
 
 // DegreesOf returns the undirected degree sample of g (vertices 1..n,

@@ -223,10 +223,10 @@ func PlanE7(cfg Config) (*Plan, error) {
 					for i := range sources {
 						sources[i] = graph.Vertex(r.IntRange(1, g.NumVertices()))
 					}
-					dist, queue := s.BFSBuffers(g.NumVertices())
+					dist := s.BFSBuffers(g.NumVertices())
 					return DistanceResult{
-						MeanDist: graph.AverageDistanceSampledInto(g, sources, dist, queue),
-						Diam:     graph.DoubleSweepLowerBoundInto(g, sources[0], dist, queue),
+						MeanDist: graph.AverageDistanceSampledParallelInto(g, sources, dist, 1, &s.BFS),
+						Diam:     graph.DoubleSweepLowerBoundParallelInto(g, sources[0], dist, 1, &s.BFS),
 					}, nil
 				})
 			cells = append(cells, cell{name: gspec.name, n: n, idx: idx})

@@ -135,12 +135,16 @@ func TestSnapshotRoundTripAllModels(t *testing.T) {
 // cores. After five warm-ups, each of 40 traversals is counted on its
 // own, since testing.AllocsPerRun's integer average hides any count
 // below one per run, and the last one's distances must match
-// BFSInto's. AllocsPerRun also runs its function with GOMAXPROCS 1,
-// where the last worker spawned takes nearly every chunk and the
-// shares barely vary, so this gate reads the allocation count around
-// each traversal itself, at GOMAXPROCS 2. The runtime allocates
-// goroutine descriptors until its free lists hold enough of them, so
-// the warm-up first runs a few hundred goroutines at once.
+// BFSInto's. Each also runs the sampled mean distance from 8 sources,
+// whose bottom-up levels fan out through the same spawn path, and the
+// last mean must equal the per-source reference's. AllocsPerRun also
+// runs its function with GOMAXPROCS 1, where the last worker spawned
+// takes nearly every chunk and the shares barely vary, so this gate
+// reads the allocation count around each traversal itself, at
+// GOMAXPROCS 2. The runtime allocates goroutine descriptors until its
+// free lists hold enough of them, and a thread record (runtime.newm)
+// whenever waking a goroutine finds no idle thread, so the warm-up
+// first runs a few hundred goroutines at once and parks 8 threads.
 func TestBFSParallelSteadyStateAllocsOnMori(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -155,25 +159,39 @@ func TestBFSParallelSteadyStateAllocsOnMori(t *testing.T) {
 	}
 	n := g.NumVertices()
 	want := make([]int32, n+1)
-	graph.BFSInto(g, 1, want, make([]graph.Vertex, 0, n))
+	queue := make([]graph.Vertex, 0, n)
+	graph.BFSInto(g, 1, want, queue)
+	r := rng.New(2)
+	sources := make([]graph.Vertex, 8)
+	for i := range sources {
+		sources[i] = graph.Vertex(r.IntRange(1, n))
+	}
+	wantMean := graph.AverageDistanceSampledInto(g, sources, make([]int32, n+1), queue)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	stockGoroutines(512)
+	stockThreads(8)
 	dist := make([]int32, n+1)
 	for _, workers := range []int{2, 4, 8} {
 		var s graph.BFSScratch
 		for i := 0; i < 5; i++ {
 			graph.BFSParallelInto(g, 1, dist, workers, &s)
+			graph.AverageDistanceSampledParallelInto(g, sources, dist, workers, &s)
 		}
 		allocating := 0
+		var mean float64
 		for i := 0; i < 40; i++ {
 			before := mallocs()
 			graph.BFSParallelInto(g, 1, dist, workers, &s)
+			mean = graph.AverageDistanceSampledParallelInto(g, sources, dist, workers, &s)
 			if mallocs() != before {
 				allocating++
 			}
 		}
 		if allocating > 0 {
 			t.Errorf("workers=%d: %d of 40 steady-state traversals allocated, want 0", workers, allocating)
+		}
+		if mean != wantMean {
+			t.Errorf("workers=%d: mean distance %v, want %v", workers, mean, wantMean)
 		}
 		for v := range dist {
 			if dist[v] != want[v] {
@@ -198,6 +216,29 @@ func stockGoroutines(k int) {
 	}
 	close(release)
 	wg.Wait()
+}
+
+// stockThreads locks k goroutines to threads of their own and blocks
+// them all at once, so that the runtime starts a thread for each, then
+// releases them; the threads stay idle, and waking a traversal's
+// workers finds one instead of starting (and allocating) a new one.
+func stockThreads(k int) {
+	var ready, done sync.WaitGroup
+	release := make(chan struct{})
+	ready.Add(k)
+	done.Add(k)
+	for i := 0; i < k; i++ {
+		go func() {
+			defer done.Done()
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+			ready.Done()
+			<-release
+		}()
+	}
+	ready.Wait()
+	close(release)
+	done.Wait()
 }
 
 // mallocs reads the process's cumulative count of heap allocations.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -65,12 +66,13 @@ const (
 const bfsBlock = 1024
 
 // BFSScratch holds the reusable state of frontier-parallel traversal:
-// the queue of settled vertices, sized for the largest graph seen, and
-// one record per worker. The zero value is ready to use; after a
-// warm-up call at a given size and worker count, subsequent traversals
-// allocate nothing, however a level's work splits between the workers.
-// A scratch belongs to one traversal at a time (one goroutine calls
-// in; the workers it fans out to are internal).
+// the queue of settled vertices and the multi-source pass's planes and
+// lists, sized for the largest graph seen, and one record per worker.
+// The zero value is ready to use; after a warm-up call at a given size
+// and worker count, subsequent traversals allocate nothing, however a
+// level's work splits between the workers. A scratch belongs to one
+// traversal at a time (one goroutine calls in; the workers it fans out
+// to are internal).
 type BFSScratch struct {
 	// queue holds a flood's vertices in the order they are settled,
 	// level after level, as in a serial BFS queue: a flood settles each
@@ -85,24 +87,48 @@ type BFSScratch struct {
 	// workers have reserved.
 	tail atomic.Int64
 
+	// The multi-source pass (AverageDistanceSampledParallelInto) keeps
+	// three byte planes, one byte per vertex, in which bit i belongs to
+	// source i of the batch: seen holds the sources that have reached
+	// the vertex, front those that reached it at the current level and
+	// next those that reach it at the level being expanded. full has a
+	// bit for each source of the batch. A top-down level expands from
+	// frontList, the vertices whose front byte is nonzero, into
+	// nextList (see growPlanes).
+	seen, front, next   []uint8
+	full                uint8
+	frontList, nextList []Vertex
+
 	// Per-level state read by the worker goroutines; written only
 	// between level barriers. A top-down level claims chunks of
-	// frontier[:work]; a bottom-up level claims chunks of the vertex
-	// ids 1..work.
+	// frontier[:work]; a bottom-up or pull level claims chunks of the
+	// vertex ids 1..work.
 	g        *Graph
 	target   []int32
 	writeVal int32
-	bottomUp bool
+	kind     levelKind
 	work     int
 	chunk    int
 
-	// Levels expanded in each direction over the scratch's lifetime;
-	// the tests read them to see that both directions ran.
+	// Levels expanded in each direction over the scratch's lifetime,
+	// by floods and multi-source passes alike; the tests read them to
+	// see that both directions ran.
 	topDownLevels, bottomUpLevels int
 }
 
+// levelKind is what the workers of a fanned-out level do with the
+// chunks they claim.
+type levelKind uint8
+
+const (
+	levelTopDown  levelKind = iota // expand frontier vertices (flood)
+	levelBottomUp                  // settle unvisited vertex ids (flood)
+	levelPull                      // pull a multi-source level into vertex ids
+)
+
 // bfsWorker is one worker's slot: its owning scratch, the block of
-// vertices it has settled but not yet copied into the queue, and a
+// vertices it has settled but not yet copied into the queue, the
+// (source, vertex) pairs its share of a pull level reached, and a
 // pre-bound spawn func. Spawning `go w.run()` directly would allocate
 // a fresh closure per level per worker (the compiler wraps the
 // receiver for newproc); binding the method value once and spawning
@@ -110,10 +136,11 @@ type BFSScratch struct {
 // block has a fixed size, so no share of a level, however large, makes
 // a worker allocate.
 type bfsWorker struct {
-	s     *BFSScratch
-	spawn func()
-	n     int // vertices held in block
-	block [bfsBlock]Vertex
+	s       *BFSScratch
+	spawn   func()
+	reached int64
+	n       int // vertices held in block
+	block   [bfsBlock]Vertex
 }
 
 // run claims chunks of the level's work until none remain and hands
@@ -131,10 +158,13 @@ type bfsWorker struct {
 // level. Only the claiming worker writes a vertex, so a plain atomic
 // store suffices; the loads are atomic because other workers store
 // level + 1 concurrently, a value no frontier test accepts.
+//
+// In a pull level it runs pullChunk over the claimed vertex ids and
+// adds up the pairs they reach; it settles nothing into the queue.
 func (w *bfsWorker) run() {
 	s := w.s
 	g, target, val := s.g, s.target, s.writeVal
-	w.n = 0
+	w.n, w.reached = 0, 0
 	chunk := s.chunk
 	for {
 		hi := int(s.cursor.Add(int64(chunk)))
@@ -145,7 +175,10 @@ func (w *bfsWorker) run() {
 		if hi > s.work {
 			hi = s.work
 		}
-		if s.bottomUp {
+		switch s.kind {
+		case levelPull:
+			w.reached += s.pullChunk(g, lo, hi)
+		case levelBottomUp:
 			level := val - 1
 			for v := Vertex(lo + 1); v <= Vertex(hi); v++ {
 				if target[v] != Unreachable {
@@ -159,19 +192,21 @@ func (w *bfsWorker) run() {
 					}
 				}
 			}
-			continue
-		}
-		for _, u := range s.frontier[lo:hi] {
-			for _, h := range g.Incident(u) {
-				o := h.Other
-				if atomic.LoadInt32(&target[o]) == Unreachable &&
-					atomic.CompareAndSwapInt32(&target[o], Unreachable, val) {
-					w.push(o)
+		default:
+			for _, u := range s.frontier[lo:hi] {
+				for _, h := range g.Incident(u) {
+					o := h.Other
+					if atomic.LoadInt32(&target[o]) == Unreachable &&
+						atomic.CompareAndSwapInt32(&target[o], Unreachable, val) {
+						w.push(o)
+					}
 				}
 			}
 		}
 	}
-	w.flush()
+	if w.n > 0 {
+		w.flush()
+	}
 	s.wg.Done()
 }
 
@@ -214,6 +249,21 @@ func (s *BFSScratch) ensureWorkers(workers int) {
 			w.spawn = w.run
 		}
 	}
+}
+
+// fanOut runs one level on workers goroutines, which claim chunks of
+// its work items (frontier entries or vertex ids) from the cursor until
+// none remain. The caller has set the level's other state.
+func (s *BFSScratch) fanOut(workers, work int) {
+	s.ensureWorkers(workers)
+	s.work = work
+	s.chunk = frontierChunk(work, workers)
+	s.cursor.Store(0)
+	s.wg.Add(workers)
+	for i := range s.workers {
+		go s.workers[i].spawn()
+	}
+	s.wg.Wait()
 }
 
 // seed starts a flood over an n-vertex graph from v alone, first
@@ -265,9 +315,9 @@ func (s *BFSScratch) flood(g *Graph, target []int32, workers int, levelValues bo
 		case bottomUp && len(s.frontier) < n/bfsTopDownBeta:
 			bottomUp, mayTurn = false, false
 		}
-		work := len(s.frontier)
+		work, kind := len(s.frontier), levelTopDown
 		if bottomUp {
-			work = n
+			work, kind = n, levelBottomUp
 			s.bottomUpLevels++
 		} else {
 			s.topDownLevels++
@@ -276,17 +326,9 @@ func (s *BFSScratch) flood(g *Graph, target []int32, workers int, levelValues bo
 		next := s.queue[tail:tail]
 		switch {
 		case workers > 1 && work >= bfsSerialFrontier:
-			s.ensureWorkers(workers)
-			s.g, s.target, s.writeVal = g, target, val
-			s.bottomUp, s.work = bottomUp, work
-			s.chunk = frontierChunk(work, workers)
-			s.cursor.Store(0)
+			s.g, s.target, s.writeVal, s.kind = g, target, val, kind
 			s.tail.Store(int64(tail))
-			s.wg.Add(workers)
-			for i := range s.workers {
-				go s.workers[i].spawn()
-			}
-			s.wg.Wait()
+			s.fanOut(workers, work)
 			next = s.queue[tail:s.tail.Load()]
 		case bottomUp:
 			for v := Vertex(1); v <= Vertex(n); v++ {
@@ -377,25 +419,20 @@ func BFSParallelInto(g *Graph, src Vertex, dist []int32, workers int, s *BFSScra
 	s.flood(g, dist, workers, true, 0)
 }
 
-// DoubleSweepLowerBoundInto returns a lower bound on the diameter of
-// src's component using the classic double-sweep heuristic: BFS from
-// src, then BFS again from the farthest vertex found. It runs BFSInto
-// on caller-provided buffers, for allocation-free reuse.
-func DoubleSweepLowerBoundInto(g *Graph, src Vertex, dist []int32, queue []Vertex) int {
-	return doubleSweep(g, src, dist, func(src Vertex) { BFSInto(g, src, dist, queue) })
-}
-
-// DoubleSweepLowerBoundParallelInto is DoubleSweepLowerBoundInto with
-// both sweeps running on the frontier-parallel BFS. The dist contract
-// matches BFSParallelInto; the result equals the serial double sweep
-// because each sweep's dist array does.
+// DoubleSweepLowerBoundParallelInto returns a lower bound on the
+// diameter of src's component using the classic double-sweep
+// heuristic: BFS from src, then BFS again from the farthest vertex
+// found, both on the frontier-parallel BFS. The dist contract matches
+// BFSParallelInto; the result equals the serial double sweep because
+// each sweep's dist array does.
 func DoubleSweepLowerBoundParallelInto(g *Graph, src Vertex, dist []int32, workers int, s *BFSScratch) int {
 	return doubleSweep(g, src, dist, func(src Vertex) { BFSParallelInto(g, src, dist, workers, s) })
 }
 
 // doubleSweep is the double sweep with bfs, which fills dist from a
-// source, as its traversal. bfs does not escape, so the callers'
-// closures stay on their stacks.
+// source, as its traversal; the tests' serial reference runs it on
+// BFSInto. bfs does not escape, so the callers' closures stay on their
+// stacks.
 //
 //sf:hotpath
 func doubleSweep(g *Graph, src Vertex, dist []int32, bfs func(src Vertex)) int {
@@ -418,42 +455,207 @@ func doubleSweep(g *Graph, src Vertex, dist []int32, bfs func(src Vertex)) int {
 	return int(ecc)
 }
 
-// AverageDistanceSampledInto estimates the mean pairwise distance
-// within the sources' components by running BFSInto from each source
-// on caller-provided buffers and averaging the finite nonzero
-// distances. sources must be non-empty.
-func AverageDistanceSampledInto(g *Graph, sources []Vertex, dist []int32, queue []Vertex) float64 {
-	return averageDistance(g, sources, dist, func(src Vertex) { BFSInto(g, src, dist, queue) })
-}
+// msBatch is the number of sources one bit-parallel BFS carries: one
+// bit of a plane byte each.
+const msBatch = 8
 
-// AverageDistanceSampledParallelInto is AverageDistanceSampledInto on
-// the frontier-parallel BFS: identical estimate (each source's dist
-// array is byte-identical to the serial one), one graph pass per
-// source spread over workers goroutines.
+// AverageDistanceSampledParallelInto estimates the mean pairwise
+// distance within the sources' components: the mean, over every source
+// and every other vertex it reaches, of their hop distance. A repeated
+// source counts once per occurrence; a source that reaches no other
+// vertex adds nothing, and the estimate is 0 when none does. sources
+// must be non-empty and in 1..n. dist is neither read nor written; it
+// stays in the signature for the callers that hold one. s may be nil
+// (fresh buffers); passing a reused *BFSScratch makes steady-state
+// passes allocation-free.
+//
+// The sources run in batches of up to 8 through one bit-parallel BFS
+// (Then et al., "The More the Merrier", VLDB 2014), so the batch's
+// frontiers share each level's scan: top-down levels expand serially
+// from the frontier's vertex list while its half-edges are at most
+// 2m / bfsBottomUpAlpha, and every later level of the batch runs
+// bottom-up over the vertex ids on up to workers goroutines, inline
+// when workers <= 1 (DESIGN.md §8.3).
+//
+// Each newly reached (source, vertex) pair adds its level to an int64
+// sum and 1 to an int64 count, so neither depends on the schedule or
+// the worker count. The result, float64(sum) / float64(count), is the
+// float that adding each distance to a float64 one at a time gives, as
+// long as every partial sum is an integer below 2^53: the sum is at
+// most len(sources) · n · diameter.
+//
+//sf:hotpath
 func AverageDistanceSampledParallelInto(g *Graph, sources []Vertex, dist []int32, workers int, s *BFSScratch) float64 {
-	return averageDistance(g, sources, dist, func(src Vertex) { BFSParallelInto(g, src, dist, workers, s) })
-}
-
-// averageDistance is the sampled mean distance with bfs, which fills
-// dist from a source, as its traversal.
-func averageDistance(g *Graph, sources []Vertex, dist []int32, bfs func(src Vertex)) float64 {
 	if len(sources) == 0 {
 		panic("graph: AverageDistanceSampled needs at least one source")
 	}
 	n := g.NumVertices()
-	var sum float64
-	var count int64
 	for _, src := range sources {
-		bfs(src)
-		for v := 1; v <= n; v++ {
-			if dist[v] > 0 {
-				sum += float64(dist[v])
-				count++
-			}
+		if src <= 0 || int(src) > n {
+			panic("graph: BFS source out of range")
 		}
+	}
+	if s == nil {
+		s = &BFSScratch{}
+	}
+	s.growPlanes(g)
+	var sum, count int64
+	for len(sources) > 0 {
+		batch := sources[:min(len(sources), msBatch)]
+		sources = sources[len(batch):]
+		bs, bc := s.distanceBatch(g, batch, workers)
+		sum += bs
+		count += bc
 	}
 	if count == 0 {
 		return 0
 	}
-	return sum / float64(count)
+	return float64(sum) / float64(count)
+}
+
+// pushLimit is the most half-edges a multi-source frontier may have for
+// its level to run top-down: 2m / bfsBottomUpAlpha. A top-down level
+// reaches at most as many new vertices as its frontier has half-edges,
+// so the bound also sizes the vertex lists.
+func pushLimit(g *Graph) int { return 2 * g.NumEdges() / bfsBottomUpAlpha }
+
+// growPlanes gives the multi-source planes a byte per vertex of g and
+// its vertex lists max(pushLimit, msBatch) entries, enough for a
+// top-down level's new vertices and for a batch's sources. They are
+// allocated only when g is larger than every graph before it.
+func (s *BFSScratch) growPlanes(g *Graph) {
+	if n := g.NumVertices() + 1; len(s.seen) < n {
+		s.seen, s.front, s.next = make([]uint8, n), make([]uint8, n), make([]uint8, n)
+	}
+	if l := max(pushLimit(g), msBatch); len(s.frontList) < l {
+		s.frontList, s.nextList = make([]Vertex, l), make([]Vertex, l)
+	}
+}
+
+// distanceBatch runs one batch of up to msBatch sources through the
+// bit-parallel BFS and returns the sum of the levels at which each
+// (source, vertex) pair is first reached and the number of such pairs,
+// the sources' own level 0 left out. Levels run top-down while the
+// frontier's half-edges are at most pushLimit; from the first level
+// past it, every level of the batch runs bottom-up.
+//
+//sf:hotpath
+func (s *BFSScratch) distanceBatch(g *Graph, batch []Vertex, workers int) (sum, pairs int64) {
+	n := g.NumVertices()
+	clear(s.seen[:n+1])
+	clear(s.front[:n+1])
+	clear(s.next[:n+1])
+	s.full = uint8(1<<len(batch) - 1)
+	list := s.frontList[:0]
+	for i, src := range batch {
+		if s.front[src] == 0 {
+			list = append(list, src)
+		}
+		s.front[src] |= 1 << i
+		s.seen[src] |= 1 << i
+	}
+	limit := pushLimit(g)
+	pull := false
+	for level := int64(1); ; level++ {
+		pull = pull || halvesOf(g, list) > limit
+		var reached int64
+		if pull {
+			s.bottomUpLevels++
+			reached = s.pullLevel(g, workers)
+		} else {
+			s.topDownLevels++
+			list, reached = s.pushLevel(g, list)
+		}
+		if reached == 0 {
+			return sum, pairs
+		}
+		sum += level * reached
+		pairs += reached
+		s.front, s.next = s.next, s.front
+	}
+}
+
+// pushLevel expands a top-down level from list, the vertices whose
+// front byte is nonzero: each one's front bits that a neighbour has not
+// seen go into the neighbour's next and seen bytes. It clears the
+// frontier's front bytes, so that the front plane is all zero when it
+// becomes the next one, and returns the newly reached vertices, in the
+// list the frontier did not use, and the number of pairs reached.
+//
+//sf:hotpath
+func (s *BFSScratch) pushLevel(g *Graph, list []Vertex) ([]Vertex, int64) {
+	seen, front, next := s.seen, s.front, s.next
+	out := s.nextList[:0]
+	reached := 0
+	for _, u := range list {
+		f := front[u]
+		for _, h := range g.Incident(u) {
+			o := h.Other
+			fresh := f &^ seen[o]
+			if fresh == 0 {
+				continue
+			}
+			if next[o] == 0 {
+				out = append(out, o)
+			}
+			next[o] |= fresh
+			seen[o] |= fresh
+			reached += bits.OnesCount8(fresh)
+		}
+		front[u] = 0
+	}
+	s.frontList, s.nextList = s.nextList, s.frontList
+	return out, int64(reached)
+}
+
+// pullLevel expands a bottom-up level over every vertex id and returns
+// the pairs it reached. It fans out to the workers through the cursor,
+// chunking and spawn path of flood, and runs inline when workers <= 1
+// or the graph has fewer than bfsSerialFrontier vertices.
+//
+//sf:hotpath
+func (s *BFSScratch) pullLevel(g *Graph, workers int) int64 {
+	n := g.NumVertices()
+	if workers <= 1 || n < bfsSerialFrontier {
+		return s.pullChunk(g, 0, n)
+	}
+	s.g, s.kind = g, levelPull
+	s.fanOut(workers, n)
+	var reached int64
+	for i := range s.workers {
+		reached += s.workers[i].reached
+	}
+	return reached
+}
+
+// pullChunk expands the vertex ids lo+1..hi of a bottom-up level and
+// returns the pairs they reached. A vertex that some source has not
+// reached ORs its neighbours' front bytes until they cover its missing
+// bits, and keeps the new ones; one that every source has reached costs
+// a byte test and clears its next byte. Only the claiming worker writes
+// a vertex's seen and next bytes, and front is read-only during a
+// level, so concurrent chunks need no atomics.
+//
+//sf:hotpath
+func (s *BFSScratch) pullChunk(g *Graph, lo, hi int) int64 {
+	seen, front, next, full := s.seen, s.front, s.next, s.full
+	reached := 0
+	for v := Vertex(lo + 1); v <= Vertex(hi); v++ {
+		missing := full &^ seen[v]
+		if missing == 0 {
+			next[v] = 0
+			continue
+		}
+		got := uint8(0)
+		for _, h := range g.Incident(v) {
+			if got |= front[h.Other]; got&missing == missing {
+				break
+			}
+		}
+		got &= missing
+		next[v] = got
+		seen[v] |= got
+		reached += bits.OnesCount8(got)
+	}
+	return int64(reached)
 }

@@ -232,44 +232,89 @@ func TestComponentsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// distanceSources are the sampled-distance tests' 11 sources on a
+// 3000-vertex graph: two batches of the multi-source pass, and 17
+// twice, so that one vertex holds two bits of a byte.
+var distanceSources = []Vertex{1, 17, 1500, 3000, 17, 250, 999, 2048, 2999, 42, 7}
+
+// twoComponentGraph returns a connected random multigraph on vertices
+// 1..1500 (a spanning path plus 3000 random edges), a path on
+// 1501..2100 with a 40-leaf star hung off 1800, and vertex 2141
+// isolated.
+func twoComponentGraph() *Graph {
+	const a, b, leaves = 1500, 600, 40
+	n := a + b + leaves + 1
+	r := rng.New(33)
+	bl := NewBuilder(n, a+2*a+b+leaves)
+	bl.AddVertices(n)
+	for v := Vertex(1); v < a; v++ {
+		bl.AddEdge(v, v+1)
+	}
+	for i := 0; i < 2*a; i++ {
+		bl.AddEdge(Vertex(r.IntRange(1, a)), Vertex(r.IntRange(1, a)))
+	}
+	for v := Vertex(a + 1); v < a+b; v++ {
+		bl.AddEdge(v, v+1)
+	}
+	for v := Vertex(a + b + 1); v <= a+b+leaves; v++ {
+		bl.AddEdge(1800, v)
+	}
+	return bl.Freeze()
+}
+
 // TestDistancePassesParallelMatchSerial pins the derived passes the
-// CLIs use: double sweep and sampled mean distance.
+// CLIs and E7 use, double sweep and sampled mean distance, to their
+// serial references at every worker count, on one scratch. The mean
+// runs distanceSources on a random multigraph, and on
+// twoComponentGraph sources in both components and the isolated
+// vertex, whose pairs count nowhere. Both graphs' mean passes must run
+// levels in both directions.
 func TestDistancePassesParallelMatchSerial(t *testing.T) {
-	g := randomMultigraph(rng.New(31), 3000, 9000)
-	n := g.NumVertices()
-	dist := make([]int32, n+1)
-	queue := make([]Vertex, 0, n)
-	sources := []Vertex{1, 17, 1500, 3000}
+	for _, tc := range []struct {
+		name    string
+		g       *Graph
+		sources []Vertex
+	}{
+		{"random multigraph", randomMultigraph(rng.New(31), 3000, 9000), distanceSources},
+		{"two components", twoComponentGraph(), []Vertex{2141, 3, 1501, 900, 2141, 2120, 1800, 1499, 2100, 3}},
+	} {
+		g := tc.g
+		n := g.NumVertices()
+		dist := make([]int32, n+1)
+		queue := make([]Vertex, 0, n)
+		wantDiam := DoubleSweepLowerBoundInto(g, tc.sources[0], dist, queue)
+		wantMean := AverageDistanceSampledInto(g, tc.sources, dist, queue)
 
-	wantDiam := DoubleSweepLowerBoundInto(g, sources[0], dist, queue)
-	wantMean := AverageDistanceSampledInto(g, sources, dist, queue)
-
-	var s BFSScratch
-	for _, workers := range workerCounts() {
-		if got := DoubleSweepLowerBoundParallelInto(g, sources[0], dist, workers, &s); got != wantDiam {
-			t.Errorf("workers=%d: double sweep %d, want %d", workers, got, wantDiam)
+		var s, mean BFSScratch
+		for _, workers := range workerCounts() {
+			if got := DoubleSweepLowerBoundParallelInto(g, tc.sources[0], dist, workers, &s); got != wantDiam {
+				t.Errorf("%s, workers=%d: double sweep %d, want %d", tc.name, workers, got, wantDiam)
+			}
+			if got := AverageDistanceSampledParallelInto(g, tc.sources, dist, workers, &mean); got != wantMean {
+				t.Errorf("%s, workers=%d: mean distance %v, want %v", tc.name, workers, got, wantMean)
+			}
 		}
-		if got := AverageDistanceSampledParallelInto(g, sources, dist, workers, &s); got != wantMean {
-			t.Errorf("workers=%d: mean distance %g, want %g", workers, got, wantMean)
+		if mean.topDownLevels == 0 || mean.bottomUpLevels == 0 {
+			t.Errorf("%s: the mean ran %d top-down and %d bottom-up levels, want both directions",
+				tc.name, mean.topDownLevels, mean.bottomUpLevels)
 		}
 	}
 }
 
-// TestDistancePassesAllocFree: the serial and parallel distance passes
-// hand their shared bodies the BFS they run as closures, which must
-// stay on the stack, so a warm pass allocates nothing.
+// TestDistancePassesAllocFree: the parallel double sweep hands its
+// body the BFS it runs as a closure, which must stay on the stack, and
+// the mean distance's planes and lists are sized once, so a warm pass
+// allocates nothing, inline and fanned out.
 func TestDistancePassesAllocFree(t *testing.T) {
 	g := randomMultigraph(rng.New(32), 3000, 9000)
-	n := g.NumVertices()
-	dist := make([]int32, n+1)
-	queue := make([]Vertex, 0, n)
-	sources := []Vertex{1, 17, 1500, 3000}
+	dist := make([]int32, g.NumVertices()+1)
 	var s BFSScratch
 	passes := map[string]func(){
-		"double sweep":           func() { DoubleSweepLowerBoundInto(g, 1, dist, queue) },
-		"parallel double sweep":  func() { DoubleSweepLowerBoundParallelInto(g, 1, dist, 2, &s) },
-		"mean distance":          func() { AverageDistanceSampledInto(g, sources, dist, queue) },
-		"parallel mean distance": func() { AverageDistanceSampledParallelInto(g, sources, dist, 2, &s) },
+		"parallel double sweep": func() { DoubleSweepLowerBoundParallelInto(g, 1, dist, 2, &s) },
+		"parallel mean distance": func() {
+			AverageDistanceSampledParallelInto(g, distanceSources, dist, 1, &s)
+			AverageDistanceSampledParallelInto(g, distanceSources, dist, 2, &s)
+		},
 	}
 	for name, pass := range passes {
 		pass()

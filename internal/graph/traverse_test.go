@@ -29,17 +29,38 @@ func Eccentricity(g *Graph, src Vertex) int {
 	return int(ecc)
 }
 
+// DoubleSweepLowerBoundInto is the double sweep on the serial BFSInto,
+// the reference for DoubleSweepLowerBoundParallelInto.
+func DoubleSweepLowerBoundInto(g *Graph, src Vertex, dist []int32, queue []Vertex) int {
+	return doubleSweep(g, src, dist, func(src Vertex) { BFSInto(g, src, dist, queue) })
+}
+
 // DoubleSweepLowerBound is DoubleSweepLowerBoundInto on fresh buffers.
 func DoubleSweepLowerBound(g *Graph, src Vertex) int {
 	n := g.NumVertices()
 	return DoubleSweepLowerBoundInto(g, src, make([]int32, n+1), make([]Vertex, 0, n))
 }
 
-// AverageDistanceSampled is AverageDistanceSampledInto on fresh
-// buffers.
-func AverageDistanceSampled(g *Graph, sources []Vertex) float64 {
+// AverageDistanceSampledInto is the reference for
+// AverageDistanceSampledParallelInto: one BFSInto per source, adding
+// each finite nonzero distance to a float64 sum one value at a time.
+func AverageDistanceSampledInto(g *Graph, sources []Vertex, dist []int32, queue []Vertex) float64 {
 	n := g.NumVertices()
-	return AverageDistanceSampledInto(g, sources, make([]int32, n+1), make([]Vertex, 0, n))
+	var sum float64
+	var count int64
+	for _, src := range sources {
+		BFSInto(g, src, dist, queue)
+		for v := 1; v <= n; v++ {
+			if dist[v] > 0 {
+				sum += float64(dist[v])
+				count++
+			}
+		}
+	}
+	if count == 0 {
+		return 0
+	}
+	return sum / float64(count)
 }
 
 // ExactDiameter computes the exact diameter of a connected graph by
@@ -172,9 +193,9 @@ func TestDoubleSweepNeverExceedsDiameter(t *testing.T) {
 func TestAverageDistanceSampledPath(t *testing.T) {
 	g := buildPath(3)
 	// From source 1: distances 1 and 2 -> mean 1.5.
-	got := AverageDistanceSampled(g, []Vertex{1})
+	got := AverageDistanceSampledParallelInto(g, []Vertex{1}, nil, 1, nil)
 	if got != 1.5 {
-		t.Errorf("AverageDistanceSampled = %v, want 1.5", got)
+		t.Errorf("AverageDistanceSampledParallelInto = %v, want 1.5", got)
 	}
 }
 
@@ -184,5 +205,5 @@ func TestAverageDistancePanicsWithoutSources(t *testing.T) {
 			t.Fatal("expected panic for empty source list")
 		}
 	}()
-	AverageDistanceSampled(buildPath(3), nil)
+	AverageDistanceSampledParallelInto(buildPath(3), nil, nil, 1, nil)
 }
