@@ -289,7 +289,7 @@ func (o *options) validate() error {
 	// timeline — a plain run, or the coordinator (which merges every
 	// worker's spans off the wire). Workers are traced remotely: the
 	// lease protocol enables their recorders, and their spans ship back
-	// on COMPLETE.
+	// on SPANS lines.
 	if o.tracePath != "" && o.mode() != "run" && o.mode() != "coordinate" {
 		return fmt.Errorf("-trace writes the sweep timeline from a plain run or a coordinator; workers are traced through the lease protocol")
 	}
@@ -682,7 +682,7 @@ func runCoordinator(ctx context.Context, selected []experiment.Experiment, cfg e
 func runWorker(ctx context.Context, selected []experiment.Experiment, cfg experiment.Config, o *options, cache *sweep.Cache, events *obs.EventLog) error {
 	// The worker always carries a recorder, but disabled: the lease
 	// protocol switches it on when the coordinator is tracing, and the
-	// worker's spans ship back on COMPLETE lines — no local trace file,
+	// worker's spans ship back on SPANS lines — no local trace file,
 	// no worker-side tracing flag.
 	rec := trace.New()
 	rec.SetEnabled(false)

@@ -32,10 +32,9 @@
 // window all exit nonzero — a trace that fails here indicates a
 // recording bug, and CI runs this tool against a coordinated sweep's
 // trace to pin exactly that. A lossy trace exits nonzero too: when a
-// trace writer overflowed, or a worker's span batch outgrew its wire
-// budget, the recorder writes a trace_dropped instant, and the spans
-// it lost would show up as idle time on the critical path and the
-// lanes.
+// worker's span batch reached the coordinator but did not decode, the
+// recorder writes a trace_dropped instant, and the spans it lost would
+// show up as idle time on the critical path and the lanes.
 //
 // -json emits the full analysis as one JSON object instead of text.
 package main

@@ -196,8 +196,8 @@ func TestRejectsBrokenTraces(t *testing.T) {
 		}, "no matching start"},
 		{"not json", nil, "parsing trace"},
 		{"dropped records", append(fixture(), event{Name: "trace_dropped", Cat: "trace", Ph: "i",
-			Args: map[string]string{"detail": "7 records lost to writer overflow"}}),
-			"trace_dropped (7 records lost to writer overflow)"},
+			Args: map[string]string{"detail": "7 records lost in worker span batches that did not decode"}}),
+			"trace_dropped (7 records lost in worker span batches that did not decode)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -219,11 +219,11 @@ func TestRejectsBrokenTraces(t *testing.T) {
 	}
 }
 
-// TestRejectsLossyRecording records more spans than a real recorder's
-// writer holds and checks that the CLI refuses the exported trace.
+// TestRejectsLossyRecording merges a worker's span batch that does not
+// decode into a real recorder, beside a whole local recording, and
+// checks that the CLI refuses the exported trace.
 func TestRejectsLossyRecording(t *testing.T) {
 	rec := trace.New()
-	rec.WriterCap = 8
 	w := rec.Writer()
 	for i := 0; i < 20; i++ {
 		w.Begin("trial", "trial")
@@ -232,8 +232,9 @@ func TestRejectsLossyRecording(t *testing.T) {
 		w.End()
 	}
 	rec.Release(w)
-	if rec.Dropped() == 0 {
-		t.Fatal("the recorder dropped nothing; lower WriterCap")
+	rec.Merge("worker", 4, []byte{1, 'B'})
+	if rec.Dropped() != 4 {
+		t.Fatalf("the recorder counted %d dropped records, want the batch's 4", rec.Dropped())
 	}
 	path := filepath.Join(t.TempDir(), "trace.json")
 	f, err := os.Create(path)
@@ -247,7 +248,7 @@ func TestRejectsLossyRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = run([]string{path})
-	if err == nil || !strings.Contains(err.Error(), "records lost to writer overflow") {
+	if err == nil || !strings.Contains(err.Error(), "4 records lost in worker span batches") {
 		t.Errorf("sweeptrace on a lossy trace: err = %v, want a trace_dropped rejection", err)
 	}
 }

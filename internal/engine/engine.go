@@ -149,7 +149,6 @@ func RunScratch[T, S any](ctx context.Context, trials []Trial, opts Options, new
 					continue
 				}
 				res, elapsed, err := runTrial(ctx, trials[i], scratch, tw, fn)
-				opts.Trace.Flush(tw) // no span is open between trials
 				if err != nil {
 					errs[i] = err
 					cancel()

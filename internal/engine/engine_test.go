@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"scalefree/internal/obs/trace"
 	"scalefree/internal/rng"
@@ -108,24 +110,32 @@ func TestRunErrorCarriesTrialKey(t *testing.T) {
 	}
 }
 
+// TestRunErrorCancelsRemainingTrials: trial 0 fails on one of two
+// workers while the other holds trial 1 until the run's context is
+// cancelled, so no third trial may start. The hold gives up after
+// 100 ms, so an engine that does not cancel fails the test instead of
+// hanging it.
 func TestRunErrorCancelsRemainingTrials(t *testing.T) {
 	trials := makeTrials(100)
-	var ran sync.Map
+	boom := errors.New("early failure")
+	var started atomic.Int64
 	_, err := run(context.Background(), trials, Options{Workers: 2},
-		func(_ context.Context, t Trial, _ *rng.RNG) (int, error) {
-			ran.Store(t.Index, true)
+		func(ctx context.Context, t Trial, _ *rng.RNG) (int, error) {
+			started.Add(1)
 			if t.Index == 0 {
-				return 0, errors.New("early failure")
+				return 0, boom
+			}
+			select {
+			case <-ctx.Done():
+			case <-time.After(100 * time.Millisecond):
 			}
 			return t.Index, nil
 		})
-	if err == nil {
-		t.Fatal("expected error")
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want trial 0's failure", err)
 	}
-	count := 0
-	ran.Range(func(_, _ any) bool { count++; return true })
-	if count == len(trials) {
-		t.Error("failure did not stop trial scheduling: every trial still ran")
+	if n := started.Load(); n > 2 {
+		t.Errorf("%d trials started; the failure must stop scheduling at the 2 already running", n)
 	}
 }
 
@@ -338,10 +348,9 @@ func trialSpans(t *testing.T, recs []trace.Record) map[string]int64 {
 }
 
 // TestTraceKeepsEveryTrialSpan: a plan whose records exceed the writer
-// capacity many times over loses nothing, because the engine hands a
-// half-full writer to the recorder at each trial boundary; and each
-// trial's span lasts exactly its Progress.Elapsed, since both come
-// from the engine's one clock pair.
+// capacity many times over loses nothing, because a full writer hands
+// its records to the recorder; and each trial's span lasts exactly its
+// Progress.Elapsed, since both come from the engine's one clock pair.
 func TestTraceKeepsEveryTrialSpan(t *testing.T) {
 	trials := makeTrials(300) // 1,800 records through 16-record writers
 	rec, recs, progress := tracedRun(t, trials, 16)
@@ -393,19 +402,29 @@ func TestTracePanicInsidePhaseEndsTrialSpan(t *testing.T) {
 	}
 }
 
-// TestTraceTinyWriterReportsLoss: a writer smaller than one trial's
-// records cannot be saved by flushing, and the export says so.
-func TestTraceTinyWriterReportsLoss(t *testing.T) {
-	rec, recs, _ := tracedRun(t, makeTrials(20), 4)
-	if rec.Dropped() == 0 {
-		t.Fatal("a 4-record writer recorded 6-record trials without loss")
+// TestTraceTinyWriterKeepsEveryTrial: a 4-record writer keeps all
+// twenty 6-record trials, each trial span lasting its Progress.Elapsed,
+// and the export carries no trace_dropped instant.
+func TestTraceTinyWriterKeepsEveryTrial(t *testing.T) {
+	trials := makeTrials(20)
+	rec, recs, progress := tracedRun(t, trials, 4)
+	if d := rec.Dropped(); d != 0 || len(recs) != 6*len(trials) {
+		t.Fatalf("kept %d of %d records, %d dropped", len(recs), 6*len(trials), d)
 	}
-	trialSpans(t, recs) // what was kept still nests
+	spans := trialSpans(t, recs)
+	if len(spans) != len(trials) {
+		t.Fatalf("%d trial spans for %d trials", len(spans), len(trials))
+	}
+	for _, p := range progress {
+		if got := spans[p.Trial.Key]; got != int64(p.Elapsed) {
+			t.Fatalf("trial %s: span lasts %d ns, Progress.Elapsed %d ns", p.Trial.Key, got, int64(p.Elapsed))
+		}
+	}
 	var buf strings.Builder
 	if err := rec.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"trace_dropped"`) {
-		t.Fatal("a lossy trace exported no trace_dropped instant")
+	if strings.Contains(buf.String(), `"trace_dropped"`) {
+		t.Fatal("a whole trace exported a trace_dropped instant")
 	}
 }

@@ -34,7 +34,7 @@ type traceEvent struct {
 // TestGoldenTracedChaosSweep is the determinism-boundary guarantee for
 // the tracing layer: a coordinated chaos sweep with full tracing on —
 // coordinator recorder, wire-propagated contexts, worker span batches
-// riding COMPLETE lines — still renders tables matching the untraced
+// riding SPANS lines — still renders tables matching the untraced
 // single-process run's recorded digest, and the merged timeline it
 // exports is structurally sound Chrome trace JSON: every B has its E in
 // stack order per (pid,tid) lane, and every flow 'f' terminates a flow

@@ -6,112 +6,54 @@ import (
 )
 
 // Wire batch codec: the worker ships its span records to the
-// coordinator hex-encoded on the COMPLETE line, so the format must be
-// compact, line-safe, and truncatable without corruption. Layout:
+// coordinator hex-encoded on SPANS lines, so the format must be compact
+// and line-safe. Layout:
 //
 //	byte 0        codec version (1)
 //	per record    ph(1) tid(4 LE) ts(8 LE) id(8 LE)
 //	              nameLen(2 LE) name  catLen(2 LE) cat  argLen(2 LE) arg
 //
-// Records are encoded oldest-first. A batch over its byte budget drops
-// its newest whole spans, as a Writer does: a Begin is kept only with
-// room for its own End and the Ends of every span kept open, and a
-// dropped Begin takes everything nested in it on its lane, End
-// included. So a truncated batch still nests, and a kept lease span
-// keeps its End. A batch holds at least one record, and every record
-// has one of the phases the recorder writes, so the decoder accepts
-// exactly what the encoder can produce.
+// Records are encoded oldest-first, and a run of records too large for
+// one batch is cut into several at record boundaries, so no record is
+// ever dropped. Each string is clipped to 0xffff bytes, so one record
+// encodes to at most recordOverhead + 3·0xffff = 196,632 bytes. A
+// batch holds at least one record, and every record has one of the
+// phases the recorder writes, so the decoder accepts exactly what the
+// encoder can produce.
 
 const codecVersion = 1
 
 // recordOverhead is the fixed per-record encoding size.
 const recordOverhead = 1 + 4 + 8 + 8 + 2 + 2 + 2
 
-// The loss record DrainBatch appends to a batch that lost records;
-// lossRoom is its largest encoding (a count of up to 20 digits).
-const (
-	lossName = "trace_dropped"
-	lossCat  = "trace"
-	lossRoom = recordOverhead + len(lossName) + len(lossCat) + 20
-)
-
-// EncodeBatch encodes records into at most max bytes, dropping the
-// newest whole spans that do not fit. It returns the encoding (nil when
-// no record fits) and the number of records dropped.
-func EncodeBatch(recs []Record, max int) ([]byte, int) {
-	keep, size := fit(recs, max)
-	if size == 0 {
-		return nil, len(recs)
-	}
-	buf := make([]byte, 1, size)
-	buf[0] = codecVersion
-	kept := 0
-	for i, rec := range recs {
-		if keep[i] {
-			buf = appendRecord(buf, rec)
-			kept++
-		}
-	}
-	return buf, len(recs) - kept
+// Batch is one encoded run of consecutive records.
+type Batch struct {
+	N    int    // records in the batch
+	Data []byte // the encoding, version byte first
 }
 
-// fit chooses the records EncodeBatch keeps under a budget of max
-// bytes and returns them as a mask with the encoding's size (0 when
-// none fits).
-func fit(recs []Record, max int) ([]bool, int) {
-	if len(recs) == 0 || max < 1+recordOverhead {
-		return nil, 0
-	}
-	// pair[i] is the index of the record that closes or opens record
-	// i's span on its lane, or -1 when record i is not half of a span
-	// in this batch.
-	pair := make([]int, len(recs))
-	open := map[int32][]int{}
-	for i, rec := range recs {
-		pair[i] = -1
-		switch st := open[rec.TID]; rec.Ph {
-		case 'B':
-			open[rec.TID] = append(st, i)
-		case 'E':
-			if n := len(st); n > 0 {
-				pair[i], pair[st[n-1]] = st[n-1], i
-				open[rec.TID] = st[:n-1]
-			}
+// EncodeBatches encodes records, oldest first, into consecutive batches
+// of at most max bytes each, cut at record boundaries, so every record
+// lands in exactly one batch. A batch outgrows max only when its one
+// record alone does, which no max above 196,632 allows. No record
+// means no batch.
+func EncodeBatches(recs []Record, max int) []Batch {
+	var out []Batch
+	for len(recs) > 0 {
+		n, size := 1, 1+encodedSize(recs[0])
+		for n < len(recs) && size+encodedSize(recs[n]) <= max {
+			size += encodedSize(recs[n])
+			n++
 		}
-	}
-	keep := make([]bool, len(recs))
-	skip := map[int32]int{} // lane → the End of the span being dropped
-	used, reserved := 1, 0
-	for i, rec := range recs {
-		if end, ok := skip[rec.TID]; ok {
-			if i == end {
-				delete(skip, rec.TID)
-			}
-			continue
+		buf := make([]byte, 1, size)
+		buf[0] = codecVersion
+		for _, rec := range recs[:n] {
+			buf = appendRecord(buf, rec)
 		}
-		need := encodedSize(rec)
-		switch p := pair[i]; {
-		case p >= 0 && p < i: // the End of a kept span: its room is reserved
-			reserved -= need
-		case p > i: // a Begin: keep it only with room for its End
-			end := encodedSize(recs[p])
-			if used+need+reserved+end > max {
-				skip[rec.TID] = p
-				continue
-			}
-			reserved += end
-		default:
-			if used+need+reserved > max {
-				continue
-			}
-		}
-		used += need
-		keep[i] = true
+		out = append(out, Batch{N: n, Data: buf})
+		recs = recs[n:]
 	}
-	if used == 1 {
-		return nil, 0
-	}
-	return keep, used
+	return out
 }
 
 func encodedSize(rec Record) int {
@@ -128,7 +70,7 @@ func appendRecord(buf []byte, rec Record) []byte {
 	return appendString(buf, clip(rec.Arg))
 }
 
-// DecodeBatch parses an EncodeBatch payload. An empty payload is an
+// DecodeBatch parses one EncodeBatches payload. An empty payload is an
 // empty batch; a version byte with no record, or a phase the recorder
 // never writes, is an error, since Merge copies remote records straight
 // into the export.

@@ -8,24 +8,25 @@ import (
 )
 
 // FuzzDecodeBatch feeds arbitrary bytes to DecodeBatch, which decodes
-// the span batches remote workers ship on their COMPLETE lines, and
-// re-encodes what it accepts, in full and under a fuzzed byte budget.
-// Seed corpora live in testdata/fuzz/FuzzDecodeBatch: a batch with
-// nested spans, an instant and a flow pair, its truncations, an
-// over-budget cut, and the inputs the decoder must refuse (a lone
-// version byte, a phase the recorder never writes). For any bytes:
+// the span batches remote workers ship on their SPANS lines, and
+// re-encodes what it accepts, in full and split. Seed corpora live in
+// testdata/fuzz/FuzzDecodeBatch: a batch with nested spans, an instant
+// and a flow pair, its truncations, and the inputs the decoder must
+// refuse (a lone version byte, a phase the recorder never writes). For
+// any bytes:
 //   - no input panics;
 //   - decoding allocates at most four times the input's size;
 //   - a decoded batch re-encodes to exactly its bytes;
-//   - under any budget the encoding fits, decodes to exactly the
-//     records EncodeBatch kept, in order, and keeps or drops each span
-//     whole, so a batch that nests still nests when cut.
+//   - the decoded records, repeated reps%64 times, split under the
+//     tightest budget every record fits into batches that each fit,
+//     that could not have taken their successor's first record, and
+//     that decode in order to every record; no record makes no batch.
 //
 // The heap counter the allocation bound reads credits a size class's
 // earlier allocations when a span is refilled, so a small decode can
 // read as tens of KiB; the 1 MiB slack covers that.
 func FuzzDecodeBatch(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte, budget uint16) {
+	f.Fuzz(func(t *testing.T, data []byte, reps uint16) {
 		allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 		metrics.Read(allocs)
 		before := allocs[0].Value.Uint64()
@@ -38,43 +39,38 @@ func FuzzDecodeBatch(f *testing.F) {
 			return
 		}
 
-		full, dropped := EncodeBatch(recs, len(data))
-		if dropped != 0 || !bytes.Equal(full, data) {
-			t.Fatalf("batch re-encodes to different bytes (%d dropped):\n got %x\nwant %x", dropped, full, data)
+		if full := EncodeBatches(recs, len(data)); len(full) != min(len(recs), 1) || len(full) > 0 && !bytes.Equal(full[0].Data, data) {
+			t.Fatalf("batch re-encodes to %d different batches: %+v, want %x", len(full), full, data)
 		}
 
-		max := int(budget)
-		keep, _ := fit(recs, max)
-		var want []Record
-		for i, rec := range recs {
-			if keep != nil && keep[i] {
-				want = append(want, rec)
+		var in []Record
+		for range reps % 64 {
+			in = append(in, recs...)
+		}
+		budget := 1
+		for _, rec := range in {
+			budget = max(budget, 1+encodedSize(rec))
+		}
+		batches := EncodeBatches(in, budget)
+		if len(in) == 0 && batches != nil {
+			t.Fatalf("no record encoded to %d batches", len(batches))
+		}
+		var got []Record
+		for i, b := range batches {
+			if len(b.Data) > budget {
+				t.Fatalf("batch %d: %d bytes for a %d-byte budget", i, len(b.Data), budget)
 			}
-		}
-		enc, dropped := EncodeBatch(recs, max)
-		if len(enc) > max {
-			t.Fatalf("a %d-byte budget encoded %d bytes", max, len(enc))
-		}
-		got, err := DecodeBatch(enc)
-		if err != nil {
-			t.Fatalf("a cut batch does not decode: %v", err)
-		}
-		if !slices.Equal(got, want) || dropped != len(recs)-len(want) {
-			t.Fatalf("a %d-byte budget decodes to %d records (%d dropped), want the %d kept", max, len(got), dropped, len(want))
-		}
-		open := map[int32][]int{}
-		for i, rec := range recs {
-			switch st := open[rec.TID]; rec.Ph {
-			case 'B':
-				open[rec.TID] = append(st, i)
-			case 'E':
-				if n := len(st); n > 0 {
-					if b := st[n-1]; keep != nil && keep[b] != keep[i] {
-						t.Fatalf("records %d and %d are one span, but only one of them was kept", b, i)
-					}
-					open[rec.TID] = st[:n-1]
-				}
+			if i > 0 && len(batches[i-1].Data)+encodedSize(in[len(got)]) <= budget {
+				t.Fatalf("batch %d was cut with room for its successor's first record", i-1)
 			}
+			dec, err := DecodeBatch(b.Data)
+			if err != nil || len(dec) != b.N {
+				t.Fatalf("batch %d decodes to %d records, %v; it claims %d", i, len(dec), err, b.N)
+			}
+			got = append(got, dec...)
+		}
+		if !slices.Equal(got, in) {
+			t.Fatalf("%d batches decode to %d records, want the %d encoded", len(batches), len(got), len(in))
 		}
 	})
 }

@@ -156,8 +156,8 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 		}
 	}
 	if dropped > 0 {
-		if err := emit(jsonEvent{Name: lossName, Cat: lossCat, Ph: "i", TS: 0, PID: 0, TID: 0,
-			Scope: "t", Args: map[string]string{"detail": fmt.Sprintf("%d records lost to writer overflow or to a worker's batch budget", dropped)}}); err != nil {
+		if err := emit(jsonEvent{Name: "trace_dropped", Cat: "trace", Ph: "i", TS: 0, PID: 0, TID: 0,
+			Scope: "t", Args: map[string]string{"detail": fmt.Sprintf("%d records lost in worker span batches that did not decode", dropped)}}); err != nil {
 			return err
 		}
 	}

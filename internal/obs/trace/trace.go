@@ -20,19 +20,17 @@
 // clockNow below.
 //
 // Hot-path discipline: a Writer is single-goroutine (the engine hands
-// one to each worker goroutine) and records into a preallocated slice
-// with a drop-newest overflow policy that still guarantees matched
-// B/E pairs: Begin reserves space for its own End plus the Ends of
-// every span already open, so an End never fails for lack of room.
-// When a Begin is dropped, every nested Begin is dropped with it
-// (suppress counting), so the recorded stream always nests correctly.
-// Steady-state Begin/End on a warm Writer performs zero allocations
-// (pinned by TestWriterZeroAlloc).
+// one to each worker goroutine) and records into a preallocated slice.
+// A full Writer hands its records to its Recorder and keeps recording,
+// so no record is ever dropped and each lane's records stay in order;
+// an End with no open span is ignored, and Release closes whatever its
+// owner left open, so the recorded stream always nests. Steady-state
+// Begin/End on a warm Writer performs zero allocations between
+// hand-overs (pinned by TestWriterZeroAlloc).
 package trace
 
 import (
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,11 +68,10 @@ func stamp(t time.Time) int64 { return epoch.UnixNano() + int64(t.Sub(epoch)) }
 // hand it back with Recorder.Release. A nil *Writer is a valid no-op
 // recorder, so call sites need no tracing-enabled branches.
 type Writer struct {
-	recs     []Record
-	tid      int32
-	reserved int   // open recorded spans: each holds one End slot
-	suppress int   // nesting depth of dropped Begins
-	dropped  int64 // records lost to overflow
+	r    *Recorder // where a full buffer's records go
+	recs []Record
+	tid  int32
+	open int // spans begun and not yet ended
 }
 
 // Begin opens a span now.
@@ -86,23 +83,15 @@ func (w *Writer) Begin(name, cat string) {
 	}
 }
 
-// BeginAt opens a span at t. The overflow policy is drop-newest with
-// guaranteed pairing: recording requires room for this Begin, its own
-// End, and the reserved Ends of every open span; otherwise the span
-// and everything nested in it are suppressed and counted as dropped.
+// BeginAt opens a span at t.
 //
 //sf:hotpath — runs inside the trial loop.
 func (w *Writer) BeginAt(t time.Time, name, cat string) {
 	if w == nil {
 		return
 	}
-	if w.suppress > 0 || cap(w.recs)-len(w.recs) < w.reserved+2 {
-		w.suppress++
-		w.dropped++
-		return
-	}
-	w.recs = append(w.recs, Record{TS: stamp(t), TID: w.tid, Ph: 'B', Name: name, Cat: cat})
-	w.reserved++
+	w.add(Record{TS: stamp(t), TID: w.tid, Ph: 'B', Name: name, Cat: cat})
+	w.open++
 }
 
 // End closes the innermost open span now.
@@ -114,49 +103,53 @@ func (w *Writer) End() {
 	}
 }
 
-// EndAt closes the innermost open span at t. Ends of suppressed Begins
-// are absorbed by the suppress count; Ends of recorded Begins always
-// have a reserved slot, so a recorded B is never left unmatched.
+// EndAt closes the innermost open span at t. An End with no open span
+// is ignored rather than allowed to corrupt the stream.
 //
 //sf:hotpath — runs inside the trial loop.
 func (w *Writer) EndAt(t time.Time) {
-	if w == nil {
+	if w == nil || w.open == 0 {
 		return
 	}
-	if w.suppress > 0 {
-		w.suppress--
-		return
-	}
-	if w.reserved == 0 {
-		return // unmatched End: ignore rather than corrupt the stream
-	}
-	w.reserved--
-	w.recs = append(w.recs, Record{TS: stamp(t), TID: w.tid, Ph: 'E'})
+	w.open--
+	w.add(Record{TS: stamp(t), TID: w.tid, Ph: 'E'})
 }
 
-// EndAllAt closes every open span at t, innermost first, and absorbs
-// the Ends of suppressed Begins, so no span is left open: what the
-// engine does at a trial's end, however the trial unwound.
+// EndAllAt closes every open span at t, innermost first, so no span is
+// left open: what the engine does at a trial's end, however the trial
+// unwound.
 //
 //sf:hotpath — runs once per trial.
 func (w *Writer) EndAllAt(t time.Time) {
 	if w == nil {
 		return
 	}
-	w.suppress = 0
-	for w.reserved > 0 {
+	for w.open > 0 {
 		w.EndAt(t)
 	}
 }
 
+// add appends one record. A full buffer first hands its records to the
+// recorder, as Release does, so a writer never grows and never drops.
+//
+//sf:hotpath — runs inside the trial loop.
+func (w *Writer) add(rec Record) {
+	if len(w.recs) == cap(w.recs) {
+		w.r.mu.Lock()
+		w.r.collect(w)
+		w.r.mu.Unlock()
+	}
+	w.recs = append(w.recs, rec)
+}
+
 // defaultWriterCap bounds one writer's buffer: 8192 records ≈ 0.6 MiB.
-// A writer never grows: the engine flushes it between trials, and a
-// trial that overflows it falls into the drop-newest policy.
+// A writer never grows: it hands its records to the recorder whenever
+// the buffer fills.
 const defaultWriterCap = 8192
 
 // Recorder owns the process's trace state: it hands out per-goroutine
-// Writers, collects their records on flush and release, accepts cold-path
-// records via Emit, merges worker batches received over the wire into
+// Writers, collects their records as they fill and on release, accepts
+// cold-path records via Emit, merges worker batches received over the wire into
 // per-worker process lanes, and exports the whole timeline as Chrome
 // trace-event JSON. All methods are safe on a nil receiver, and the
 // internal mutex is a leaf lock: Emit and the pending-flow helpers are
@@ -165,21 +158,22 @@ type Recorder struct {
 	// ProcName labels process lane 0 in the export ("sweep",
 	// "coordinator", ...). Set before WriteJSON.
 	ProcName string
-	// WriterCap overrides the per-writer buffer capacity (records).
+	// WriterCap overrides the per-writer buffer capacity: how many
+	// records a writer holds before it hands them to the recorder.
 	// Zero means defaultWriterCap. Set before the first Writer call.
 	WriterCap int
 
 	enabled atomic.Bool
 
 	mu       sync.Mutex
-	spill    []Record // released writer records + Emit cold path
+	spill    []Record // handed-over writer records + Emit cold path
 	free     []*Writer
 	nextTID  int32
 	workers  []string   // merge order defines worker pids (lane i → pid i+1)
 	merged   [][]Record // wire batches per worker
 	pending  map[string]uint64
 	attempts map[string]int
-	dropped  int64
+	dropped  int64 // records of worker batches that did not decode
 }
 
 // New returns an enabled Recorder. Worker processes keep theirs
@@ -224,7 +218,7 @@ func (r *Recorder) Writer() *Writer {
 		capacity = defaultWriterCap
 	}
 	r.nextTID++
-	return &Writer{recs: make([]Record, 0, capacity), tid: r.nextTID}
+	return &Writer{r: r, recs: make([]Record, 0, capacity), tid: r.nextTID}
 }
 
 // Release drains a writer's records into the recorder and recycles the
@@ -241,27 +235,11 @@ func (r *Recorder) Release(w *Writer) {
 	r.mu.Unlock()
 }
 
-// Flush drains a writer that is at least half full into the recorder,
-// as Release does, but leaves the writer with its owner. The engine
-// calls it at every trial boundary, where no span is open, so a sweep
-// of any length loses nothing as long as one trial fits in half a
-// writer; otherwise it costs one comparison.
-func (r *Recorder) Flush(w *Writer) {
-	if r == nil || w == nil || w.reserved+w.suppress > 0 || 2*len(w.recs) < cap(w.recs) {
-		return
-	}
-	r.mu.Lock()
-	r.collect(w)
-	r.mu.Unlock()
-}
-
-// collect moves a writer's records and loss count into the recorder.
-// Called with mu held.
+// collect moves a writer's records into the recorder. Called with mu
+// held.
 func (r *Recorder) collect(w *Writer) {
 	r.spill = append(r.spill, w.recs...)
-	r.dropped += w.dropped
 	w.recs = w.recs[:0]
-	w.dropped = 0
 }
 
 // Emit appends one cold-path record (coordinator lease spans, flow
@@ -279,8 +257,8 @@ func (r *Recorder) Emit(rec Record) {
 	r.mu.Unlock()
 }
 
-// Drain removes and returns every locally recorded record (flushed and
-// released writers plus Emit).
+// Drain removes and returns every locally recorded record (handed-over
+// and released writers plus Emit).
 func (r *Recorder) Drain() []Record {
 	if r == nil {
 		return nil
@@ -292,69 +270,41 @@ func (r *Recorder) Drain() []Record {
 	return out
 }
 
-// DrainBatch drains the recorder into one wire batch of at most max
-// bytes, which a worker ships on the COMPLETE line of each traced
-// lease. The records lost on the way, to writer overflow since the
-// last drain or cut by EncodeBatch to fit max, are counted in one
-// trailing trace_dropped record; Merge adds that count to the
-// receiving recorder's Dropped. Returns nil when there is nothing to
+// DrainBatches drains the recorder into wire batches of at most max
+// bytes each (EncodeBatches), which a worker ships on SPANS lines at
+// the end of each traced lease. Returns nil when there is nothing to
 // ship.
-func (r *Recorder) DrainBatch(max int) []byte {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	recs, lost := r.spill, r.dropped
-	r.spill, r.dropped = nil, 0
-	r.mu.Unlock()
-	buf, cut := EncodeBatch(recs, max-lossRoom)
-	if lost += int64(cut); lost > 0 {
-		if buf == nil {
-			buf = []byte{codecVersion}
-		}
-		buf = appendRecord(buf, Record{TS: stamp(clockNow()), Ph: 'i', Name: lossName, Cat: lossCat,
-			Arg: strconv.FormatInt(lost, 10)})
-	}
-	return buf
+func (r *Recorder) DrainBatches(max int) []Batch {
+	return EncodeBatches(r.Drain(), max)
 }
 
-// Merge files a worker's wire batch under that worker's process lane.
-// The first batch from a name allocates the lane; order of first
-// arrival defines worker pids. A batch's trace_dropped record (see
-// DrainBatch) is not filed: its count joins Dropped, which the export
-// reports in its one trace_dropped instant.
-func (r *Recorder) Merge(worker string, recs []Record) {
-	if r == nil || len(recs) == 0 {
+// Merge decodes a worker's wire batch of n records and files them under
+// that worker's process lane. The first batch from a name allocates the
+// lane; order of first arrival defines worker pids. A batch that does
+// not decode to n records files nothing, and its n records join
+// Dropped, which the export reports in its one trace_dropped instant.
+func (r *Recorder) Merge(worker string, n int, batch []byte) {
+	if !r.Enabled() || n <= 0 {
 		return
 	}
+	recs, err := DecodeBatch(batch)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if err != nil || len(recs) != n {
+		r.dropped += int64(n)
+		return
+	}
 	lane := slices.Index(r.workers, worker)
 	if lane < 0 {
 		lane = len(r.workers)
 		r.workers = append(r.workers, worker)
 		r.merged = append(r.merged, nil)
 	}
-	for _, rec := range recs {
-		if n, ok := lossCount(rec); ok {
-			r.dropped += n
-			continue
-		}
-		r.merged[lane] = append(r.merged[lane], rec)
-	}
+	r.merged[lane] = append(r.merged[lane], recs...)
 }
 
-// lossCount reads the count of a well-formed trace_dropped record.
-func lossCount(rec Record) (int64, bool) {
-	if rec.Ph != 'i' || rec.Name != lossName || rec.Cat != lossCat {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(rec.Arg, 10, 64)
-	return n, err == nil && n > 0
-}
-
-// Dropped returns the number of records lost so far: to the overflow
-// of flushed and released writers, and in merged worker batches.
+// Dropped returns the number of records lost so far: those of merged
+// worker batches that did not decode.
 func (r *Recorder) Dropped() int64 {
 	if r == nil {
 		return 0

@@ -3,8 +3,10 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // pairCheck walks one lane's records and verifies B/E events nest and
@@ -30,43 +32,55 @@ func pairCheck(t *testing.T, recs []Record) int {
 	return spans
 }
 
+// TestWriterMatchedPairsUnderOverflow: a writer recording far more
+// than it holds hands its records to the recorder whenever it fills, so
+// every record survives, nested and oldest first.
 func TestWriterMatchedPairsUnderOverflow(t *testing.T) {
 	r := New()
-	r.WriterCap = 16 // force overflow fast
+	r.WriterCap = 16
 	w := r.Writer()
-	// Deep nesting + wide fanout, far beyond capacity: every recorded
-	// B must still get its E, and suppressed regions must absorb their
-	// own Ends without stealing reserved slots.
+	t0 := clockNow()
+	var want []string // each record's name, "" for an End
+	tick := 0
+	begin := func(name string) {
+		tick++
+		w.BeginAt(t0.Add(time.Duration(tick)), name, "t")
+		want = append(want, name)
+	}
+	end := func() {
+		tick++
+		w.EndAt(t0.Add(time.Duration(tick)))
+		want = append(want, "")
+	}
+	// Deep nesting and wide fan-out, 420 records through 16 slots.
 	for i := 0; i < 10; i++ {
-		w.Begin("outer", "t")
+		begin("outer")
 		for j := 0; j < 10; j++ {
-			w.Begin("inner", "t")
-			w.Begin("leaf", "t")
-			w.End()
-			w.End()
+			begin("inner")
+			begin("leaf")
+			end()
+			end()
 		}
-		w.End()
-	}
-	if w.reserved != 0 || w.suppress != 0 {
-		t.Fatalf("writer not quiesced: reserved=%d suppress=%d", w.reserved, w.suppress)
-	}
-	if w.dropped == 0 {
-		t.Fatal("overflow test never overflowed; shrink WriterCap")
+		end()
 	}
 	r.Release(w)
 	recs := r.Drain()
-	if len(recs) == 0 {
-		t.Fatal("nothing recorded")
+	if len(recs) != len(want) || r.Dropped() != 0 {
+		t.Fatalf("kept %d of %d records, %d dropped", len(recs), len(want), r.Dropped())
 	}
-	if got := len(recs); got > 16 {
-		t.Fatalf("recorded %d records into a 16-record writer", got)
+	for i, rec := range recs {
+		if rec.Name != want[i] || rec.TS != stamp(t0.Add(time.Duration(i+1))) {
+			t.Fatalf("record %d is %q at %d, want %q at %d", i, rec.Name, rec.TS, want[i], stamp(t0.Add(time.Duration(i+1))))
+		}
 	}
-	pairCheck(t, recs)
+	if spans := pairCheck(t, recs); spans != 210 {
+		t.Fatalf("%d spans, want 210", spans)
+	}
 }
 
-// TestWriterReleaseClosesDangling: Release closes every open span and
-// absorbs a suppressed one (a 4-record writer has no room for c), so
-// the recycled writer starts with no span open.
+// TestWriterReleaseClosesDangling: Release closes every open span, the
+// ones past a 4-record writer's capacity included, so the recycled
+// writer starts with no span open.
 func TestWriterReleaseClosesDangling(t *testing.T) {
 	r := New()
 	r.WriterCap = 4
@@ -75,27 +89,48 @@ func TestWriterReleaseClosesDangling(t *testing.T) {
 	w.Begin("b", "t")
 	w.Begin("c", "t")
 	r.Release(w)
-	if spans := pairCheck(t, r.Drain()); spans != 2 {
-		t.Fatalf("got %d closed spans, want 2", spans)
+	if spans := pairCheck(t, r.Drain()); spans != 3 {
+		t.Fatalf("got %d closed spans, want 3", spans)
 	}
-	if w.reserved != 0 || w.suppress != 0 {
-		t.Fatalf("released writer still open: reserved=%d suppress=%d", w.reserved, w.suppress)
+	if w.open != 0 {
+		t.Fatalf("released writer still has %d spans open", w.open)
+	}
+	w.End() // an End with no open span is ignored
+	if len(w.recs) != 0 {
+		t.Fatal("an End with no open span was recorded")
 	}
 }
 
+// TestWriterZeroAlloc: every Begin/End that does not hand the buffer
+// over allocates nothing; only a hand-over may, as the recorder's
+// record list grows.
 func TestWriterZeroAlloc(t *testing.T) {
 	r := New()
+	r.WriterCap = 64
 	w := r.Writer()
-	// Warm steady state: the recorded path and, after overflow, the
-	// suppressed path must both be allocation-free.
 	span := func() {
 		w.Begin("trial", "t")
 		w.End()
 	}
+	handOvers := 0
 	for i := 0; i < 5000; i++ {
-		if allocs := testing.AllocsPerRun(1, span); allocs != 0 {
+		// AllocsPerRun runs span twice, a warm-up and the measured run.
+		full := cap(w.recs)-len(w.recs) < 4
+		allocs := testing.AllocsPerRun(1, span)
+		if full {
+			handOvers++
+			continue
+		}
+		if allocs != 0 {
 			t.Fatalf("Begin/End op %d allocated %v times, want 0", i, allocs)
 		}
+	}
+	if handOvers == 0 {
+		t.Fatal("the writer never filled; lower WriterCap")
+	}
+	r.Release(w)
+	if got := len(r.Drain()); got != 5000*4 {
+		t.Fatalf("kept %d of %d records", got, 5000*4)
 	}
 }
 
@@ -109,15 +144,14 @@ func TestNilSafety(t *testing.T) {
 	}
 	r.Release(nil)
 	r.Emit(Record{Ph: 'i'})
-	r.Merge("w", []Record{{Ph: 'i'}})
-	r.Flush(w)
+	r.Merge("w", 1, []byte{codecVersion})
 	if _, ok := r.NextFlow("k", 1); ok {
 		t.Fatal("nil recorder derived a flow")
 	}
 	if _, ok := r.TakePending("k"); ok {
 		t.Fatal("nil recorder stored a pending flow")
 	}
-	if r.DrainBatch(1<<10) != nil {
+	if r.DrainBatches(1<<10) != nil {
 		t.Fatal("nil recorder encoded a batch")
 	}
 	r.AbandonPending()
@@ -169,46 +203,72 @@ func TestCodecRoundTrip(t *testing.T) {
 		{TS: 123456999, TID: 3, Ph: 'E'},
 		{TS: 123457000, ID: 0xdeadbeef, TID: 0, Ph: 'f', Name: "retry", Cat: "flow", Arg: "attempt=2"},
 	}
-	buf, dropped := EncodeBatch(in, 1<<20)
-	if dropped != 0 {
-		t.Fatalf("dropped %d records under a huge budget", dropped)
+	batches := EncodeBatches(in, 1<<20)
+	if len(batches) != 1 || batches[0].N != len(in) {
+		t.Fatalf("%d batches (%+v) under a huge budget, want one of %d records", len(batches), batches, len(in))
 	}
-	out, err := DecodeBatch(buf)
+	out, err := DecodeBatch(batches[0].Data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(in) {
-		t.Fatalf("got %d records, want %d", len(out), len(in))
+	if !slices.Equal(out, in) {
+		t.Fatalf("got %+v, want %+v", out, in)
 	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Fatalf("record %d: got %+v, want %+v", i, out[i], in[i])
-		}
+	if EncodeBatches(nil, 1<<20) != nil {
+		t.Fatal("no record encoded to a batch")
 	}
 }
 
-func TestCodecTruncation(t *testing.T) {
+// decodeAll decodes batches in order, checking that each fits max and
+// holds the record count it claims.
+func decodeAll(t *testing.T, batches []Batch, max int) []Record {
+	t.Helper()
+	var out []Record
+	for i, b := range batches {
+		if len(b.Data) > max {
+			t.Fatalf("batch %d: %d bytes for a %d-byte budget", i, len(b.Data), max)
+		}
+		recs, err := DecodeBatch(b.Data)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if len(recs) != b.N {
+			t.Fatalf("batch %d: %d records, but it claims %d", i, len(recs), b.N)
+		}
+		out = append(out, recs...)
+	}
+	return out
+}
+
+// TestEncodeBatchesSplitsWithoutLoss: records over the budget are cut
+// at record boundaries into batches that each fit, oldest first, with
+// none lost; a record too large for the budget gets a batch alone.
+func TestEncodeBatchesSplitsWithoutLoss(t *testing.T) {
 	var in []Record
 	for i := 0; i < 100; i++ {
-		in = append(in, Record{TS: int64(i), TID: 1, Ph: 'i', Name: "instant-event", Cat: "t"})
+		in = append(in, Record{TS: int64(i), TID: 1, Ph: 'i', Name: "instant-event", Cat: "t", Arg: strings.Repeat("a", i%7)})
 	}
-	full, _ := EncodeBatch(in, 1<<20)
-	buf, dropped := EncodeBatch(in, len(full)/2)
-	if dropped == 0 {
-		t.Fatal("half budget dropped nothing")
-	}
-	out, err := DecodeBatch(buf)
-	if err != nil {
-		t.Fatalf("truncated batch failed to decode: %v", err)
-	}
-	if len(out)+dropped != len(in) {
-		t.Fatalf("decoded %d + dropped %d != %d", len(out), dropped, len(in))
-	}
-	// Oldest-first: the surviving prefix is the oldest records.
-	for i := range out {
-		if out[i].TS != int64(i) {
-			t.Fatalf("record %d has TS %d; truncation reordered", i, out[i].TS)
+	full := EncodeBatches(in, 1<<20)[0].Data
+	for _, max := range []int{len(full), len(full) - 1, len(full) / 2, 200, 1 + encodedSize(in[6])} {
+		batches := EncodeBatches(in, max)
+		if want := (len(full) + max - 1) / max; len(batches) < want {
+			t.Fatalf("budget %d: %d batches, want at least %d", max, len(batches), want)
 		}
+		if got := decodeAll(t, batches, max); !slices.Equal(got, in) {
+			t.Fatalf("budget %d: batches decode to %d records, not the %d encoded", max, len(got), len(in))
+		}
+	}
+	huge := []Record{in[0], {Ph: 'i', Name: strings.Repeat("x", 1000)}, in[1]}
+	batches := EncodeBatches(huge, 200)
+	if len(batches) != 3 || batches[1].N != 1 || len(batches[1].Data) != 1+encodedSize(huge[1]) {
+		t.Fatalf("an over-budget record did not get a batch alone: %d batches", len(batches))
+	}
+	if got := decodeAll(t, batches[:1], 200); got[0] != huge[0] {
+		t.Fatal("the record before the over-budget one was lost")
+	}
+	long := strings.Repeat("s", 1<<17)
+	if got := encodedSize(Record{Name: long, Cat: long, Arg: long}); got != 196_632 {
+		t.Fatalf("the largest record encodes to %d bytes, want 196,632", got)
 	}
 }
 
@@ -216,7 +276,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if _, err := DecodeBatch([]byte{99}); err == nil {
 		t.Fatal("bad version accepted")
 	}
-	good, _ := EncodeBatch([]Record{{TS: 1, Ph: 'B', Name: "x"}}, 1<<20)
+	good := EncodeBatches([]Record{{TS: 1, Ph: 'B', Name: "x"}}, 1<<20)[0].Data
 	if _, err := DecodeBatch(good[:len(good)-1]); err == nil {
 		t.Fatal("torn record accepted")
 	}
@@ -241,10 +301,11 @@ func TestWriteJSONStructure(t *testing.T) {
 	r.Release(w)
 	r.Emit(Record{Ph: 's', ID: 42, Name: "retry", Cat: "flow"})
 	r.Emit(Record{Ph: 'f', ID: 42, Name: "retry", Cat: "flow"})
-	r.Merge("worker-a", []Record{
+	b := EncodeBatches([]Record{
 		{TS: stamp(clockNow()), TID: 1, Ph: 'B', Name: "lease", Cat: "lease"},
 		{TS: stamp(clockNow()), TID: 1, Ph: 'E'},
-	})
+	}, 1<<20)[0]
+	r.Merge("worker-a", b.N, b.Data)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -356,122 +417,45 @@ func TestWriterRecycling(t *testing.T) {
 	}
 }
 
-func TestFlushKeepsWriterWithOwner(t *testing.T) {
-	r := New()
-	r.WriterCap = 8
-	w := r.Writer()
-	w.Begin("a", "t")
-	w.End()
-	w.Begin("b", "t")
-	w.Begin("c", "t")
-	r.Flush(w) // half full, but spans are open: nothing moves
-	if len(r.Drain()) != 0 {
-		t.Fatal("Flush drained a writer with open spans")
-	}
-	w.End()
-	w.End()
-	r.Flush(w)
-	if got := pairCheck(t, r.Drain()); got != 3 || len(w.recs) != 0 {
-		t.Fatalf("Flush moved %d spans and left %d records, want 3 and 0", got, len(w.recs))
-	}
-	w.Begin("d", "t")
-	w.End()
-	r.Flush(w) // a quarter full: stays put
-	if len(r.Drain()) != 0 || len(w.recs) != 2 {
-		t.Fatal("Flush drained a writer less than half full")
-	}
-	if w2 := r.Writer(); w2 == w || w2.tid == w.tid {
-		t.Fatal("a flushed writer was recycled while its owner still holds it")
-	}
-}
-
-// TestCodecKeepsWholeSpans: a batch over budget drops its newest whole
-// spans, keeps the End of every span it keeps (the lease span opened
-// first and closed last included), and still nests.
-func TestCodecKeepsWholeSpans(t *testing.T) {
-	in := []Record{{TS: 1, Ph: 'f', ID: 9, Name: "lease", Cat: "flow"}, {TS: 2, Ph: 'B', Name: "lease E1[0,100)", Cat: "lease"}}
-	for i := 0; i < 100; i++ {
-		in = append(in,
-			Record{TS: int64(10 + 4*i), TID: 1, Ph: 'B', Name: "E1/n=512/rep=" + strings.Repeat("9", i%7), Cat: "trial"},
-			Record{TS: int64(11 + 4*i), TID: 1, Ph: 'B', Name: "search", Cat: "phase"},
-			Record{TS: int64(12 + 4*i), TID: 1, Ph: 'E'},
-			Record{TS: int64(13 + 4*i), TID: 1, Ph: 'E'})
-	}
-	in = append(in, Record{TS: 1000, Ph: 'E'})
-	full, _ := EncodeBatch(in, 1<<20)
-	for _, max := range []int{len(full) - 1, len(full) / 2, 200, 150} {
-		buf, dropped := EncodeBatch(in, max)
-		if len(buf) > max || dropped == 0 {
-			t.Fatalf("budget %d: %d bytes, %d dropped", max, len(buf), dropped)
-		}
-		out, err := DecodeBatch(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out)+dropped != len(in) {
-			t.Fatalf("budget %d: kept %d and dropped %d of %d records", max, len(out), dropped, len(in))
-		}
-		if out[1] != in[1] || out[len(out)-1] != in[len(in)-1] {
-			t.Fatalf("budget %d: the lease span lost its Begin or its End", max)
-		}
-		if len(out) > 3 && out[2] != in[2] {
-			t.Fatalf("budget %d: the oldest trial span was dropped before a newer one", max)
-		}
-		for tid := int32(0); tid < 2; tid++ {
-			var lane []Record
-			for _, rec := range out {
-				if rec.TID == tid {
-					lane = append(lane, rec)
-				}
-			}
-			pairCheck(t, lane)
-		}
-	}
-	if buf, dropped := EncodeBatch(in, recordOverhead); buf != nil || dropped != len(in) {
-		t.Fatalf("a budget too small for any record encoded %x", buf)
-	}
-}
-
-// TestDrainBatchCountsLoss: the records a worker lost, to writer
-// overflow and to its batch budget, reach the coordinator's Dropped
-// through the batch's trace_dropped record, which is not filed as an
-// event.
-func TestDrainBatchCountsLoss(t *testing.T) {
+// TestMergeCountsUndecodableBatch: DrainBatches ships every record of
+// a worker whose writer filled many times, and Merge files them in
+// order; a truncated batch, or one whose record count is wrong, files
+// nothing and counts its claimed records in Dropped, which the export
+// reports in one trace_dropped instant.
+func TestMergeCountsUndecodableBatch(t *testing.T) {
 	wr := New()
 	wr.WriterCap = 4
 	w := wr.Writer()
-	w.Begin("trial", "trial")
-	w.Begin("generate", "phase")
-	w.End()
-	w.Begin("search", "phase") // no room: dropped
-	w.End()
-	w.End()
-	wr.Release(w)
 	for i := 0; i < 50; i++ {
-		wr.Emit(Record{Ph: 'B', Name: "lease", Cat: "lease"})
-		wr.Emit(Record{Ph: 'E'})
+		w.Begin("trial", "trial")
+		w.Begin("search", "phase")
+		w.End()
+		w.End()
 	}
+	wr.Release(w)
+	sent := slices.Clone(wr.spill)
 	const max = 1000
-	buf := wr.DrainBatch(max)
-	if len(buf) > max {
-		t.Fatalf("batch of %d bytes for a %d-byte budget", len(buf), max)
+	batches := wr.DrainBatches(max)
+	if len(batches) < 2 {
+		t.Fatalf("%d records shipped in %d batch of %d bytes", len(sent), len(batches), max)
 	}
-	recs, err := DecodeBatch(buf)
-	if err != nil {
-		t.Fatal(err)
+	if wr.DrainBatches(max) != nil {
+		t.Fatal("a drained recorder shipped a second batch")
 	}
-	last := recs[len(recs)-1]
-	lost, ok := lossCount(last)
-	if !ok {
-		t.Fatalf("batch ends in %+v, want its trace_dropped record", last)
-	}
-	if want := int64(1 + 104 - (len(recs) - 1)); lost != want {
-		t.Fatalf("trace_dropped counts %d, want %d", lost, want)
-	}
+
 	coord := New()
-	coord.Merge("w", recs)
-	if coord.Dropped() != lost {
-		t.Fatalf("Merge counted %d dropped, want %d", coord.Dropped(), lost)
+	for _, b := range batches {
+		coord.Merge("w", b.N, b.Data)
+	}
+	good := batches[0]
+	coord.Merge("w", good.N, good.Data[:len(good.Data)-1])
+	coord.Merge("w", good.N+1, good.Data)
+	coord.Merge("other", 3, []byte{codecVersion})
+	if d := coord.Dropped(); d != int64(2*good.N+1+3) {
+		t.Fatalf("Dropped = %d, want %d", d, 2*good.N+1+3)
+	}
+	if len(coord.workers) != 1 || !slices.Equal(coord.merged[0], sent) {
+		t.Fatalf("merged %d lanes; want one holding exactly the %d records shipped", len(coord.workers), len(sent))
 	}
 	var out bytes.Buffer
 	if err := coord.WriteJSON(&out); err != nil {
@@ -479,8 +463,5 @@ func TestDrainBatchCountsLoss(t *testing.T) {
 	}
 	if n := strings.Count(out.String(), `"trace_dropped"`); n != 1 {
 		t.Fatalf("export holds %d trace_dropped instants, want 1", n)
-	}
-	if wr.DrainBatch(max) != nil {
-		t.Fatal("a drained recorder shipped a second batch")
 	}
 }

@@ -3,7 +3,6 @@ package sweep
 import (
 	"bytes"
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -79,8 +78,8 @@ type CoordOptions struct {
 	// timeline: a coordinator-side span per lease (on the connection's
 	// lane), steal/revoke/retry instants, flow events linking a lost
 	// lease to the chunk's re-grant, and the trace context propagated
-	// to workers on LEASE lines (their span batches come back on
-	// COMPLETE and are merged under per-worker process lanes). Strictly
+	// to workers on LEASE lines (their span batches come back on SPANS
+	// lines and are merged under per-worker process lanes). Strictly
 	// observational: tracing never feeds scheduling or results.
 	Trace *trace.Recorder
 }
@@ -504,22 +503,24 @@ func (st *coordState) handle(conn net.Conn) {
 				return
 			}
 			continue // RESULT lines stream without a reply
+		case "SPANS":
+			n, batch, err := parseSpans(fields)
+			if err != nil {
+				wc.send("ERR " + quoteMsg(err.Error()))
+				return
+			}
+			// Merge the batch into the worker's process lane whether or
+			// not its lease is still live: results from a stolen lease
+			// are accepted, and so is its timeline. A batch that does
+			// not decode is counted, not answered: tracing never feeds
+			// scheduling.
+			st.opts.Trace.Merge(worker, n, batch)
+			continue // SPANS lines stream without a reply
 		case "COMPLETE":
 			id, err := parseID(fields)
 			if err != nil {
 				wc.send("ERR " + quoteMsg(err.Error()))
 				return
-			}
-			// A traced COMPLETE carries the worker's span batch as an
-			// optional hex field; merge it into the worker's process
-			// lane whether or not the lease is still live — results
-			// from a stolen lease are accepted, and so is its timeline.
-			if len(fields) > 1 && st.opts.Trace.Enabled() {
-				if raw, err := hex.DecodeString(fields[1]); err == nil {
-					if recs, err := trace.DecodeBatch(raw); err == nil {
-						st.opts.Trace.Merge(worker, recs)
-					}
-				}
 			}
 			reply = st.completeLease(worker, connID, id)
 		case "FAIL":

@@ -14,6 +14,7 @@ import (
 
 	"scalefree/internal/engine"
 	"scalefree/internal/obs"
+	"scalefree/internal/obs/trace"
 	"scalefree/internal/rng"
 )
 
@@ -190,6 +191,24 @@ func TestWireMessages(t *testing.T) {
 	}
 	if _, err := parseLease([]string{"1", "E1", "fp", "4", "2"}); err == nil {
 		t.Error("parseLease accepted hi < lo")
+	}
+
+	verb, fields = splitMsg(formatSpans(3, payload))
+	if n, batch, err := parseSpans(fields); verb != "SPANS" || err != nil || n != 3 || string(batch) != string(payload) {
+		t.Fatalf("spans round trip = %q %d %x, %v", verb, n, batch, err)
+	}
+	for _, bad := range [][]string{nil, {"3"}, {"3", "00", "00"}, {"0", "00"}, {"-1", "00"}, {"+3", "00"}, {"03", "00"},
+		{"x", "00"}, {"3", "0"}, {"3", "zz"}, {"3", "0A"}} {
+		if _, _, err := parseSpans(bad); err == nil {
+			t.Errorf("parseSpans(%v) succeeded", bad)
+		}
+	}
+	// The largest record the trace codec writes, each of its strings
+	// clipped to 0xffff bytes, fits one batch and one line a worker reads.
+	long := strings.Repeat("s", 1<<17)
+	batches := trace.EncodeBatches([]trace.Record{{Ph: 'i', Name: long, Cat: long, Arg: long}}, spansBudget)
+	if len(batches) != 1 || len(batches[0].Data) > spansBudget || len(formatSpans(batches[0].N, batches[0].Data)) >= wireMaxLine {
+		t.Fatalf("the largest record does not fit one SPANS line: %d batches", len(batches))
 	}
 }
 
@@ -552,6 +571,82 @@ func TestCoordinatePartialCompleteRequeues(t *testing.T) {
 		t.Fatal(out.err)
 	}
 	checkResults(t, trials, out.results)
+}
+
+// TestCoordinateCountsUndecodableSpans: a traced sweep served by a
+// hand-driven worker whose every lease ships one SPANS batch that does
+// not decode and one that does. Each bad batch is counted in Dropped,
+// never answered, and the connection keeps serving the sweep to its
+// DONE; the good batches are merged.
+func TestCoordinateCountsUndecodableSpans(t *testing.T) {
+	trials := makeTrials(8)
+	job := testJob(trials)
+	rec := trace.New()
+	addr, outcome, cancel := startCoordinator(t,
+		[]CoordJob{{Job: job, Trials: trials}},
+		CoordOptions{ChunkSize: 4, LeaseTTL: time.Minute, Trace: rec})
+	defer cancel()
+
+	w := dialDeadWorker(t, addr, "w")
+	good := trace.EncodeBatches([]trace.Record{{TS: 1, Ph: 'i', Name: "mark", Cat: "t"}}, 1<<10)[0]
+	leases := 0
+	for {
+		if err := w.wc.send("NEXT"); err != nil {
+			t.Fatal(err)
+		}
+		line, err := w.wc.recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		verb, fields := splitMsg(line)
+		if verb == "DONE" {
+			w.wc.close()
+			break
+		}
+		if verb != "LEASE" {
+			t.Fatalf("NEXT reply = %q, want a lease or DONE", line)
+		}
+		m, err := parseLease(fields)
+		if err != nil || m.Trace == "" {
+			t.Fatalf("lease %+v, %v: want a traced lease", m, err)
+		}
+		leases++
+		for i := m.Lo; i < m.Hi; i++ {
+			payload, err := EncodeResult(float64(trials[i].Seed) * 1.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.wc.buffer(formatResult(m.ID, job.ExpID, i, payload)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, spans := range []string{formatSpans(5, []byte{1, 'B', 0}), formatSpans(good.N, good.Data)} {
+			if err := w.wc.buffer(spans); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.wc.send(fmt.Sprintf("COMPLETE %d", m.ID)); err != nil {
+			t.Fatal(err)
+		}
+		if line, err := w.wc.recv(); err != nil || line != "OK" {
+			t.Fatalf("COMPLETE reply = %q, %v; want OK", line, err)
+		}
+	}
+	out := <-outcome
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	checkResults(t, trials, out.results)
+	if leases != 2 || rec.Dropped() != 5*int64(leases) {
+		t.Fatalf("%d leases counted %d dropped records, want 2 leases and 10", leases, rec.Dropped())
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(buf.String(), `"name":"mark"`); n != leases {
+		t.Fatalf("export holds %d of the %d good batches' records", n, leases)
+	}
 }
 
 // TestCoordinateAbortReachesIdleWorkers: when a chunk's second failure

@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
+	"net"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -160,15 +162,18 @@ func TestExecuteAddsNoAllocsPerTrial(t *testing.T) {
 	}
 }
 
-// TestOverBudgetLeaseMergesBalanced: a lease whose span batch exceeds
-// the COMPLETE line's budget ships its oldest whole spans, with its
-// lease span closed, plus a count of the rest, so the merged trace
-// nests and says it is lossy.
+// TestOverBudgetLeaseMergesBalanced: a 400-trial lease of 2 KB keys,
+// whose spans outgrow one SPANS line's budget, ships them on several
+// and merges whole: every trial span, the worker's lease span, balanced
+// stacks and no trace_dropped instant.
 func TestOverBudgetLeaseMergesBalanced(t *testing.T) {
 	trials := makeTrials(400)
-	long := strings.Repeat("k", 2000) // 400 trial spans of ~2 KB overflow the budget
+	long := strings.Repeat("k", 2000)
 	for i := range trials {
 		trials[i].Key = long + strconv.Itoa(i)
+	}
+	if len(trials)*len(long) <= spansBudget {
+		t.Fatalf("400 keys of %d bytes fit one %d-byte batch; lengthen them", len(long), spansBudget)
 	}
 	job := testJob(trials)
 	rec := trace.New()
@@ -191,9 +196,8 @@ func TestOverBudgetLeaseMergesBalanced(t *testing.T) {
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
-	dropped := rec.Dropped()
-	if dropped == 0 {
-		t.Fatal("an over-budget batch merged without loss")
+	if d := rec.Dropped(); d != 0 {
+		t.Fatalf("merged with %d records dropped", d)
 	}
 
 	var buf bytes.Buffer
@@ -241,12 +245,115 @@ func TestOverBudgetLeaseMergesBalanced(t *testing.T) {
 			t.Errorf("lane %v ends %d spans deep", k, d)
 		}
 	}
-	if leaseSpans != 1 || lossMarks != 1 {
-		t.Errorf("worker lease spans = %d, trace_dropped instants = %d, want 1 and 1", leaseSpans, lossMarks)
+	if leaseSpans != 1 || lossMarks != 0 || trialSpans != len(trials) {
+		t.Errorf("worker lease spans = %d, trace_dropped instants = %d, trial spans = %d; want 1, 0 and %d",
+			leaseSpans, lossMarks, trialSpans, len(trials))
 	}
-	// Each lost trial span is its B and its E.
-	if int64(trialSpans)+dropped/2 != int64(len(trials)) || dropped%2 != 0 {
-		t.Errorf("%d trial spans merged and %d records dropped, for %d trials", trialSpans, dropped, len(trials))
+}
+
+// TestWorkerShipsSpansOfUnfinishedLeases: a traced worker ships a
+// lease's spans when the lease fails or is revoked too, not only when it
+// completes, so a worker whose last lease did not complete still leaves
+// its trials in the trace. A scripted coordinator grants one traced
+// four-trial lease, answers its FAIL with OK or its first PING with
+// GONE, and every later NEXT with DONE; the SPANS lines it receives
+// before that NEXT must hold the four trial spans and the lease span.
+func TestWorkerShipsSpansOfUnfinishedLeases(t *testing.T) {
+	trials := makeTrials(4)
+	job := testJob(trials)
+	for _, revoke := range []bool{false, true} {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		received := make(chan []string, 1)
+		go func() {
+			var lines []string
+			defer func() { received <- lines }()
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			wc := newWireConn(conn, 5*time.Second)
+			defer wc.close()
+			leased := false
+			for {
+				line, err := wc.recv()
+				if err != nil {
+					return
+				}
+				lines = append(lines, line)
+				reply := "OK"
+				switch verb, _ := splitMsg(line); verb {
+				case "HELLO":
+					reply = "OK 10"
+				case "NEXT":
+					reply = "DONE"
+					if !leased {
+						leased = true
+						reply = formatLease(leaseMsg{ID: 1, ExpID: job.ExpID, Fingerprint: job.Fingerprint, Hi: len(trials), Trace: "ff"})
+					}
+				case "PING":
+					if revoke {
+						reply = "GONE"
+					}
+				case "SPANS":
+					continue
+				}
+				if wc.send(reply) != nil || reply == "DONE" {
+					return
+				}
+			}
+		}()
+		wrec := trace.New()
+		wrec.SetEnabled(false)
+		resolve := func(string, string) (*WorkerJob, error) {
+			return &WorkerJob{Trials: trials, Execute: func(ctx context.Context, sub []engine.Trial) (map[int]any, Stats, error) {
+				_, stats, err := Execute(ctx, job, sub, engine.Options{Workers: 1, Trace: wrec}, nil, noScratch, trialFn)
+				if err == nil && revoke {
+					<-ctx.Done() // held until the GONE cancels the lease
+					err = ctx.Err()
+				} else if err == nil {
+					err = errors.New("disk on fire")
+				}
+				return nil, stats, err
+			}}, nil
+		}
+		_, err = RunWorker(context.Background(), lis.Addr().String(), resolve, WorkerOptions{Name: "w", Trace: wrec, DialRetries: -1})
+		lis.Close()
+		lines := <-received
+		if revoke != (err == nil) {
+			t.Fatalf("revoke=%v: RunWorker = %v", revoke, err)
+		}
+		var recs []trace.Record
+		for i, line := range lines {
+			verb, fields := splitMsg(line)
+			if verb == "NEXT" && i > 1 {
+				break
+			}
+			if verb != "SPANS" {
+				continue
+			}
+			n, batch, err := parseSpans(fields)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := trace.DecodeBatch(batch)
+			if err != nil || len(dec) != n {
+				t.Fatalf("a SPANS batch of %d records decodes to %d, %v", n, len(dec), err)
+			}
+			recs = append(recs, dec...)
+		}
+		spans := map[string]int{}
+		for _, rec := range recs {
+			if rec.Ph == 'B' {
+				spans[rec.Cat]++
+			}
+		}
+		if spans["trial"] != len(trials) || spans["lease"] != 1 {
+			t.Errorf("revoke=%v: shipped %d trial and %d lease spans before the next NEXT, want %d and 1 (lines %q)",
+				revoke, spans["trial"], spans["lease"], len(trials), lines)
+		}
 	}
 }
 

@@ -62,15 +62,17 @@ func FuzzShardFile(f *testing.F) {
 
 // FuzzWireMessages feeds arbitrary protocol lines to splitMsg and every
 // field parser of the coordinator wire protocol (parseLease,
-// parseResult, parseID and parseMillis), whatever the verb. Seed
-// corpora live in testdata/fuzz/FuzzWireMessages: one valid line per
-// verb, plus a WAIT whose millisecond count overflows a Duration. For
-// any line:
+// parseResult, parseSpans, parseID and parseMillis), whatever the
+// verb. Seed corpora live in testdata/fuzz/FuzzWireMessages: one valid
+// line per verb, plus a WAIT whose millisecond count overflows a
+// Duration. For any line:
 //   - no input panics;
 //   - parseMillis never returns a negative duration without an error;
 //   - a parsed LEASE or RESULT, formatted again by formatLease or
 //     formatResult and parsed, gives back the same message, and a
-//     parsed duration formatted as milliseconds parses to itself.
+//     parsed duration formatted as milliseconds parses to itself;
+//   - fields parseSpans accepts re-format by formatSpans to themselves,
+//     so it accepts only the canonical count and hex.
 func FuzzWireMessages(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line string) {
 		_, fields := splitMsg(line)
@@ -100,6 +102,11 @@ func FuzzWireMessages(f *testing.F) {
 			if v != "RESULT" || err != nil || again.LeaseID != m.LeaseID || again.ExpID != m.ExpID ||
 				again.Index != m.Index || !bytes.Equal(again.Payload, m.Payload) {
 				t.Fatalf("result %+v formats to %q and parses back as %q %+v, %v", m, line, v, again, err)
+			}
+		}
+		if n, batch, err := parseSpans(fields); err == nil {
+			if line, want := formatSpans(n, batch), "SPANS "+strings.Join(fields, " "); line != want {
+				t.Fatalf("spans fields %q re-format to %q", want, line)
 			}
 		}
 	})
@@ -139,7 +146,8 @@ const proveLine = "AUTH *"
 // The seeds are a valid keyed and a valid keyless handshake, a wrong
 // proof, a missing nonce, a keyed worker against a keyless
 // coordinator, AUTH and NEXT before HELLO, a version mismatch, a
-// repeated HELLO, the four longFieldLines after a keyless HELLO, and a
+// repeated HELLO, SPANS lines in a session, the six longFieldLines
+// after a keyless HELLO, and a
 // REFUSE with 300 KB of 0xff bytes, whose ABORT once quoted all of it
 // (1.2 MB) to the next NEXT; every input that once broke a property is
 // kept in testdata/fuzz/FuzzHandshake.
@@ -159,6 +167,7 @@ func FuzzHandshake(f *testing.F) {
 		{false, "NEXT\n" + hello},
 		{false, "HELLO SFCOORD3 w1\nNEXT"},
 		{false, hello + "\n" + hello + "\nNEXT"},
+		{false, hello + "\nNEXT\nSPANS 3 0142\nSPANS 01 00\nCOMPLETE 1"},
 	} {
 		f.Add(seed.keyed, seed.script)
 	}
@@ -277,15 +286,18 @@ func FuzzHandshake(f *testing.F) {
 	})
 }
 
-// longFieldLines are four lines a worker may send after HELLO, each
+// longFieldLines are six lines a worker may send after HELLO, each
 // with one run of n 0xff bytes in the field an ERR answers: the verb, a
-// PING lease id, a RESULT trial index and a COMPLETE lease id.
+// PING lease id, a RESULT trial index, a SPANS record count and batch,
+// and a COMPLETE lease id.
 func longFieldLines(n int) []string {
 	junk := strings.Repeat("\xff", n)
 	return []string{
 		junk,
 		"PING " + junk,
 		"RESULT 1 E1 " + junk + " 00",
+		"SPANS " + junk + " 00",
+		"SPANS 1 " + junk,
 		"COMPLETE " + junk,
 	}
 }

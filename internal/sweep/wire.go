@@ -19,12 +19,13 @@ import (
 //
 // Client (worker) lines:
 //
-//	HELLO SFCOORD4 <name> [<nonce-hex>]       open the session (nonce iff keyed)
+//	HELLO SFCOORD5 <name> [<nonce-hex>]       open the session (nonce iff keyed)
 //	AUTH <proof-hex>                          answer a CHAL challenge
 //	NEXT                                      request a chunk lease
 //	PING <leaseID>                            heartbeat while executing
 //	RESULT <leaseID> <expID> <trialIdx> <hex> one trial's encoded result
-//	COMPLETE <leaseID> [<trace-hex>]          all of the lease's results sent (+ the worker's span batch when traced)
+//	SPANS <records> <hex>                     one batch of a traced lease's span records
+//	COMPLETE <leaseID>                        all of the lease's results (and spans) sent
 //	FAIL <leaseID> <quoted-msg>               the chunk's execution failed (retriable: the chunk is re-leased once)
 //	REFUSE <leaseID> <quoted-msg>             this worker cannot run the sweep at all (plan mismatch, codec failure — aborts immediately)
 //
@@ -41,11 +42,11 @@ import (
 //
 // Exchange discipline: HELLO, AUTH, NEXT, PING, COMPLETE, FAIL and
 // REFUSE are request/response (exactly one reply line each); RESULT
-// lines are fire-and-forget so a worker streams a chunk's results
-// without a round trip per trial — the COMPLETE that follows them is
-// the synchronization point. Results are valid even when their lease
-// was revoked: trials are pure and content-addressed, so the
-// coordinator accepts the value and resolves the duplicate by
+// and SPANS lines are fire-and-forget so a worker streams a chunk's
+// results and spans without a round trip per line — the COMPLETE that
+// follows them is the synchronization point. Results are valid even
+// when their lease was revoked: trials are pure and content-addressed,
+// so the coordinator accepts the value and resolves the duplicate by
 // comparing encoded bytes.
 //
 // Authentication (optional, shared-key HMAC, DESIGN.md §6.6): a keyed
@@ -72,8 +73,11 @@ import (
 // COMPLETE grew an optional hex-encoded span batch
 // (internal/obs/trace codec) carrying the worker's child spans back
 // for the merged timeline. Old peers would reject the extra LEASE
-// field, so the version gate bumps.
-const protoVersion = "SFCOORD4"
+// field, so the version gate bumps. SFCOORD4 → SFCOORD5: the span
+// batch left COMPLETE, whose one line could not carry a large lease's
+// spans, for SPANS lines sent after the lease's results, as many as
+// the lease's records need; COMPLETE carries only its lease id.
+const protoVersion = "SFCOORD5"
 
 // wireMaxLine bounds one protocol line. Encoded trial results are
 // small (tens of bytes of struct fields, doubled by hex), so 1 MiB is
@@ -165,7 +169,7 @@ type leaseMsg struct {
 	Lo, Hi      int // trial slice range [Lo,Hi) into the job's plan
 	// Trace is the optional hex trace-context id (SFCOORD4): non-empty
 	// iff the coordinator is tracing the sweep, in which case the
-	// worker records its own spans and ships them on COMPLETE.
+	// worker records its own spans and ships them on SPANS lines.
 	Trace string
 }
 
@@ -189,6 +193,38 @@ type resultMsg struct {
 
 func formatResult(leaseID uint64, expID string, index int, payload []byte) string {
 	return fmt.Sprintf("RESULT %d %s %d %s", leaseID, expID, index, hex.EncodeToString(payload))
+}
+
+// spansBudget bounds the binary span batch one SPANS line carries: hex
+// doubles it, and the verb and record count need headroom inside
+// wireMaxLine. One record encodes to at most 196,632 bytes (the trace
+// codec clips each of its three strings to 0xffff bytes), well under
+// this 524,256-byte budget, so every record fits a batch and a
+// traced lease ships all of its records.
+const spansBudget = (wireMaxLine - 64) / 2
+
+// formatSpans renders one span batch of n records as a SPANS line.
+func formatSpans(n int, batch []byte) string {
+	return "SPANS " + strconv.Itoa(n) + " " + hex.EncodeToString(batch)
+}
+
+// parseSpans parses a SPANS line's record count and batch. Both must be
+// canonical, as formatSpans writes them: a decimal count from 1 with no
+// sign or leading zero, and lower-case hex. Whether the batch decodes
+// to that many records is the trace recorder's concern, not the wire's.
+func parseSpans(fields []string) (int, []byte, error) {
+	if len(fields) != 2 {
+		return 0, nil, fmt.Errorf("sweep: SPANS wants 2 fields, got %d", len(fields))
+	}
+	n, err := strconv.Atoi(fields[0])
+	if err != nil || n < 1 || strconv.Itoa(n) != fields[0] {
+		return 0, nil, badField("SPANS record count", fields[0])
+	}
+	batch, err := hex.DecodeString(fields[1])
+	if err != nil || strings.ContainsAny(fields[1], "ABCDEF") {
+		return 0, nil, badField("SPANS batch", fields[1])
+	}
+	return n, batch, nil
 }
 
 // splitMsg splits a protocol line into its verb and fields.

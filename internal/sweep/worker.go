@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -77,22 +76,14 @@ type WorkerOptions struct {
 	// coordinator is tracing) enables it, so workers need no tracing
 	// flag — the wire is the switch. The same recorder must be wired
 	// into the engine options the resolver's Execute closures use, so
-	// trial spans land in it; each COMPLETE drains it into the wire
-	// batch the coordinator merges.
+	// trial spans land in it; each traced lease drains it onto SPANS
+	// lines the coordinator merges.
 	Trace *trace.Recorder
 }
 
 const (
 	defaultDialRetries     = 10
 	workerHandshakeTimeout = 10 * time.Second
-	// traceBatchBudget bounds the binary span batch a COMPLETE line
-	// carries: hex doubles it, and the verb + lease id need headroom
-	// inside wireMaxLine. A search trial's eight records take about
-	// 300 bytes, so a chunk of well over a thousand such trials
-	// overflows; the batch then drops its newest whole spans and
-	// counts them in a trace_dropped record, which makes the merged
-	// trace say it is lossy.
-	traceBatchBudget = (wireMaxLine - 64) / 2
 )
 
 // RunWorker connects to a coordinator, pulls chunk leases until the
@@ -477,6 +468,23 @@ func runLease(ctx context.Context, wc *wireConn, m leaseMsg, resolve WorkerJobRe
 		}
 	}
 	defer endSpan()
+	// shipSpans closes the lease span and buffers everything recorded
+	// since the last shipment (trial and phase spans from the engine
+	// writers included) on as many SPANS lines as it needs, for the
+	// next line sent to flush. Every path that keeps the connection
+	// calls it, so a failed or revoked lease's spans ship too.
+	shipSpans := func() error {
+		if !traced {
+			return nil
+		}
+		endSpan()
+		for _, b := range opts.Trace.DrainBatches(spansBudget) {
+			if err := wc.buffer(formatSpans(b.N, b.Data)); err != nil {
+				return &transportError{err: fmt.Errorf("sweep: streaming spans: %w", err)}
+			}
+		}
+		return nil
+	}
 	job, err := resolve(m.ExpID, m.Fingerprint)
 	if err == nil && m.Hi > len(job.Trials) {
 		err = fmt.Errorf("lease range [%d,%d) exceeds local plan of %d trials", m.Lo, m.Hi, len(job.Trials))
@@ -502,7 +510,7 @@ func runLease(ctx context.Context, wc *wireConn, m leaseMsg, resolve WorkerJobRe
 			if logf != nil {
 				logf("lease %d revoked, chunk stolen", m.ID)
 			}
-			return stats, nil
+			return stats, shipSpans()
 		}
 		if ctx.Err() != nil {
 			return stats, ctx.Err()
@@ -514,6 +522,9 @@ func runLease(ctx context.Context, wc *wireConn, m leaseMsg, resolve WorkerJobRe
 			// requeues the work without touching its retry budget, and
 			// a FAIL could not be delivered anyway.
 			return stats, &transportError{err: fmt.Errorf("sweep: lease %d: heartbeat connection to coordinator lost: %w", m.ID, te.Unwrap())}
+		}
+		if serr := shipSpans(); serr != nil {
+			return stats, serr
 		}
 		sendFail(wc, "FAIL", m.ID, err)
 		mWorkerChunkFailures.Inc()
@@ -545,18 +556,10 @@ func runLease(ctx context.Context, wc *wireConn, m leaseMsg, resolve WorkerJobRe
 			return stats, &transportError{err: fmt.Errorf("sweep: streaming results: %w", err)}
 		}
 	}
-	completeLine := fmt.Sprintf("COMPLETE %d", m.ID)
-	if m.Trace != "" && opts.Trace != nil {
-		// Close the lease span first so it rides in its own batch, then
-		// drain everything this lease recorded (trial and phase spans
-		// from the engine writers included) onto the COMPLETE line,
-		// with a count of whatever did not fit.
-		endSpan()
-		if enc := opts.Trace.DrainBatch(traceBatchBudget); enc != nil {
-			completeLine += " " + hex.EncodeToString(enc)
-		}
+	if err := shipSpans(); err != nil {
+		return stats, err
 	}
-	if err := wc.send(completeLine); err != nil {
+	if err := wc.send(fmt.Sprintf("COMPLETE %d", m.ID)); err != nil {
 		return stats, &transportError{err: fmt.Errorf("sweep: completing lease: %w", err)}
 	}
 	line, err := wc.recv()
